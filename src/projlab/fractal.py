@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InputDomainError, ResourceBudgetError
+from .errors import ConfigError, InputDomainError, ResourceBudgetError
 
 EXHAUSTIVE_BUDGET = 10**7
 CHAOS_BURN_IN = 100
@@ -212,6 +212,53 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     return max(scale_lo + 2, 8)
 
 
+def _nested_cell_keys(pts: np.ndarray, scale_lo: int,
+                      scale_hi: int) -> tuple[np.ndarray, int]:
+    """Sortable int64 box keys at ``scale_hi`` and the bit length of each
+    cell coordinate; see :func:`box_dimension`."""
+    k = pts.shape[1]
+    # One contiguous row per axis: numpy reduces (N, k) along axis 0 slowly.
+    cells = np.empty((k, len(pts)))
+    np.multiply(pts.T, 2.0**scale_hi, out=cells)
+    np.floor(cells, out=cells)
+    lo = cells.min(axis=1)
+    hi = cells.max(axis=1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InputDomainError("cannot box-count non-finite points")
+    if lo.min() < -2.0**62 or hi.max() >= 2.0**62:
+        raise ResourceBudgetError(
+            f"coordinates up to {max(-lo.min(), hi.max()):.3g} boxes from the "
+            f"origin exceed 62 bits at scale_hi={scale_hi}")
+    step = scale_hi - scale_lo
+    offset = [(int(v) >> step) << step for v in lo]
+    bits = max(int(v) - o for v, o in zip(hi, offset)).bit_length()
+    if k * bits > 63:
+        raise ResourceBudgetError(
+            f"box keys for k={k} at scale_hi={scale_hi} need {k} x {bits} bits, "
+            "over the 63-bit limit; lower scale_hi")
+    cells = cells.astype(np.int64)
+    cells -= np.array(offset, dtype=np.int64)[:, None]
+    if k == 1:
+        return cells[0], bits
+    _spread_bits(cells, bits, k)
+    cells <<= np.arange(k)[:, None]
+    return np.bitwise_or.reduce(cells, axis=0), bits
+
+
+def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
+    """Move bit i of each value in ``x`` (below 2^bits) to bit k*i, in place.
+
+    Halving shifts: the step of width s moves every bit whose index has the
+    s bit set by s*(k - 1) places, and the mask keeps each bit only where
+    the steps so far have put it, i + (k - 1) * (i & ~(s - 1)).
+    """
+    s = 1 << max(bits - 1, 0).bit_length()
+    while s > 1:
+        s >>= 1
+        x |= x << (s * (k - 1))
+        x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
+
+
 def box_dimension(sample, scale_lo: int = 2,
                   scale_hi: Optional[int] = None) -> DimensionEstimate:
     """Least-squares box-counting dimension over dyadic scales 2^-j.
@@ -219,6 +266,21 @@ def box_dimension(sample, scale_lo: int = 2,
     Boxes are anchored at the origin; a point on a box boundary belongs to
     the box whose lower edge it lies on, so counts are deterministic.
     ``scale_hi`` defaults to :func:`default_scale_hi` of the sample.
+
+    All scales are counted from one sort (Liebovitch & Toth, Phys. Lett. A
+    141, 1989).  Dyadic grids nest: scaling by 2^j is exact in float64, so
+    floor(x 2^j) == floor(x 2^scale_hi) >> (scale_hi - j).  Each point gets
+    one integer key at ``scale_hi``: its cell for k = 1, or the Morton
+    (Z-order) interleave of its k cell coordinates, so that the key of the
+    enclosing box at scale j is key >> k(scale_hi - j).  Cells are first
+    shifted by a per-axis offset that is a multiple of 2^(scale_hi -
+    scale_lo), which keeps every coarser box whole.  After sorting the keys
+    once, two neighbours lie in different boxes at scale j exactly when
+    their XOR reaches 2^(k(scale_hi - j)).
+
+    Keys are int64, so k times the bit length of the shifted cells must not
+    exceed 63, and cells at ``scale_hi`` must lie within 2^62 boxes of the
+    origin; a wider grid raises :class:`ResourceBudgetError`.
     """
     if scale_hi is None:
         scale_hi = default_scale_hi(sample, scale_lo)
@@ -233,13 +295,15 @@ def box_dimension(sample, scale_lo: int = 2,
     if len(scales) < 3:
         raise InputDomainError("need at least 3 scales")
 
+    keys, bits = _nested_cell_keys(pts, scale_lo, scale_hi)
+    keys.sort()
+    jumps = keys[1:] ^ keys[:-1]
+    k = pts.shape[1]
     counts = []
     for j in scales:
-        cells = np.floor(pts * float(2**j)).astype(np.int64)
-        cells -= cells.min(axis=0)
-        dims = cells.max(axis=0) + 1
-        keys = np.ravel_multi_index(tuple(cells.T), tuple(dims))
-        counts.append(int(np.unique(keys).size))
+        shift = k * (scale_hi - j)
+        counts.append(1 + int(np.count_nonzero(jumps >= 1 << shift))
+                      if shift < k * bits else 1)
 
     x = np.asarray(scales, dtype=float)
     y = np.log2(np.asarray(counts, dtype=float))
@@ -260,9 +324,10 @@ def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
         pts = pts[:, None]
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
-    out = np.zeros_like(pts)
     live = span > degenerate_tol
-    out[:, live] = (pts[:, live] - lo[live]) / span[live]
+    out = pts - lo
+    out /= np.where(live, span, 1.0)
+    out[:, ~live] = 0.0
     return out
 
 
@@ -342,6 +407,11 @@ def export_sample(sample: PointSample, path) -> None:
 def load_sample(path) -> PointSample:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(".json").read_text())
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    pts = raw.reshape(sidecar["count"], sidecar["n"])
+    raw = path.read_bytes()
+    count, n = int(sidecar["count"]), int(sidecar["n"])
+    if len(raw) != 8 * count * n:
+        raise ConfigError(
+            f"sample {path}: file holds {len(raw)} bytes, but its sidecar's "
+            f"count={count} x n={n} float64 values need {8 * count * n}")
+    pts = np.frombuffer(raw, dtype="<f8").reshape(count, n)
     return PointSample(points=pts, depth=int(sidecar["depth"]))

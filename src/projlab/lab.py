@@ -52,6 +52,12 @@ class ExperimentConfig:
             raise ConfigError(f"field threshold_s: need a value in (0, k], got {self.threshold_s}")
         if self.num_directions < 1:
             raise ConfigError(f"field num_directions: need >= 1, got {self.num_directions}")
+        if self.depth < 1:
+            raise ConfigError(f"field depth: need >= 1, got {self.depth}")
+        if self.scale_hi - self.scale_lo < 2:
+            raise ConfigError(
+                f"field scale_hi: need scale_hi >= scale_lo + 2 (at least 3 scales), "
+                f"got scale_lo={self.scale_lo}, scale_hi={self.scale_hi}")
         if self.ifs.n != self.n:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
         if self.mode not in ("sweep", "scan", "grid"):

@@ -1,9 +1,10 @@
 import json
 
 import numpy as np
+import pytest
 
-from projlab import (Chart, cantor_dust, cantor_on_axis, export_sample,
-                     from_basis, generate)
+from projlab import (Chart, PointSample, cantor_dust, cantor_on_axis,
+                     export_sample, from_basis, generate)
 from projlab.cli import run_cli
 
 
@@ -88,6 +89,16 @@ def test_config_error_names_offending_field(tmp_path, capsys):
     assert "field threshold_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(depth=-1), "field depth"),
+    (dict(scale_lo=9, scale_hi=4), "field scale_hi"),
+])
+def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path / "cfg.json", **{"depth": 10, **overrides})
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_chart_subcommand(tmp_path, capsys):
     v = from_basis(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
     sub = tmp_path / "v.json"
@@ -120,3 +131,21 @@ def test_dims_missing_sidecar(tmp_path, capsys):
     path.write_bytes(b"\x00" * 16)
     assert run_cli(["dims", "--sample", str(path)]) == 2
     assert "sidecar" in capsys.readouterr().err
+
+
+def test_dims_key_overflow_is_numeric_failure(tmp_path, capsys):
+    path = tmp_path / "cloud.bin"
+    rng = np.random.default_rng(0)
+    export_sample(PointSample(points=rng.random((100, 5)), depth=1), path)
+    assert run_cli(["dims", "--sample", str(path), "--scale-hi", "14"]) == 3
+    err = capsys.readouterr().err
+    assert "k=5" in err and "scale_hi=14" in err
+
+
+def test_dims_size_mismatch_is_config_error(tmp_path, capsys):
+    path = tmp_path / "dust.bin"
+    export_sample(generate(cantor_dust(), 3), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    assert run_cli(["dims", "--sample", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "1016 bytes" in err and "1024" in err

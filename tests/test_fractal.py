@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      cantor_dust, cantor_middle_thirds,
@@ -105,6 +107,91 @@ def test_box_counts_match_oracle_2d():
         oracle = {(math.floor(x * 2**j), math.floor(y * 2**j))
                   for x, y in sample.points}
         assert count == len(oracle)
+
+
+def per_scale_counts(pts, scales):
+    """Reference counter: one floor and one np.unique of raveled cells per
+    scale, with no nesting between scales."""
+    counts = []
+    for j in scales:
+        cells = np.floor(pts * float(2**j)).astype(np.int64)
+        cells -= cells.min(axis=0)
+        dims = cells.max(axis=0) + 1
+        keys = np.ravel_multi_index(tuple(cells.T), tuple(dims))
+        counts.append(int(np.unique(keys).size))
+    return tuple(counts)
+
+
+def test_box_counts_match_per_scale_reference():
+    rng = np.random.default_rng(11)
+    dust = generate(cantor_dust(), 8).points
+    lines = [normalize_unit_box(dust @ sample_uniform(2, 1, rng).proj.T)
+             for _ in range(3)]
+    clouds = [dust, rng.normal(size=(5000, 3)), rng.random((3000, 4)) - 0.5]
+    for pts, lo, hi in [(lines[0], 2, 13), (lines[1], 0, 16), (lines[2], 3, 9),
+                        (clouds[0], 2, 10), (clouds[1], 1, 9), (clouds[2], 0, 7)]:
+        est = box_dimension(pts, lo, hi)
+        assert est.counts == per_scale_counts(pts, range(lo, hi + 1))
+
+
+@st.composite
+def box_windows(draw):
+    """Point clouds with negative coordinates, origins off the dyadic grid,
+    some points on box edges, and a scale window starting at 0 or above."""
+    k = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 2000))
+    scale_lo = draw(st.integers(0, 4))
+    scale_hi = draw(st.integers(scale_lo + 2, scale_lo + 8))
+    origin = draw(st.lists(st.floats(-20.0, 20.0), min_size=k, max_size=k))
+    width = draw(st.sampled_from([2.0**-6, 0.3, 1.0, 3.0]))
+    edge = draw(st.integers(0, scale_hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = np.asarray(origin) + width * rng.random((count, k))
+    on_edge = rng.random(count) < 0.3
+    pts[on_edge] = np.floor(pts[on_edge] * 2.0**edge) / 2.0**edge
+    return pts, scale_lo, scale_hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=box_windows())
+def test_box_counts_properties(window):
+    pts, lo, hi = window
+    est = box_dimension(pts, lo, hi)
+    assert est.scales == tuple(range(lo, hi + 1))
+    for j, count in zip(est.scales, est.counts):
+        oracle = {tuple(math.floor(c * 2.0**j) for c in p) for p in pts.tolist()}
+        assert count == len(oracle)
+    assert all(a <= b for a, b in zip(est.counts, est.counts[1:]))
+    assert all(1 <= c <= len(pts) for c in est.counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=box_windows(), steps=st.lists(st.integers(-40, 40), min_size=4, max_size=4))
+def test_box_counts_invariant_under_coarse_dyadic_shift(window, steps):
+    pts, lo, hi = window
+    # On the 2^-30 grid both the points and their shifts are exact floats.
+    pts = np.round(pts * 2.0**30) / 2.0**30
+    shift = np.asarray(steps[:pts.shape[1]]) / 2.0**lo
+    assert box_dimension(pts + shift, lo, hi).counts == box_dimension(pts, lo, hi).counts
+
+
+def test_box_dimension_key_width_limit():
+    rng = np.random.default_rng(4)
+    # 3 axes x 21 bits fill the 63-bit key exactly.
+    pts = rng.random((500, 3))
+    est = box_dimension(pts, 2, 21)
+    assert est.counts == per_scale_counts(pts, range(2, 22))
+    with pytest.raises(ResourceBudgetError, match="k=3 at scale_hi=22"):
+        box_dimension(pts, 2, 22)
+    with pytest.raises(ResourceBudgetError, match="k=5 at scale_hi=14"):
+        box_dimension(rng.random((100, 5)), 2, 14)
+
+
+def test_box_dimension_rejects_unrepresentable_points():
+    with pytest.raises(InputDomainError, match="non-finite"):
+        box_dimension(np.array([[0.1], [np.nan], [0.3]]), 2, 8)
+    with pytest.raises(ResourceBudgetError, match="scale_hi=8"):
+        box_dimension(np.full((3, 1), 1e30), 2, 8)
 
 
 def test_box_dimension_cantor_default_window():

@@ -52,6 +52,12 @@ def test_config_validation_names_fields():
         sweep_config(ifs=cantor_on_axis(), n=3, k=1)
     with pytest.raises(ConfigError, match="field mode"):
         sweep_config(mode="walk")
+    with pytest.raises(ConfigError, match="field depth"):
+        sweep_config(depth=-1)
+    with pytest.raises(ConfigError, match="field scale_hi.*scale_lo=9, scale_hi=4"):
+        sweep_config(scale_lo=9, scale_hi=4)
+    with pytest.raises(ConfigError, match="field scale_hi"):
+        sweep_config(scale_lo=2, scale_hi=3)
 
 
 def test_config_from_dict_round_trip():
