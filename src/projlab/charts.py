@@ -4,11 +4,13 @@ A chart fixes a row index set I and normalizes a basis matrix A of the
 plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  Index sets are
 chosen exhaustively for conditioning: the basis columns maximize the
-smallest singular value, the row block maximizes |det|.
+smallest singular value, the row block maximizes |det|.  Subsets are
+scored by one batched SVD or determinant per block of at most 4096.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -21,6 +23,9 @@ from .errors import DegeneracyError, InputDomainError, PremiseViolationError
 from .grassmann import Subspace, contains, from_basis
 
 _CHART_SIGMA_TOL = 1e-10
+# Subsets scored per batched svd/det call; bounds the stacked submatrices
+# at 4096 x n x k floats whatever binom(n, k) is.
+_SUBSET_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +81,50 @@ class ConditionReport:
     inv_norm_bound: float
 
 
+@functools.lru_cache(maxsize=16)
+def _index_subsets(n: int, k: int) -> np.ndarray:
+    """All k-subsets of range(n) in lexicographic order, as a read-only
+    (binom(n, k), k) index array."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    subsets = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k)
+    subsets = subsets.reshape(-1, k)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _best_subset(n: int, k: int, score) -> tuple[tuple, float]:
+    """The k-subset of range(n) with the largest ``score`` and that score.
+
+    ``score`` maps a (B, k) block of subsets to their B scores; blocks hold
+    at most ``_SUBSET_BLOCK`` subsets.  Ties go to the lexicographically
+    first subset: ``argmax`` keeps the first maximum within a block, and a
+    later block wins only with a strictly larger score.
+    """
+    subsets = _index_subsets(n, k)
+    best_score, best_row = -math.inf, 0
+    for start in range(0, len(subsets), _SUBSET_BLOCK):
+        scores = score(subsets[start:start + _SUBSET_BLOCK])
+        j = int(np.argmax(scores))
+        if scores[j] > best_score:
+            best_score, best_row = float(scores[j]), start + j
+    return tuple(int(i) for i in subsets[best_row]), best_score
+
+
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
     """Well-conditioned basis of projected standard vectors.
 
     Returns (A, I, report) where the columns of A are P_V e_i for i in I and
     I maximizes the smallest singular value over all binom(n, k) choices
-    (lexicographically first on ties).  Always ||A|| <= 1 and sigma(A) > 0.
+    (lexicographically first on ties).  The choice is exhaustive: the
+    column blocks of every subset are stacked and scored by one batched SVD
+    per block of at most 4096 subsets, so memory stays bounded for large
+    binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
     """
     p = v.proj
-    best_sigma, best_idx = -1.0, None
-    for idx in itertools.combinations(range(v.n), v.k):
-        sigma = float(np.linalg.svd(p[:, list(idx)], compute_uv=False)[-1])
-        if sigma > best_sigma:
-            best_sigma, best_idx = sigma, idx
+    best_idx, best_sigma = _best_subset(
+        v.n, v.k,
+        lambda block: np.linalg.svd(p[:, block].transpose(1, 0, 2),
+                                    compute_uv=False)[:, -1])
     a = p[:, list(best_idx)]
     a_rows = a[list(best_idx), :]
     s_rows = np.linalg.svd(a_rows, compute_uv=False)
@@ -103,7 +139,12 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
 
 def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     """Row index set maximizing |det(A_I)|, with the conditioning guarantee
-    ||A_I^{-1}|| <= sqrt(binom(n, m)) * ||A||^{m-1} / sigma(A)^m."""
+    ||A_I^{-1}|| <= sqrt(binom(n, m)) * ||A||^{m-1} / sigma(A)^m.
+
+    The choice is exhaustive over all binom(n, m) row blocks, scored by one
+    batched determinant per block of at most 4096 subsets; ties go to the
+    lexicographically first index set.
+    """
     a = mk.as_matrix(a)
     n, m = a.shape
     if n < m:
@@ -111,11 +152,7 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= 1e-10:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
-    best_det, best_idx = -1.0, None
-    for idx in itertools.combinations(range(n), m):
-        d = abs(float(np.linalg.det(a[list(idx), :])))
-        if d > best_det:
-            best_det, best_idx = d, idx
+    best_idx, _ = _best_subset(n, m, lambda block: np.abs(np.linalg.det(a[block])))
     k1, k2 = float(s[0]), float(s[-1])
     report = ConditionReport(
         sigma_min=k2,
@@ -184,13 +221,18 @@ def chart_stability(v: Subspace, eps: float, trials: int,
 
 
 def orthonormal_frame(v: Subspace) -> np.ndarray:
-    """Deterministic orthonormal basis of a subspace.
+    """Deterministic orthonormal basis of a subspace: the frame of its chart,
+    see :func:`chart_frame`."""
+    return chart_frame(to_chart(v))
+
+
+def chart_frame(c: Chart) -> np.ndarray:
+    """Orthonormal basis of the plane a chart describes.
 
     Modified Gram-Schmidt over the chart basis columns in fixed order, so
-    the frame depends only on the subspace.
+    the frame depends only on the chart.
     """
-    a = to_chart(v).reconstruct()
-    q = np.array(a)
+    q = c.reconstruct()
     for j in range(q.shape[1]):
         for i in range(j):
             q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]

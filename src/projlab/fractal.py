@@ -318,17 +318,22 @@ def box_dimension(sample, scale_lo: int = 2,
 
 def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
     """Affinely rescale each coordinate into [0, 1]; coordinates whose range
-    is below the tolerance collapse to 0 (dimension-neutral for the rest)."""
+    is below the tolerance collapse to 0 (dimension-neutral for the rest).
+
+    The result is the transpose of a contiguous (k, N) array, one row per
+    coordinate: numpy reduces a narrow (N, k) array along axis 0 slowly.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    rows = np.ascontiguousarray(pts.T)
+    lo = rows.min(axis=1)
+    span = rows.max(axis=1) - lo
     live = span > degenerate_tol
-    out = pts - lo
-    out /= np.where(live, span, 1.0)
-    out[:, ~live] = 0.0
-    return out
+    out = rows - lo[:, None]
+    out /= np.where(live, span, 1.0)[:, None]
+    out[~live] = 0.0
+    return out.T
 
 
 def null_compressor(data: bytes) -> float:
@@ -347,15 +352,17 @@ def kt_compressor(data: bytes) -> float:
     An ideal arithmetic code under the KT estimator: near 1 bit/bit on
     incoherent input, O(log n) total on constant input, with none of the
     container overhead general-purpose compressors pay on tiny payloads.
+    The sequential KT probabilities multiply out to a closed form in the
+    bit count n and the count of ones a,
+    -log2 P = (ln Gamma(n+1) + ln pi - ln Gamma(a+1/2) - ln Gamma(n-a+1/2)) / ln 2,
+    so only the ones are counted.
     """
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    total = 0.0
-    ones = 0.0
-    for i, b in enumerate(bits):
-        p_one = (ones + 0.5) / (i + 1.0)
-        total -= math.log2(p_one if b else 1.0 - p_one)
-        ones += b
-    return total
+    if not data:
+        return 0.0
+    n = 8 * len(data)
+    a = int(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).sum())
+    return (math.lgamma(n + 1) + math.log(math.pi) - math.lgamma(a + 0.5)
+            - math.lgamma(n - a + 0.5)) / math.log(2.0)
 
 
 def _truncate_bits(points: np.ndarray, r: int) -> bytes:
@@ -363,12 +370,9 @@ def _truncate_bits(points: np.ndarray, r: int) -> bytes:
     concatenated coordinate-major and packed into bytes."""
     levels = np.floor(points * float(2**r)).astype(np.uint64)
     levels = np.minimum(levels, 2**r - 1)
-    bit_rows = []
-    for c in range(points.shape[1]):  # coordinate-major
-        for v in levels[:, c]:
-            bit_rows.append([(int(v) >> (r - 1 - b)) & 1 for b in range(r)])
-    bits = np.asarray(bit_rows, dtype=np.uint8).ravel()
-    return np.packbits(bits).tobytes()
+    shifts = np.arange(r - 1, -1, -1, dtype=np.uint64)
+    bits = (levels.T[:, :, None] >> shifts) & np.uint64(1)
+    return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 def complexity_profile(x, r_max: int,
@@ -406,12 +410,24 @@ def export_sample(sample: PointSample, path) -> None:
 
 def load_sample(path) -> PointSample:
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
+    try:
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"sample {path}: sidecar is not valid JSON: {exc}") from exc
+    fields = []
+    for key in ("count", "n", "depth"):
+        if not isinstance(sidecar, dict) or key not in sidecar:
+            raise ConfigError(f"sample {path}: sidecar has no field '{key}'")
+        try:
+            fields.append(int(sidecar[key]))
+        except (TypeError, ValueError):
+            raise ConfigError(f"sample {path}: sidecar field '{key}' is not an "
+                              f"integer: {sidecar[key]!r}") from None
+    count, n, depth = fields
     raw = path.read_bytes()
-    count, n = int(sidecar["count"]), int(sidecar["n"])
     if len(raw) != 8 * count * n:
         raise ConfigError(
             f"sample {path}: file holds {len(raw)} bytes, but its sidecar's "
             f"count={count} x n={n} float64 values need {8 * count * n}")
     pts = np.frombuffer(raw, dtype="<f8").reshape(count, n)
-    return PointSample(points=pts, depth=int(sidecar["depth"]))
+    return PointSample(points=pts, depth=depth)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart, from_chart, orthonormal_frame, to_chart
+from .charts import Chart, chart_frame, from_chart, to_chart
 from .errors import ConfigError, InputDomainError
 from .fractal import (DimensionEstimate, IFSSpec, PointSample, box_dimension,
                       generate, normalize_unit_box, EXHAUSTIVE_BUDGET)
@@ -62,6 +62,13 @@ class ExperimentConfig:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
         if self.mode not in ("sweep", "scan", "grid"):
             raise ConfigError(f"field mode: unknown mode '{self.mode}'")
+        if self.mode == "scan":
+            cells = _scan_cells_per_axis(self.n, self.k, self.num_directions)
+            if cells < 8:
+                axis = "" if (self.n, self.k) == (2, 1) else " per chart axis"
+                raise ConfigError(
+                    f"field num_directions: scan grid too coarse: {cells} "
+                    f"cells{axis} (need >= 8)")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -122,10 +129,9 @@ def _generate_sample(config: ExperimentConfig) -> PointSample:
     return generate(config.ifs, config.depth, mode="chaos", rng=rng)
 
 
-def _estimate_direction(v: Subspace, sample: PointSample,
+def _estimate_direction(c: Chart, sample: PointSample,
                         config: ExperimentConfig) -> DimensionEstimate:
-    frame = orthonormal_frame(v)
-    coords = sample.points @ frame
+    coords = sample.points @ chart_frame(c)
     # Rescaling into the unit box makes the estimate invariant to the
     # direction-dependent diameter of the projected set.
     return box_dimension(normalize_unit_box(coords),
@@ -140,13 +146,20 @@ def marstrand_sweep(config: ExperimentConfig) -> SweepResult:
 
     def run_one(i: int) -> DirectionRow:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
-        v = sample_uniform(config.n, config.k, rng)
-        est = _estimate_direction(v, sample, config)
-        return DirectionRow(index=i, chart=to_chart(v), estimate=est,
+        c = to_chart(sample_uniform(config.n, config.k, rng))
+        est = _estimate_direction(c, sample, config)
+        return DirectionRow(index=i, chart=c, estimate=est,
                             exceptional=est.value < config.threshold_s)
 
     rows = _run_ordered(run_one, config.num_directions)
     return SweepResult(rows=tuple(rows), summary=_summarize(rows, config))
+
+
+def _scan_cells_per_axis(n: int, k: int, num_directions: int) -> int:
+    """Cells along each axis of the scan grid of :func:`_grid_directions`."""
+    if (n, k) == (2, 1):
+        return num_directions
+    return int(round(num_directions ** (1.0 / (k * (n - k)))))
 
 
 def _grid_directions(config: ExperimentConfig) -> list[tuple[Subspace, tuple]]:
@@ -154,23 +167,18 @@ def _grid_directions(config: ExperimentConfig) -> list[tuple[Subspace, tuple]]:
 
     G(2, 1) uses the angle parametrization (the chart by slope misses the
     vertical direction); other (n, k) use a uniform grid over the chart
-    free block in [-3, 3]^{k(n-k)}.
+    free block in [-3, 3]^{k(n-k)}.  The config guarantees at least 8 cells
+    per axis.
     """
+    per_axis = _scan_cells_per_axis(config.n, config.k, config.num_directions)
     if (config.n, config.k) == (2, 1):
-        cells = config.num_directions
-        if cells < 8:
-            raise InputDomainError(f"grid too coarse: {cells} cells (need >= 8)")
         out = []
-        for j in range(cells):
-            theta = j * math.pi / cells
+        for j in range(per_axis):
+            theta = j * math.pi / per_axis
             v = from_basis(np.array([[math.cos(theta)], [math.sin(theta)]]))
-            out.append((v, (j / cells,)))
+            out.append((v, (j / per_axis,)))
         return out
     dim = config.k * (config.n - config.k)
-    per_axis = int(round(config.num_directions ** (1.0 / dim)))
-    if per_axis < 8:
-        raise InputDomainError(
-            f"grid too coarse: {per_axis} cells per chart axis (need >= 8)")
     centers = [-3.0 + (i + 0.5) * 6.0 / per_axis for i in range(per_axis)]
     out = []
     base_i = tuple(range(config.k))
@@ -192,8 +200,9 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
 
     def run_one(i: int) -> DirectionRow:
         v, params = directions[i]
-        est = _estimate_direction(v, sample, config)
-        return DirectionRow(index=i, chart=to_chart(v), estimate=est,
+        c = to_chart(v)
+        est = _estimate_direction(c, sample, config)
+        return DirectionRow(index=i, chart=c, estimate=est,
                             exceptional=est.value < config.threshold_s,
                             params=params)
 

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from projlab import charts
 from projlab import (Chart, InputDomainError, chart_stability, contains,
                      embed_relative, from_basis, from_chart, good_basis,
                      good_submatrix, metric_rho, relative_chart,
@@ -13,6 +16,84 @@ from projlab import (Chart, InputDomainError, chart_stability, contains,
 
 def diag_line_2d():
     return from_basis(np.array([[1.0], [1.0]]) / math.sqrt(2))
+
+
+def loop_good_basis_index(v):
+    """Reference selector: one SVD per column subset, first strict maximum."""
+    best_sigma, best_idx = -1.0, None
+    for idx in itertools.combinations(range(v.n), v.k):
+        sigma = float(np.linalg.svd(v.proj[:, list(idx)], compute_uv=False)[-1])
+        if sigma > best_sigma:
+            best_sigma, best_idx = sigma, idx
+    return best_idx, best_sigma
+
+
+def loop_good_submatrix_index(a):
+    """Reference selector: one det per row subset, first strict maximum."""
+    best_det, best_idx = -1.0, None
+    for idx in itertools.combinations(range(a.shape[0]), a.shape[1]):
+        d = abs(float(np.linalg.det(a[list(idx), :])))
+        if d > best_det:
+            best_det, best_idx = d, idx
+    return best_idx
+
+
+def assert_selection_matches_loop(v):
+    a, idx, report = good_basis(v)
+    assert (idx, report.sigma_min) == loop_good_basis_index(v)
+    assert good_submatrix(a)[0] == loop_good_submatrix_index(a)
+
+
+@st.composite
+def subspaces(draw):
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, min(n - 1, 4)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return sample_uniform(n, k, np.random.default_rng(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(v=subspaces())
+def test_batched_selection_matches_loop(v):
+    assert_selection_matches_loop(v)
+
+
+def tie_subspaces():
+    perm = np.eye(5)[:, [3, 0, 4, 1, 2]]
+    return [from_basis(np.eye(4)[:, [1, 3]]),   # coordinate planes
+            from_basis(np.eye(5)[:, [0, 2, 4]]),
+            from_basis(np.eye(3)[:, :2]),
+            from_basis(perm[:, :3]),            # permutation-matrix basis
+            diag_line_2d(),                     # every subset ties
+            from_basis(np.ones((4, 1)) / 2.0)]
+
+
+@pytest.mark.parametrize("v", tie_subspaces())
+def test_batched_selection_ties_match_loop(v):
+    assert_selection_matches_loop(v)
+
+
+def test_batched_selection_tie_examples():
+    assert good_basis(from_basis(np.eye(4)[:, [1, 3]]))[1] == (1, 3)
+    assert good_basis(from_basis(np.eye(5)[:, [3, 0, 4]]))[1] == (0, 3, 4)
+    assert good_basis(from_basis(np.ones((4, 1)) / 2.0))[1] == (0,)
+    assert good_submatrix(np.eye(5)[:, [4, 2]])[0] == (2, 4)
+
+
+def test_batched_selection_across_blocks(monkeypatch):
+    monkeypatch.setattr(charts, "_SUBSET_BLOCK", 3)
+    # The maximum sits in the second block of three.
+    assert good_submatrix(np.array([[1.0], [2.0], [1.0], [3.0], [0.0]]))[0] == (3,)
+    # Equal maxima in the first and second block: the first one wins.
+    assert good_submatrix(np.array([[1.0], [2.0], [3.0], [3.0], [2.0]]))[0] == (2,)
+    # All four singletons of the diagonal line tie across the boundary.
+    assert good_basis(from_basis(np.ones((4, 1)) / 2.0))[1] == (0,)
+    # (1, 3) is the fifth of the six 2-subsets of range(4).
+    assert good_basis(from_basis(np.eye(4)[:, [1, 3]]))[1] == (1, 3)
+    rng = np.random.default_rng(47)
+    for n, k in [(5, 2), (6, 3), (7, 2)]:
+        for _ in range(10):
+            assert_selection_matches_loop(sample_uniform(n, k, rng))
 
 
 def test_good_basis_coordinate_plane():

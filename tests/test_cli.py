@@ -99,6 +99,14 @@ def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     assert field in capsys.readouterr().err
 
 
+def test_scan_coarse_grid_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", ifs=json.loads(cantor_on_axis().to_json()),
+                       num_directions=4, threshold_s=0.5, mode="scan")
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "field num_directions" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_chart_subcommand(tmp_path, capsys):
     v = from_basis(np.array([[1.0], [1.0]]) / np.sqrt(2.0))
     sub = tmp_path / "v.json"
@@ -140,6 +148,31 @@ def test_dims_key_overflow_is_numeric_failure(tmp_path, capsys):
     assert run_cli(["dims", "--sample", str(path), "--scale-hi", "14"]) == 3
     err = capsys.readouterr().err
     assert "k=5" in err and "scale_hi=14" in err
+
+
+@pytest.mark.parametrize("field", ["count", "n", "depth"])
+def test_dims_incomplete_sidecar_is_config_error(tmp_path, capsys, field):
+    path = tmp_path / "dust.bin"
+    export_sample(generate(cantor_dust(), 3), path)
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    del sidecar[field]
+    path.with_suffix(".json").write_text(json.dumps(sidecar))
+    assert run_cli(["dims", "--sample", str(path)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{count: 64", "not valid JSON"),
+    ('{"count": "x", "n": 2, "depth": 3}', "field 'count' is not an integer"),
+    ('{"count": 64, "n": null, "depth": 3}', "field 'n' is not an integer"),
+    ("[64, 2, 3]", "no field 'count'"),
+])
+def test_dims_malformed_sidecar_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "dust.bin"
+    export_sample(generate(cantor_dust(), 3), path)
+    path.with_suffix(".json").write_text(text)
+    assert run_cli(["dims", "--sample", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_dims_size_mismatch_is_config_error(tmp_path, capsys):

@@ -10,7 +10,8 @@ from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      complexity_profile, export_sample, generate,
                      kt_compressor, load_sample, normalize_unit_box,
                      null_compressor, sample_uniform, similarity_dimension)
-from projlab.fractal import IFSSpec, PointSample, Similarity, default_scale_hi
+from projlab.fractal import (IFSSpec, PointSample, Similarity, _truncate_bits,
+                             default_scale_hi)
 
 
 def unit_interval_ifs():
@@ -256,6 +257,28 @@ def test_normalize_unit_box():
     assert np.allclose(out[:, 1], 0.0)  # degenerate coordinate collapses
 
 
+def normalize_columns(pts, degenerate_tol=1e-12):
+    """Reference rescaling: reductions along axis 0 of the (N, k) array."""
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    live = span > degenerate_tol
+    out = pts - lo
+    out /= np.where(live, span, 1.0)
+    out[:, ~live] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_normalize_unit_box_matches_column_reference(k):
+    rng = np.random.default_rng(k)
+    pts = rng.standard_normal((500, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+    if k > 1:
+        pts[:, -1] = 7.25  # a degenerate axis
+    out = normalize_unit_box(pts)
+    assert out.shape == pts.shape
+    assert out.tobytes(order="C") == normalize_columns(pts).tobytes(order="C")
+
+
 def test_complexity_profile_constant_point():
     profile = complexity_profile(np.zeros(2), 48)
     r, k_hat, ratio = profile[-1]
@@ -294,6 +317,50 @@ def test_kt_compressor_calibration():
     rng = np.random.default_rng(0)
     data = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()
     assert kt_compressor(data) >= 0.9 * 8 * 64
+
+
+def kt_sequential(data):
+    """Reference KT coder: the product of the sequential KT probabilities,
+    one bit at a time."""
+    total, ones = 0.0, 0.0
+    for i, b in enumerate(np.unpackbits(np.frombuffer(data, dtype=np.uint8))):
+        p_one = (ones + 0.5) / (i + 1.0)
+        total -= math.log2(p_one if b else 1.0 - p_one)
+        ones += b
+    return total
+
+
+@pytest.mark.parametrize("data", [
+    bytes(12), b"\xff" * 40, bytes(1), b"\xff",              # constant
+    np.random.default_rng(0).integers(0, 256, 64, dtype=np.uint8).tobytes(),
+    np.random.default_rng(1).integers(0, 256, 700, dtype=np.uint8).tobytes(),
+    np.random.default_rng(2).integers(0, 4, 300, dtype=np.uint8).tobytes(),
+    b"\x01", b"\x80\x00", b"\x5a\x0f\xf0",                   # short
+])
+def test_kt_closed_form_matches_sequential_code(data):
+    assert kt_compressor(data) == pytest.approx(kt_sequential(data), rel=1e-12)
+
+
+def test_kt_compressor_empty_input():
+    assert kt_compressor(b"") == 0.0 == kt_sequential(b"")
+
+
+def truncate_bits_loop(points, r):
+    """Reference truncation: one Python loop step per coordinate value."""
+    levels = np.minimum(np.floor(points * float(2**r)).astype(np.uint64), 2**r - 1)
+    bit_rows = [[(int(v) >> (r - 1 - b)) & 1 for b in range(r)]
+                for c in range(points.shape[1]) for v in levels[:, c]]
+    return np.packbits(np.asarray(bit_rows, dtype=np.uint8).ravel()).tobytes()
+
+
+@pytest.mark.parametrize("r", [1, 7, 12, 33, 64])
+def test_truncate_bits_matches_loop(r):
+    rng = np.random.default_rng(r)
+    pts = np.vstack([rng.random((37, 3)),
+                     [[0.0, 0.5, np.nextafter(1.0, 0.0)]]])
+    assert _truncate_bits(pts, r) == truncate_bits_loop(pts, r)
+    # A single vector is one row of coordinates.
+    assert _truncate_bits(pts[:1], r) == truncate_bits_loop(pts[:1], r)
 
 
 def test_sample_export_round_trip(tmp_path):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from projlab import (ConfigError, ExperimentConfig, InputDomainError,
+from projlab import lab
+from projlab import (ConfigError, ExperimentConfig, IFSSpec, InputDomainError,
                      cantor_dust, cantor_on_axis, exceptional_scan,
                      kaufman_bound, marstrand_sweep, result_csv)
 from projlab.lab import THREADS_ENV
@@ -41,6 +42,10 @@ def sweep_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def line_3d():
+    return IFSSpec(n=3, maps=((0.5, np.zeros(3)), (0.5, np.array([0.5, 0.0, 0.0]))))
+
+
 def test_config_validation_names_fields():
     with pytest.raises(ConfigError, match="field k"):
         sweep_config(k=2)
@@ -58,6 +63,11 @@ def test_config_validation_names_fields():
         sweep_config(scale_lo=9, scale_hi=4)
     with pytest.raises(ConfigError, match="field scale_hi"):
         sweep_config(scale_lo=2, scale_hi=3)
+    with pytest.raises(ConfigError, match="field num_directions.*4 cells"):
+        sweep_config(mode="scan", num_directions=4)
+    with pytest.raises(ConfigError, match="7 cells per chart axis"):
+        sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=49)
+    sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=64)
 
 
 def test_config_from_dict_round_trip():
@@ -129,11 +139,30 @@ def test_scan_flags_axis_aligned_cantor():
 
 
 def test_scan_rejects_coarse_grid():
-    cfg = ExperimentConfig(ifs=cantor_on_axis(), n=2, k=1, num_directions=4,
-                           depth=6, scale_lo=2, scale_hi=8, threshold_s=0.5,
-                           seed=7, mode="scan")
-    with pytest.raises(InputDomainError, match="grid too coarse"):
-        exceptional_scan(cfg)
+    with pytest.raises(ConfigError, match="grid too coarse"):
+        ExperimentConfig(ifs=cantor_on_axis(), n=2, k=1, num_directions=4,
+                         depth=6, scale_lo=2, scale_hi=8, threshold_s=0.5,
+                         seed=7, mode="scan")
+
+
+def count_to_chart(monkeypatch):
+    calls = []
+    real = lab.to_chart
+    monkeypatch.setattr(lab, "to_chart", lambda v: calls.append(v) or real(v))
+    return calls
+
+
+def test_sweep_computes_one_chart_per_direction(monkeypatch):
+    calls = count_to_chart(monkeypatch)
+    result = marstrand_sweep(sweep_config(ifs=line_3d(), n=3, k=2, threshold_s=0.5))
+    assert len(calls) == len(result.rows) == 8
+
+
+def test_scan_computes_one_chart_per_direction(monkeypatch):
+    calls = count_to_chart(monkeypatch)
+    result = exceptional_scan(sweep_config(ifs=cantor_on_axis(), mode="scan",
+                                           num_directions=16, threshold_s=0.5))
+    assert len(calls) == len(result.rows) == 16
 
 
 def test_mode_mismatch_rejected():
