@@ -5,7 +5,9 @@ plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  Index sets are
 chosen exhaustively for conditioning: the basis columns maximize the
 smallest singular value, the row block maximizes |det|.  Subsets are
-scored by one batched SVD or determinant per block of at most 4096.
+scored by one batched SVD or determinant per block of at most 1024
+submatrices, and a stack of projections is charted at once
+(:func:`chart_bases`); :func:`to_chart` is its one-projection case.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from .errors import DegeneracyError, InputDomainError, PremiseViolationError
 from .grassmann import Subspace, contains, from_basis
 
 _CHART_SIGMA_TOL = 1e-10
-# Subsets scored per batched svd/det call; bounds the stacked submatrices
-# at 4096 x n x k floats whatever binom(n, k) is.
-_SUBSET_BLOCK = 4096
+# A basis whose smallest singular value is at most this is rank deficient.
+_RANK_TOL = 1e-10
+# Submatrices scored per batched svd/det call; bounds the stacked
+# submatrices at 1024 x n x k floats whatever binom(n, k) and the number of
+# projections are.
+_SUBSET_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,22 +97,41 @@ def _index_subsets(n: int, k: int) -> np.ndarray:
     return subsets
 
 
-def _best_subset(n: int, k: int, score) -> tuple[tuple, float]:
-    """The k-subset of range(n) with the largest ``score`` and that score.
+def _best_subsets(n: int, k: int, count: int, score) -> tuple[np.ndarray, np.ndarray]:
+    """For each of ``count`` items, the k-subset of range(n) with the
+    largest score: a (count, k) index array and the (count,) scores.
 
-    ``score`` maps a (B, k) block of subsets to their B scores; blocks hold
-    at most ``_SUBSET_BLOCK`` subsets.  Ties go to the lexicographically
-    first subset: ``argmax`` keeps the first maximum within a block, and a
-    later block wins only with a strictly larger score.
+    ``score`` maps a (B, k) block of subsets to the (count, B) scores of
+    every item; a call scores at most ``_SUBSET_BLOCK`` submatrices in all
+    (at least one subset per item).  Ties go to the lexicographically first
+    subset: ``argmax`` keeps the first maximum within a block, and a later
+    block wins only with a strictly larger score.
     """
     subsets = _index_subsets(n, k)
-    best_score, best_row = -math.inf, 0
-    for start in range(0, len(subsets), _SUBSET_BLOCK):
-        scores = score(subsets[start:start + _SUBSET_BLOCK])
-        j = int(np.argmax(scores))
-        if scores[j] > best_score:
-            best_score, best_row = float(scores[j]), start + j
-    return tuple(int(i) for i in subsets[best_row]), best_score
+    step = max(1, _SUBSET_BLOCK // count)
+    best_score = np.full(count, -math.inf)
+    best_row = np.zeros(count, dtype=np.intp)
+    for start in range(0, len(subsets), step):
+        scores = score(subsets[start:start + step])
+        j = np.argmax(scores, axis=1)
+        top = np.take_along_axis(scores, j[:, None], axis=1)[:, 0]
+        better = top > best_score
+        best_score[better] = top[better]
+        best_row[better] = start + j[better]
+    return subsets[best_row], best_score
+
+
+def _column_sigmas(p: np.ndarray):
+    """Scorer for :func:`_best_subsets`: the smallest singular value of the
+    column block P[:, S] of each projection in the (D, n, n) stack."""
+    return lambda block: np.linalg.svd(p[:, :, block].transpose(0, 2, 1, 3),
+                                       compute_uv=False)[..., -1]
+
+
+def _row_dets(a: np.ndarray):
+    """Scorer for :func:`_best_subsets`: |det(A_S)| of the row block A[S] of
+    each basis in the (D, n, k) stack."""
+    return lambda block: np.abs(np.linalg.det(a[:, block]))
 
 
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
@@ -117,19 +141,17 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
     I maximizes the smallest singular value over all binom(n, k) choices
     (lexicographically first on ties).  The choice is exhaustive: the
     column blocks of every subset are stacked and scored by one batched SVD
-    per block of at most 4096 subsets, so memory stays bounded for large
+    per block of at most 1024 subsets, so memory stays bounded for large
     binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
     """
     p = v.proj
-    best_idx, best_sigma = _best_subset(
-        v.n, v.k,
-        lambda block: np.linalg.svd(p[:, block].transpose(1, 0, 2),
-                                    compute_uv=False)[:, -1])
+    idx, sigma = _best_subsets(v.n, v.k, 1, _column_sigmas(p[None]))
+    best_idx = tuple(int(i) for i in idx[0])
     a = p[:, list(best_idx)]
     a_rows = a[list(best_idx), :]
     s_rows = np.linalg.svd(a_rows, compute_uv=False)
     report = ConditionReport(
-        sigma_min=best_sigma,
+        sigma_min=float(sigma[0]),
         sigma_max=mk.spectral_norm(a),
         det_AI=float(np.linalg.det(a_rows)),
         inv_norm_bound=float(1.0 / s_rows[-1]) if s_rows[-1] > 0 else math.inf,
@@ -142,7 +164,7 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     ||A_I^{-1}|| <= sqrt(binom(n, m)) * ||A||^{m-1} / sigma(A)^m.
 
     The choice is exhaustive over all binom(n, m) row blocks, scored by one
-    batched determinant per block of at most 4096 subsets; ties go to the
+    batched determinant per block of at most 1024 subsets; ties go to the
     lexicographically first index set.
     """
     a = mk.as_matrix(a)
@@ -150,9 +172,10 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     if n < m:
         raise InputDomainError(f"need rows >= cols, got {n}x{m}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 1e-10:
+    if s[-1] <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
-    best_idx, _ = _best_subset(n, m, lambda block: np.abs(np.linalg.det(a[block])))
+    idx, _ = _best_subsets(n, m, 1, _row_dets(a[None]))
+    best_idx = tuple(int(i) for i in idx[0])
     k1, k2 = float(s[0]), float(s[-1])
     report = ConditionReport(
         sigma_min=k2,
@@ -163,13 +186,41 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     return best_idx, report
 
 
+def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Charts of a (D, n, n) stack of checked rank-k projections.
+
+    Returns the (D, k) row index sets I and the (D, n, k) chart bases A',
+    with the identity at the I-rows and the free block elsewhere.  Per
+    projection this is :func:`good_basis` followed by :func:`good_submatrix`,
+    for the whole stack at once: one batched SVD scores every column block,
+    one batched determinant every row block, and one batched inverse
+    normalizes the row blocks.  The rank check reuses the smallest singular
+    value of the chosen basis, which that SVD has already computed.
+    """
+    n = p.shape[-1]
+    cols, sigma = _best_subsets(n, k, len(p), _column_sigmas(p))
+    if sigma.min() <= _RANK_TOL:
+        raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
+    a = np.take_along_axis(p, cols[:, None, :], axis=2)
+    rows, _ = _best_subsets(n, k, len(p), _row_dets(a))
+    a_prime = a @ np.linalg.inv(np.take_along_axis(a, rows[:, :, None], axis=1))
+    np.put_along_axis(a_prime, rows[:, :, None], np.eye(k), axis=1)
+    return rows, a_prime
+
+
+def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
+    """The :class:`Chart` of each row index set and chart basis of
+    :func:`chart_bases`."""
+    d, n, k = bases.shape
+    free_rows = np.ones((d, n), dtype=bool)
+    np.put_along_axis(free_rows, rows, False, axis=1)
+    free = bases[free_rows].reshape(d, n - k, k)
+    return [Chart(n=n, k=k, I=tuple(i), free=f) for i, f in zip(rows.tolist(), free)]
+
+
 def to_chart(v: Subspace) -> Chart:
     """Chart of a subspace: good basis, then the best-conditioned row block."""
-    a, _, _ = good_basis(v)
-    idx, _ = good_submatrix(a)
-    a_prime = a @ np.linalg.inv(a[list(idx), :])
-    others = [i for i in range(v.n) if i not in set(idx)]
-    return Chart(n=v.n, k=v.k, I=idx, free=a_prime[others, :])
+    return charts_of(*chart_bases(v.proj[None], v.k))[0]
 
 
 def from_chart(c: Chart) -> Subspace:
@@ -227,17 +278,30 @@ def orthonormal_frame(v: Subspace) -> np.ndarray:
 
 
 def chart_frame(c: Chart) -> np.ndarray:
-    """Orthonormal basis of the plane a chart describes.
+    """Orthonormal basis of the plane a chart describes, see
+    :func:`orthonormal_frames`."""
+    return orthonormal_frames(c.reconstruct()[None])[0]
 
-    Modified Gram-Schmidt over the chart basis columns in fixed order, so
-    the frame depends only on the chart.
+
+def orthonormal_frames(bases: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the column spans of a (D, n, k) stack.
+
+    Modified Gram-Schmidt over the columns in fixed order, so each frame
+    depends only on its basis.  The dot products and norms are per-frame
+    matrix products, the same BLAS dot a single frame would use.
     """
-    q = c.reconstruct()
-    for j in range(q.shape[1]):
+    q = np.array(bases, dtype=float)
+    for j in range(q.shape[2]):
         for i in range(j):
-            q[:, j] -= (q[:, i] @ q[:, j]) * q[:, i]
-        q[:, j] /= np.linalg.norm(q[:, j])
+            q[:, :, j] -= _dots(q[:, :, i], q[:, :, j])[:, None] * q[:, :, i]
+        col = np.ascontiguousarray(q[:, :, j])
+        q[:, :, j] /= np.sqrt(_dots(col, col))[:, None]
     return q
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (D, n) arrays."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def relative_chart(v: Subspace, w: Subspace) -> Chart:

@@ -2,7 +2,9 @@
 
 Attractors come from iterated function systems of pure contractions
 (ratio * x + translation, no rotations).  Dimension is estimated by counting
-occupied dyadic boxes on grids anchored at the origin; the similarity
+occupied dyadic boxes on grids anchored at the origin, for one cloud
+(:func:`box_dimension`) or for the projections of one cloud onto a stack of
+frames, counted in batches (:func:`projected_dimensions`); the similarity
 dimension from the Moran equation serves as the ground-truth oracle.
 """
 
@@ -21,6 +23,9 @@ from .errors import ConfigError, InputDomainError, ResourceBudgetError
 
 EXHAUSTIVE_BUDGET = 10**7
 CHAOS_BURN_IN = 100
+# Projected coordinates box-counted together: projected_dimensions stacks
+# B directions of k x N coordinates with B * k * N at most this.
+COUNT_BATCH_POINTS = 1 << 15
 
 # Bit-length "compressors": deterministic byte-in / bits-out estimators.
 Compressor = Callable[[bytes], float]
@@ -212,17 +217,18 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     return max(scale_lo + 2, 8)
 
 
-def _nested_cell_keys(pts: np.ndarray, scale_lo: int,
-                      scale_hi: int) -> tuple[np.ndarray, int]:
-    """Sortable int64 box keys at ``scale_hi`` and the bit length of each
-    cell coordinate; see :func:`box_dimension`."""
-    k = pts.shape[1]
-    # One contiguous row per axis: numpy reduces (N, k) along axis 0 slowly.
-    cells = np.empty((k, len(pts)))
-    np.multiply(pts.T, 2.0**scale_hi, out=cells)
+def _nested_cell_keys(clouds: np.ndarray, scale_lo: int,
+                      scale_hi: int) -> tuple[np.ndarray, list[int]]:
+    """Sortable int64 box keys at ``scale_hi`` of a (B, k, N) stack of
+    clouds, (B, N), and the bit length of each cloud's cell coordinates;
+    see :func:`box_dimension`."""
+    k = clouds.shape[1]
+    # Contiguous rows per axis: numpy reduces (N, k) along axis 0 slowly.
+    cells = np.empty(clouds.shape)
+    np.multiply(clouds, 2.0**scale_hi, out=cells)
     np.floor(cells, out=cells)
-    lo = cells.min(axis=1)
-    hi = cells.max(axis=1)
+    lo = cells.min(axis=2)
+    hi = cells.max(axis=2)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise InputDomainError("cannot box-count non-finite points")
     if lo.min() < -2.0**62 or hi.max() >= 2.0**62:
@@ -230,19 +236,20 @@ def _nested_cell_keys(pts: np.ndarray, scale_lo: int,
             f"coordinates up to {max(-lo.min(), hi.max()):.3g} boxes from the "
             f"origin exceed 62 bits at scale_hi={scale_hi}")
     step = scale_hi - scale_lo
-    offset = [(int(v) >> step) << step for v in lo]
-    bits = max(int(v) - o for v, o in zip(hi, offset)).bit_length()
-    if k * bits > 63:
+    offset = (lo.astype(np.int64) >> step) << step
+    bits = [int(v).bit_length() for v in (hi.astype(np.int64) - offset).max(axis=1)]
+    if k * max(bits) > 63:
         raise ResourceBudgetError(
-            f"box keys for k={k} at scale_hi={scale_hi} need {k} x {bits} bits, "
-            "over the 63-bit limit; lower scale_hi")
+            f"box keys for k={k} at scale_hi={scale_hi} need {k} x {max(bits)} "
+            "bits, over the 63-bit limit; lower scale_hi")
     cells = cells.astype(np.int64)
-    cells -= np.array(offset, dtype=np.int64)[:, None]
+    cells -= offset[:, :, None]
     if k == 1:
-        return cells[0], bits
-    _spread_bits(cells, bits, k)
+        return cells[:, 0], bits
+    # Spreading to the widest cloud's length leaves narrower keys unchanged.
+    _spread_bits(cells, max(bits), k)
     cells <<= np.arange(k)[:, None]
-    return np.bitwise_or.reduce(cells, axis=0), bits
+    return np.bitwise_or.reduce(cells, axis=1), bits
 
 
 def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
@@ -257,6 +264,45 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         s >>= 1
         x |= x << (s * (k - 1))
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
+
+
+def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
+    """Occupied boxes at scales 2^-scale_lo..2^-scale_hi of each cloud of a
+    (B, k, N) stack, as (B, scales) counts; see :func:`box_dimension`."""
+    k = clouds.shape[1]
+    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi)
+    keys.sort(axis=1)
+    jumps = keys[:, 1:] ^ keys[:, :-1]
+    counts = np.ones((len(keys), scale_hi - scale_lo + 1), dtype=np.int64)
+    # One 1-d count per cloud and scale: counting along an axis sums bools,
+    # which is slower than counting a flat array.
+    for row, width, out in zip(jumps, bits, counts):
+        for s, shift in enumerate(range(k * (scale_hi - scale_lo), -1, -k)):
+            if shift < k * width:
+                out[s] += np.count_nonzero(row >= 1 << shift)
+    return counts
+
+
+def _scales(scale_lo: int, scale_hi: int) -> list[int]:
+    if scale_lo >= scale_hi:
+        raise InputDomainError("need scale_lo < scale_hi")
+    scales = list(range(scale_lo, scale_hi + 1))
+    if len(scales) < 3:
+        raise InputDomainError("need at least 3 scales")
+    return scales
+
+
+def _fit(scales: list[int], counts: np.ndarray) -> DimensionEstimate:
+    """Least-squares slope of log2(counts) against the scale exponents."""
+    x = np.asarray(scales, dtype=float)
+    y = np.log2(counts.astype(float))
+    slope, intercept = np.polyfit(x, y, 1)
+    residuals = y - (slope * x + intercept)
+    dof = len(x) - 2
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = math.sqrt(float(residuals @ residuals) / dof / sxx) if dof > 0 else 0.0
+    return DimensionEstimate(value=float(slope), slope_stderr=stderr,
+                             scales=tuple(scales), counts=tuple(counts.tolist()))
 
 
 def box_dimension(sample, scale_lo: int = 2,
@@ -281,6 +327,8 @@ def box_dimension(sample, scale_lo: int = 2,
     Keys are int64, so k times the bit length of the shifted cells must not
     exceed 63, and cells at ``scale_hi`` must lie within 2^62 boxes of the
     origin; a wider grid raises :class:`ResourceBudgetError`.
+
+    This is the one-cloud case of :func:`projected_dimensions`' counter.
     """
     if scale_hi is None:
         scale_hi = default_scale_hi(sample, scale_lo)
@@ -289,31 +337,33 @@ def box_dimension(sample, scale_lo: int = 2,
         pts = pts[:, None]
     if pts.size == 0:
         raise InputDomainError("cannot box-count an empty point set")
-    if scale_lo >= scale_hi:
-        raise InputDomainError("need scale_lo < scale_hi")
-    scales = list(range(scale_lo, scale_hi + 1))
-    if len(scales) < 3:
-        raise InputDomainError("need at least 3 scales")
+    scales = _scales(scale_lo, scale_hi)
+    return _fit(scales, _box_counts(pts.T[None], scale_lo, scale_hi)[0])
 
-    keys, bits = _nested_cell_keys(pts, scale_lo, scale_hi)
-    keys.sort()
-    jumps = keys[1:] ^ keys[:-1]
-    k = pts.shape[1]
-    counts = []
-    for j in scales:
-        shift = k * (scale_hi - j)
-        counts.append(1 + int(np.count_nonzero(jumps >= 1 << shift))
-                      if shift < k * bits else 1)
 
-    x = np.asarray(scales, dtype=float)
-    y = np.log2(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    dof = len(x) - 2
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(residuals @ residuals) / dof / sxx) if dof > 0 else 0.0
-    return DimensionEstimate(value=float(slope), slope_stderr=stderr,
-                             scales=tuple(scales), counts=tuple(counts))
+def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
+                         scale_hi: int, map_batches=map) -> list[DimensionEstimate]:
+    """Box dimension of an (N, n) point cloud projected onto each frame of
+    a (D, n, k) stack.  Each projection is rescaled into the unit box, which
+    makes the estimate invariant to the direction-dependent diameter of the
+    projected set.
+
+    Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
+    Frames are taken in batches of B with B * k * N at most
+    ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
+    projected, rescaled, keyed, sorted and counted as one (B, k, N) stack.
+    ``map_batches(fn, batches)`` runs the batches, in order (``map`` or a
+    thread pool's ``map``); the slope is still fitted one frame at a time.
+    """
+    scales = _scales(scale_lo, scale_hi)
+    size = max(1, COUNT_BATCH_POINTS // (len(points) * frames.shape[2]))
+
+    def run(batch: np.ndarray) -> list[DimensionEstimate]:
+        clouds = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
+        return [_fit(scales, c) for c in _box_counts(clouds, scale_lo, scale_hi)]
+
+    batches = [frames[i:i + size] for i in range(0, len(frames), size)]
+    return [est for ests in map_batches(run, batches) for est in ests]
 
 
 def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
@@ -326,14 +376,19 @@ def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    rows = np.ascontiguousarray(pts.T)
-    lo = rows.min(axis=1)
-    span = rows.max(axis=1) - lo
+    return _unit_box_rows(np.array(pts.T, order="C"), degenerate_tol).T
+
+
+def _unit_box_rows(rows: np.ndarray, degenerate_tol: float = 1e-12) -> np.ndarray:
+    """Rescale each length-N row of a (..., N) array into [0, 1], in place;
+    rows whose range is below the tolerance become 0."""
+    lo = rows.min(axis=-1, keepdims=True)
+    span = rows.max(axis=-1, keepdims=True) - lo
     live = span > degenerate_tol
-    out = rows - lo[:, None]
-    out /= np.where(live, span, 1.0)[:, None]
-    out[~live] = 0.0
-    return out.T
+    rows -= lo
+    rows /= np.where(live, span, 1.0)
+    rows[~live[..., 0]] = 0.0
+    return rows
 
 
 def null_compressor(data: bytes) -> float:

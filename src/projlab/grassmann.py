@@ -3,6 +3,9 @@
 A k-plane is represented by its n x n orthogonal projection matrix.  The
 metric is the spectral norm of the difference of projection matrices, which
 coincides with the sup over unit vectors of the projected-image distance.
+Projections are built in (D, n, n) stacks (:func:`haar_projections`,
+:func:`basis_projections`) whose invariants are checked once per stack;
+:func:`sample_uniform` and :func:`from_basis` are their one-matrix cases.
 """
 
 from __future__ import annotations
@@ -39,15 +42,17 @@ class Subspace:
         if p.shape != (self.n, self.n):
             raise InputDomainError(
                 f"projection matrix shape {p.shape} does not match n={self.n}")
-        if not np.all(np.isfinite(p)):
-            raise InputDomainError("projection matrix entries must be finite")
-        if mk.spectral_norm(p - p.T) > _SYMMETRY_TOL:
-            raise InputDomainError("invariant violated: proj is not symmetric")
-        if mk.spectral_norm(p @ p - p) > _IDEMPOTENCY_TOL:
-            raise InputDomainError("invariant violated: proj is not idempotent")
-        if abs(np.trace(p) - self.k) > _TRACE_TOL:
-            raise InputDomainError(
-                f"invariant violated: trace(proj)={np.trace(p):.6g} != k={self.k}")
+        check_projections(p[None], self.k)
+
+    @classmethod
+    def _checked(cls, k: int, proj: np.ndarray) -> "Subspace":
+        """Wrap a projection that :func:`check_projections` has passed,
+        without checking it again."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "n", proj.shape[0])
+        object.__setattr__(v, "k", k)
+        object.__setattr__(v, "proj", proj)
+        return v
 
     def same_as(self, other: "Subspace") -> bool:
         return metric_rho(self, other) <= EQUALITY_RHO
@@ -97,8 +102,50 @@ class AffinePlane:
         return np.linalg.norm(x - (self.direction.proj @ x + self.offset)) <= tol
 
 
-def _symmetrized_projection(n: int, k: int, p: np.ndarray) -> Subspace:
-    return Subspace(n=n, k=k, proj=(p + p.T) / 2.0)
+def check_projections(p: np.ndarray, k: int) -> None:
+    """Raise :class:`InputDomainError` unless every matrix of the (D, n, n)
+    stack ``p`` is a rank-k orthogonal projection: finite, symmetric,
+    idempotent and of trace k.  One batched SVD per spectral-norm test."""
+    if not np.all(np.isfinite(p)):
+        raise InputDomainError("projection matrix entries must be finite")
+    if _spectral_norms(p - p.swapaxes(-1, -2)).max() > _SYMMETRY_TOL:
+        raise InputDomainError("invariant violated: proj is not symmetric")
+    if _spectral_norms(p @ p - p).max() > _IDEMPOTENCY_TOL:
+        raise InputDomainError("invariant violated: proj is not idempotent")
+    trace = np.trace(p, axis1=-2, axis2=-1)
+    off = np.abs(trace - k) > _TRACE_TOL
+    if off.any():
+        raise InputDomainError(
+            f"invariant violated: trace(proj)={trace[off][0]:.6g} != k={k}")
+
+
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(m, compute_uv=False)[..., 0]
+
+
+def _symmetrized_checked(p: np.ndarray, k: int) -> np.ndarray:
+    p = (p + p.swapaxes(-1, -2)) / 2.0
+    check_projections(p, k)
+    return p
+
+
+def basis_projections(a: np.ndarray) -> np.ndarray:
+    """Orthogonal projections onto the column spans of a (D, n, k) stack of
+    bases, as a checked (D, n, n) stack."""
+    sigma = np.linalg.svd(a, compute_uv=False)[..., -1]
+    if sigma.min() <= 1e-8:
+        raise DegeneracyError("basis columns are (nearly) linearly dependent",
+                              sigma=float(sigma.min()))
+    at = a.swapaxes(-1, -2)
+    return _symmetrized_checked(a @ np.linalg.solve(at @ a, at), a.shape[-1])
+
+
+def haar_projections(g: np.ndarray) -> np.ndarray:
+    """Invariant-measure projections from a (D, n, k) stack of iid Gaussian
+    draws: one batched QR orthonormalizes every draw.  A checked (D, n, n)
+    stack."""
+    q, _ = np.linalg.qr(g)
+    return _symmetrized_checked(q @ q.swapaxes(-1, -2), g.shape[-1])
 
 
 def from_basis(columns) -> Subspace:
@@ -106,13 +153,11 @@ def from_basis(columns) -> Subspace:
     a = np.column_stack([np.asarray(c, dtype=float) for c in columns]) \
         if not isinstance(columns, np.ndarray) else np.asarray(columns, dtype=float)
     a = mk.as_matrix(a)
+    p = basis_projections(a[None])[0]
     n, k = a.shape
-    sigma = mk.smallest_singular_value(a)
-    if sigma <= 1e-8:
-        raise DegeneracyError("basis columns are (nearly) linearly dependent",
-                              sigma=sigma)
-    p = a @ np.linalg.solve(a.T @ a, a.T)
-    return _symmetrized_projection(n, k, p)
+    if not (0 < k < n):
+        raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
+    return Subspace._checked(k, p)
 
 
 def project_point(v: Subspace, x) -> np.ndarray:
@@ -145,8 +190,7 @@ def sample_uniform(n: int, k: int, rng: np.random.Generator) -> Subspace:
     if not (0 < k < n):
         raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
     g = rng.standard_normal((n, k))
-    q, _ = np.linalg.qr(g)
-    return _symmetrized_projection(n, k, q @ q.T)
+    return Subspace._checked(k, haar_projections(g[None])[0])
 
 
 def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspace:

@@ -1,8 +1,12 @@
 """Experiment harness: Marstrand sweeps over random directions and
 exceptional-direction scans against the Kaufman-type bound.
 
-Per-direction RNG streams are split from the master seed by counter, so
-parallel and serial runs produce identical results.
+Both build a stack of projection matrices, one per direction, and hand it
+to one pipeline: batched chart selection, then batched projection and box
+counting (:func:`projlab.fractal.projected_dimensions`).  Per-direction RNG
+streams are split from the master seed by counter, and batches of
+directions are counted independently, so parallel and serial runs produce
+identical results.
 """
 
 from __future__ import annotations
@@ -14,11 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charts import Chart, chart_frame, from_chart, to_chart
+# to_chart is not called here, but stays importable from this module, where
+# perfbench/spans.py looks it up.
+from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
+                     to_chart)
 from .errors import ConfigError, InputDomainError
-from .fractal import (DimensionEstimate, IFSSpec, PointSample, box_dimension,
-                      generate, normalize_unit_box, EXHAUSTIVE_BUDGET)
-from .grassmann import Subspace, from_basis, sample_uniform
+from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
+                      box_dimension, generate, projected_dimensions)
+from .grassmann import basis_projections, haar_projections
 
 THREADS_ENV = "PROJLAB_THREADS"
 
@@ -54,13 +61,19 @@ class ExperimentConfig:
             raise ConfigError(f"field num_directions: need >= 1, got {self.num_directions}")
         if self.depth < 1:
             raise ConfigError(f"field depth: need >= 1, got {self.depth}")
+        # min(): an IFS has m >= 2 maps and 2^64 exceeds the budget, so a
+        # huge depth needs no huge power.
+        if len(self.ifs.maps) ** min(self.depth, 64) > EXHAUSTIVE_BUDGET:
+            raise ConfigError(
+                f"field depth: {len(self.ifs.maps)}^{self.depth} sample points "
+                f"exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
         if self.scale_hi - self.scale_lo < 2:
             raise ConfigError(
                 f"field scale_hi: need scale_hi >= scale_lo + 2 (at least 3 scales), "
                 f"got scale_lo={self.scale_lo}, scale_hi={self.scale_hi}")
         if self.ifs.n != self.n:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
-        if self.mode not in ("sweep", "scan", "grid"):
+        if self.mode not in ("sweep", "scan"):
             raise ConfigError(f"field mode: unknown mode '{self.mode}'")
         if self.mode == "scan":
             cells = _scan_cells_per_axis(self.n, self.k, self.num_directions)
@@ -121,38 +134,32 @@ def _thread_count() -> int:
         raise ConfigError(f"field {THREADS_ENV}: not an integer: {raw!r}")
 
 
-def _generate_sample(config: ExperimentConfig) -> PointSample:
-    m = len(config.ifs.maps)
-    if m**config.depth <= EXHAUSTIVE_BUDGET:
-        return generate(config.ifs, config.depth, mode="exhaustive")
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    return generate(config.ifs, config.depth, mode="chaos", rng=rng)
-
-
-def _estimate_direction(c: Chart, sample: PointSample,
-                        config: ExperimentConfig) -> DimensionEstimate:
-    coords = sample.points @ chart_frame(c)
-    # Rescaling into the unit box makes the estimate invariant to the
-    # direction-dependent diameter of the projected set.
-    return box_dimension(normalize_unit_box(coords),
-                         config.scale_lo, config.scale_hi)
+def _run(config: ExperimentConfig, projections: np.ndarray,
+         params: list[tuple]) -> SweepResult:
+    """The direction pipeline: charts, frames and one dimension estimate
+    for each projection of a (D, n, n) stack, whose rows carry ``params``."""
+    sample = generate(config.ifs, config.depth)
+    index_sets, bases = chart_bases(projections, config.k)
+    estimates = projected_dimensions(sample.points, orthonormal_frames(bases),
+                                     config.scale_lo, config.scale_hi,
+                                     _map_batches)
+    rows = tuple(DirectionRow(index=i, chart=c, estimate=est,
+                              exceptional=est.value < config.threshold_s,
+                              params=p)
+                 for i, (c, est, p) in enumerate(
+                     zip(charts_of(index_sets, bases), estimates, params)))
+    return SweepResult(rows=rows, summary=_summarize(rows, config))
 
 
 def marstrand_sweep(config: ExperimentConfig) -> SweepResult:
     """Estimate projected dimension over uniformly sampled directions."""
     if config.mode != "sweep":
         raise ConfigError(f"field mode: expected 'sweep', got '{config.mode}'")
-    sample = _generate_sample(config)
-
-    def run_one(i: int) -> DirectionRow:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
-        c = to_chart(sample_uniform(config.n, config.k, rng))
-        est = _estimate_direction(c, sample, config)
-        return DirectionRow(index=i, chart=c, estimate=est,
-                            exceptional=est.value < config.threshold_s)
-
-    rows = _run_ordered(run_one, config.num_directions)
-    return SweepResult(rows=tuple(rows), summary=_summarize(rows, config))
+    draws = np.stack([
+        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
+        .standard_normal((config.n, config.k))
+        for i in range(config.num_directions)])
+    return _run(config, haar_projections(draws), [()] * config.num_directions)
 
 
 def _scan_cells_per_axis(n: int, k: int, num_directions: int) -> int:
@@ -162,32 +169,27 @@ def _scan_cells_per_axis(n: int, k: int, num_directions: int) -> int:
     return int(round(num_directions ** (1.0 / (k * (n - k)))))
 
 
-def _grid_directions(config: ExperimentConfig) -> list[tuple[Subspace, tuple]]:
-    """Deterministic direction grid with normalized grid coordinates.
+def _grid_directions(config: ExperimentConfig) -> tuple[np.ndarray, list[tuple]]:
+    """Deterministic direction grid: a (D, n, k) stack of bases and the
+    normalized grid coordinates of each.
 
     G(2, 1) uses the angle parametrization (the chart by slope misses the
     vertical direction); other (n, k) use a uniform grid over the chart
-    free block in [-3, 3]^{k(n-k)}.  The config guarantees at least 8 cells
-    per axis.
+    free block in [-3, 3]^{k(n-k)} of the index set (0, ..., k-1).  The
+    config guarantees at least 8 cells per axis.
     """
-    per_axis = _scan_cells_per_axis(config.n, config.k, config.num_directions)
-    if (config.n, config.k) == (2, 1):
-        out = []
-        for j in range(per_axis):
-            theta = j * math.pi / per_axis
-            v = from_basis(np.array([[math.cos(theta)], [math.sin(theta)]]))
-            out.append((v, (j / per_axis,)))
-        return out
-    dim = config.k * (config.n - config.k)
-    centers = [-3.0 + (i + 0.5) * 6.0 / per_axis for i in range(per_axis)]
-    out = []
-    base_i = tuple(range(config.k))
-    for flat in np.ndindex(*([per_axis] * dim)):
-        free = np.array([centers[i] for i in flat]).reshape(config.n - config.k,
-                                                            config.k)
-        chart = Chart(n=config.n, k=config.k, I=base_i, free=free)
-        out.append((from_chart(chart), tuple(i / per_axis for i in flat)))
-    return out
+    n, k = config.n, config.k
+    per_axis = _scan_cells_per_axis(n, k, config.num_directions)
+    if (n, k) == (2, 1):
+        thetas = [j * math.pi / per_axis for j in range(per_axis)]
+        bases = np.array([[[math.cos(t)], [math.sin(t)]] for t in thetas])
+        return bases, [(j / per_axis,) for j in range(per_axis)]
+    cells = list(np.ndindex(*([per_axis] * (k * (n - k)))))
+    centers = np.array([-3.0 + (i + 0.5) * 6.0 / per_axis for i in range(per_axis)])
+    bases = np.empty((len(cells), n, k))
+    bases[:, :k] = np.eye(k)
+    bases[:, k:] = centers[np.array(cells)].reshape(len(cells), n - k, k)
+    return bases, [tuple(i / per_axis for i in flat) for flat in cells]
 
 
 def exceptional_scan(config: ExperimentConfig) -> SweepResult:
@@ -195,38 +197,29 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
     below threshold_s, and report the flagged set against the Kaufman bound."""
     if config.mode != "scan":
         raise ConfigError(f"field mode: expected 'scan', got '{config.mode}'")
-    sample = _generate_sample(config)
-    directions = _grid_directions(config)
-
-    def run_one(i: int) -> DirectionRow:
-        v, params = directions[i]
-        c = to_chart(v)
-        est = _estimate_direction(c, sample, config)
-        return DirectionRow(index=i, chart=c, estimate=est,
-                            exceptional=est.value < config.threshold_s,
-                            params=params)
-
-    rows = _run_ordered(run_one, len(directions))
-    summary = _summarize(rows, config)
-    flagged = [r.params for r in rows if r.exceptional]
+    bases, params = _grid_directions(config)
+    result = _run(config, basis_projections(bases), params)
+    flagged = [r.params for r in result.rows if r.exceptional]
     if flagged:
-        hi = max(4, min(8, int(math.log2(len(directions)))))
+        hi = max(4, min(8, int(math.log2(len(params)))))
         flagged_dim = box_dimension(np.asarray(flagged), 2, hi).value
     else:
         flagged_dim = 0.0
-    summary["flagged_param_dimension"] = flagged_dim
-    summary["caveat"] = (
+    result.summary["flagged_param_dimension"] = flagged_dim
+    result.summary["caveat"] = (
         "flagged-set dimension is measured in grid parameter coordinates, "
         "not in the invariant metric on the Grassmannian")
-    return SweepResult(rows=tuple(rows), summary=summary)
+    return result
 
 
-def _run_ordered(fn, count: int) -> list:
+def _map_batches(fn, batches) -> list:
+    """``fn`` of each counting batch, in order: serially, or on a pool of
+    ``PROJLAB_THREADS`` threads."""
     threads = _thread_count()
     if threads == 1:
-        return [fn(i) for i in range(count)]
+        return list(map(fn, batches))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
+        return list(pool.map(fn, batches))
 
 
 def _summarize(rows, config: ExperimentConfig) -> dict:

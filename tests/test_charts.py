@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import charts
-from projlab import (Chart, InputDomainError, chart_stability, contains,
-                     embed_relative, from_basis, from_chart, good_basis,
-                     good_submatrix, metric_rho, relative_chart,
-                     sample_uniform, smallest_singular_value, spectral_norm,
-                     to_chart)
+from projlab import (Chart, DegeneracyError, InputDomainError,
+                     chart_stability, contains, embed_relative, from_basis,
+                     from_chart, good_basis, good_submatrix, metric_rho,
+                     relative_chart, sample_uniform, smallest_singular_value,
+                     spectral_norm, to_chart)
 
 
 def diag_line_2d():
@@ -297,3 +297,21 @@ def test_chart_rejects_bad_shapes():
         Chart(n=4, k=2, I=(0,), free=np.zeros((2, 2)))
     with pytest.raises(InputDomainError):
         Chart(n=4, k=2, I=(0, 1), free=np.zeros((3, 2)))
+
+
+def test_to_chart_makes_one_svd_call(monkeypatch):
+    v = sample_uniform(8, 4, np.random.default_rng(53))
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(np.shape(a[0])) or real(*a, **kw))
+    c = to_chart(v)
+    # One batched SVD scores all 70 column blocks; the rank check reuses it.
+    assert calls == [(1, 70, 8, 4)]
+    assert metric_rho(from_chart(c), v) <= 1e-9
+
+
+def test_chart_bases_rejects_rank_deficient_basis():
+    # No column block of the zero matrix has a positive singular value.
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        charts.chart_bases(np.zeros((2, 3, 3)), 1)

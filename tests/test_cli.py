@@ -92,6 +92,7 @@ def test_config_error_names_offending_field(tmp_path, capsys):
 @pytest.mark.parametrize("overrides, field", [
     (dict(depth=-1), "field depth"),
     (dict(scale_lo=9, scale_hi=4), "field scale_hi"),
+    (dict(depth=12), "field depth: 4^12 sample points exceed"),
 ])
 def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path / "cfg.json", **{"depth": 10, **overrides})

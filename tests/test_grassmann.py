@@ -8,6 +8,8 @@ from projlab import (AffinePlane, DegeneracyError, InputDomainError, Subspace,
                      chart_stability, contains, from_basis, metric_rho,
                      orthogonal_complement, perturb_within, project_point,
                      sample_uniform)
+from projlab.grassmann import (basis_projections, check_projections,
+                               haar_projections)
 
 
 def line(theta, n=2):
@@ -228,3 +230,31 @@ def test_affine_plane_offset_canonical():
     assert plane.contains_point([7.0, 4.0])
     with pytest.raises(InputDomainError, match="orthogonal"):
         AffinePlane(X_AXIS_2D, np.array([1.0, 1.0]))
+
+
+def test_stacked_constructors_match_single_items():
+    draws = [np.random.default_rng(i).standard_normal((5, 2)) for i in range(6)]
+    stack = haar_projections(np.stack(draws))
+    for i, p in enumerate(stack):
+        assert p.tobytes() == sample_uniform(5, 2, np.random.default_rng(i)).proj.tobytes()
+    bases = np.stack(draws)
+    stack = basis_projections(bases)
+    for a, p in zip(bases, stack):
+        v = from_basis(a)
+        assert p.tobytes() == v.proj.tobytes()
+        # Built without a second check, and still a valid Subspace.
+        Subspace(n=5, k=2, proj=v.proj)
+    with pytest.raises(DegeneracyError):
+        basis_projections(np.stack([bases[0], np.zeros((5, 2))]))
+
+
+def test_check_projections_rejects_any_broken_member():
+    good = sample_uniform(3, 1, np.random.default_rng(3)).proj
+    check_projections(np.stack([good, good]), 1)
+    cases = [("finite", np.full((3, 3), np.nan)),
+             ("symmetric", good + np.triu(np.full((3, 3), 1e-6), 1)),
+             ("idempotent", 0.5 * np.eye(3)),
+             ("trace", good + (np.eye(3) - good))]
+    for message, bad in cases:
+        with pytest.raises(InputDomainError, match=message):
+            check_projections(np.stack([good, bad, good]), 1)

@@ -57,6 +57,8 @@ def test_config_validation_names_fields():
         sweep_config(ifs=cantor_on_axis(), n=3, k=1)
     with pytest.raises(ConfigError, match="field mode"):
         sweep_config(mode="walk")
+    with pytest.raises(ConfigError, match="field mode: unknown mode 'grid'"):
+        sweep_config(mode="grid")
     with pytest.raises(ConfigError, match="field depth"):
         sweep_config(depth=-1)
     with pytest.raises(ConfigError, match="field scale_hi.*scale_lo=9, scale_hi=4"):
@@ -68,6 +70,20 @@ def test_config_validation_names_fields():
     with pytest.raises(ConfigError, match="7 cells per chart axis"):
         sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=49)
     sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=64)
+
+
+def test_config_rejects_sample_over_exhaustive_budget():
+    # 4^12 dust points exceed the budget.  Such a config used to fall back
+    # to a chaos orbit of only `depth` points.
+    with pytest.raises(ConfigError, match="field depth: 4\\^12 sample points"):
+        sweep_config(depth=12)
+    with pytest.raises(ConfigError, match="field depth"):
+        sweep_config(ifs=cantor_on_axis(), mode="scan", num_directions=16,
+                     threshold_s=0.5, depth=24)
+    with pytest.raises(ConfigError, match="field depth"):
+        sweep_config(depth=10**9)
+    # 2^23 points fit the budget.
+    sweep_config(ifs=cantor_on_axis(), depth=23)
 
 
 def test_config_from_dict_round_trip():
@@ -145,24 +161,26 @@ def test_scan_rejects_coarse_grid():
                          seed=7, mode="scan")
 
 
-def count_to_chart(monkeypatch):
-    calls = []
-    real = lab.to_chart
-    monkeypatch.setattr(lab, "to_chart", lambda v: calls.append(v) or real(v))
-    return calls
+def count_charts(monkeypatch):
+    """Record the size of every projection stack given to chart selection."""
+    stacks = []
+    real = lab.chart_bases
+    monkeypatch.setattr(lab, "chart_bases",
+                        lambda p, k: stacks.append(len(p)) or real(p, k))
+    return stacks
 
 
 def test_sweep_computes_one_chart_per_direction(monkeypatch):
-    calls = count_to_chart(monkeypatch)
+    stacks = count_charts(monkeypatch)
     result = marstrand_sweep(sweep_config(ifs=line_3d(), n=3, k=2, threshold_s=0.5))
-    assert len(calls) == len(result.rows) == 8
+    assert stacks == [len(result.rows)] == [8]
 
 
 def test_scan_computes_one_chart_per_direction(monkeypatch):
-    calls = count_to_chart(monkeypatch)
+    stacks = count_charts(monkeypatch)
     result = exceptional_scan(sweep_config(ifs=cantor_on_axis(), mode="scan",
                                            num_directions=16, threshold_s=0.5))
-    assert len(calls) == len(result.rows) == 16
+    assert stacks == [len(result.rows)] == [16]
 
 
 def test_mode_mismatch_rejected():
