@@ -1,16 +1,15 @@
 """Numerical Grassmannian machinery and a fractal-projection experiment lab."""
 
 from .charts import (Chart, ConditionReport, chart_stability, embed_relative,
-                     from_chart, good_basis, good_submatrix,
-                     min_conditioning_estimate, orthonormal_frame,
+                     from_chart, good_basis, good_submatrix, orthonormal_frame,
                      relative_chart, stability_constant, to_chart)
 from .errors import (ConfigError, DegeneracyError, InputDomainError,
                      PremiseViolationError, ProjlabError, ResourceBudgetError,
                      SingularityError)
 from .fractal import (DimensionEstimate, IFSSpec, PointSample, Similarity,
                       box_dimension, cantor_dust, cantor_middle_thirds,
-                      cantor_on_axis, complexity_profile, deflate_compressor,
-                      export_sample, generate, kt_compressor, load_sample,
+                      cantor_on_axis, complexity_profile, export_sample,
+                      generate, kt_compressor, load_sample,
                       normalize_unit_box, null_compressor,
                       similarity_dimension)
 from .grassmann import (AffinePlane, Subspace, contains, from_basis,

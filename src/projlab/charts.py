@@ -322,15 +322,3 @@ def embed_relative(c: Chart, w: Subspace) -> Subspace:
     p = q @ inner @ q.T
     return Subspace(n=w.n, k=c.k, proj=(p + p.T) / 2.0)
 
-
-def min_conditioning_estimate(n: int, k: int, samples: int,
-                              rng: np.random.Generator) -> float:
-    """Monte Carlo estimate of the worst-case good-basis conditioning over
-    G(n, k); documentation aid for the universal positive lower bound."""
-    from .grassmann import sample_uniform
-
-    worst = math.inf
-    for _ in range(samples):
-        _, _, report = good_basis(sample_uniform(n, k, rng))
-        worst = min(worst, report.sigma_min)
-    return worst

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -147,13 +146,15 @@ def similarity_dimension(spec: IFSSpec) -> float:
 
 
 def generate(spec: IFSSpec, depth: int, mode: str = "exhaustive",
-             rng: Optional[np.random.Generator] = None,
-             ratio_weighted: bool = False) -> PointSample:
+             rng: Optional[np.random.Generator] = None) -> PointSample:
     """Point cloud on the attractor.
 
     Exhaustive mode applies every length-``depth`` composition of the maps to
-    the fixed point of the first map (m^depth points).  Chaos mode runs a
-    chaos-game orbit of ``depth`` points after a 100-step burn-in.
+    the fixed point of the first map (m^depth points).  Each level is written
+    into one of two preallocated buffers, used in turn: map i of the m maps
+    fills the i-th block of the next level with ``ratio * pts + translation``.
+    Chaos mode runs a chaos-game orbit of ``depth`` points after a 100-step
+    burn-in, choosing each map with probability 1/m.
     """
     m = len(spec.maps)
     ratios = [s.ratio for s in spec.maps]
@@ -163,16 +164,26 @@ def generate(spec: IFSSpec, depth: int, mode: str = "exhaustive",
             raise ResourceBudgetError(
                 f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}; "
                 "use chaos mode")
-        pts = spec.maps[0].fixed_point[None, :]
-        for _ in range(depth):
-            pts = np.concatenate([r * pts + t for r, t in zip(ratios, translations)])
+        # Level j lives in buffers[j % 2]; the last level fills `final`.
+        final = np.empty((m**depth, spec.n))
+        spare = np.empty((m**max(depth - 1, 0), spec.n))
+        buffers = (final, spare) if depth % 2 == 0 else (spare, final)
+        pts = buffers[0][:1]
+        pts[0] = spec.maps[0].fixed_point
+        for level in range(1, depth + 1):
+            size = len(pts)
+            out = buffers[level % 2][:m * size]
+            for i, (r, t) in enumerate(zip(ratios, translations)):
+                block = out[i * size:(i + 1) * size]
+                np.multiply(pts, r, out=block)
+                block += t
+            pts = out
         return PointSample(points=pts, depth=depth, source=spec)
     if mode == "chaos":
         if rng is None:
             raise InputDomainError("chaos mode requires an rng")
-        weights = _chaos_weights(spec, ratio_weighted)
         x = spec.maps[0].fixed_point
-        choices = rng.choice(m, size=CHAOS_BURN_IN + depth, p=weights)
+        choices = rng.choice(m, size=CHAOS_BURN_IN + depth, p=np.full(m, 1.0 / m))
         out = np.empty((depth, spec.n))
         for step, i in enumerate(choices):
             x = ratios[i] * x + translations[i]
@@ -180,15 +191,6 @@ def generate(spec: IFSSpec, depth: int, mode: str = "exhaustive",
                 out[step - CHAOS_BURN_IN] = x
         return PointSample(points=out, depth=depth, source=spec)
     raise InputDomainError(f"unknown generation mode '{mode}'")
-
-
-def _chaos_weights(spec: IFSSpec, ratio_weighted: bool = False) -> np.ndarray:
-    m = len(spec.maps)
-    if not ratio_weighted:
-        return np.full(m, 1.0 / m)
-    s = similarity_dimension(spec)
-    w = np.array([sm.ratio**s for sm in spec.maps])
-    return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -217,14 +219,15 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     return max(scale_lo + 2, 8)
 
 
-def _nested_cell_keys(clouds: np.ndarray, scale_lo: int,
-                      scale_hi: int) -> tuple[np.ndarray, list[int]]:
+def _nested_cell_keys(clouds: np.ndarray, scale_lo: int, scale_hi: int,
+                      overwrite: bool = False) -> tuple[np.ndarray, list[int]]:
     """Sortable int64 box keys at ``scale_hi`` of a (B, k, N) stack of
     clouds, (B, N), and the bit length of each cloud's cell coordinates;
-    see :func:`box_dimension`."""
+    see :func:`box_dimension`.  With ``overwrite`` the cells are scaled and
+    floored in ``clouds`` itself, which must be a float64 array."""
     k = clouds.shape[1]
     # Contiguous rows per axis: numpy reduces (N, k) along axis 0 slowly.
-    cells = np.empty(clouds.shape)
+    cells = clouds if overwrite else np.empty(clouds.shape)
     np.multiply(clouds, 2.0**scale_hi, out=cells)
     np.floor(cells, out=cells)
     lo = cells.min(axis=2)
@@ -266,13 +269,19 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 
-def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
+def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int,
+                overwrite: bool = False) -> np.ndarray:
     """Occupied boxes at scales 2^-scale_lo..2^-scale_hi of each cloud of a
-    (B, k, N) stack, as (B, scales) counts; see :func:`box_dimension`."""
-    k = clouds.shape[1]
-    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi)
-    keys.sort(axis=1)
-    jumps = keys[:, 1:] ^ keys[:, :-1]
+    (B, k, N) stack, as (B, scales) counts; see :func:`box_dimension`.
+    ``overwrite`` lets the counter scale a float64 ``clouds`` in place."""
+    k, size = clouds.shape[1:]
+    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi, overwrite)
+    space = 1 << (k * max(bits))
+    if space <= size:
+        jumps = [row[1:] ^ row[:-1] for row in _occupied_keys(keys, space)]
+    else:
+        keys.sort(axis=1)
+        jumps = keys[:, 1:] ^ keys[:, :-1]
     counts = np.ones((len(keys), scale_hi - scale_lo + 1), dtype=np.int64)
     # One 1-d count per cloud and scale: counting along an axis sums bools,
     # which is slower than counting a flat array.
@@ -281,6 +290,17 @@ def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
             if shift < k * width:
                 out[s] += np.count_nonzero(row >= 1 << shift)
     return counts
+
+
+def _occupied_keys(keys: np.ndarray, space: int) -> list[np.ndarray]:
+    """The sorted distinct keys of each row of a (B, N) array of keys below
+    ``space``, read off a boolean occupancy array of the key space."""
+    distinct = []
+    for row in keys:
+        occupied = np.zeros(space, dtype=bool)
+        occupied[row] = True
+        distinct.append(np.flatnonzero(occupied))
+    return distinct
 
 
 def _scales(scale_lo: int, scale_hi: int) -> list[int]:
@@ -313,16 +333,23 @@ def box_dimension(sample, scale_lo: int = 2,
     the box whose lower edge it lies on, so counts are deterministic.
     ``scale_hi`` defaults to :func:`default_scale_hi` of the sample.
 
-    All scales are counted from one sort (Liebovitch & Toth, Phys. Lett. A
-    141, 1989).  Dyadic grids nest: scaling by 2^j is exact in float64, so
-    floor(x 2^j) == floor(x 2^scale_hi) >> (scale_hi - j).  Each point gets
-    one integer key at ``scale_hi``: its cell for k = 1, or the Morton
-    (Z-order) interleave of its k cell coordinates, so that the key of the
-    enclosing box at scale j is key >> k(scale_hi - j).  Cells are first
-    shifted by a per-axis offset that is a multiple of 2^(scale_hi -
-    scale_lo), which keeps every coarser box whole.  After sorting the keys
-    once, two neighbours lie in different boxes at scale j exactly when
-    their XOR reaches 2^(k(scale_hi - j)).
+    All scales are counted from one ordered list of the occupied cells at
+    ``scale_hi`` (Liebovitch & Toth, Phys. Lett. A 141, 1989).  Dyadic grids
+    nest: scaling by 2^j is exact in float64, so floor(x 2^j) ==
+    floor(x 2^scale_hi) >> (scale_hi - j).  Each point gets one integer key
+    at ``scale_hi``: its cell for k = 1, or the Morton (Z-order) interleave
+    of its k cell coordinates, so that the key of the enclosing box at scale
+    j is key >> k(scale_hi - j).  Cells are first shifted by a per-axis
+    offset that is a multiple of 2^(scale_hi - scale_lo), which keeps every
+    coarser box whole.  In the ordered keys, two neighbours lie in different
+    boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)).
+
+    The keys are ordered in one of two ways, with the same counts.  When the
+    key space, 2^(k x bit length of the shifted cells), holds no more cells
+    than the cloud has points, each key marks its cell in a boolean
+    occupancy array of that space, and the marked cells are the sorted
+    distinct keys: O(N + 2^(k bits)) work, and repeated keys would only add
+    zero jumps.  Otherwise the N keys are sorted.
 
     Keys are int64, so k times the bit length of the shifted cells must not
     exceed 63, and cells at ``scale_hi`` must lie within 2^62 boxes of the
@@ -351,7 +378,10 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
     Frames are taken in batches of B with B * k * N at most
     ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
-    projected, rescaled, keyed, sorted and counted as one (B, k, N) stack.
+    projected, then rescaled and scaled to ``scale_hi`` cells in place, keyed,
+    ordered and counted as one (B, k, N) stack.  The keys are ordered by an
+    occupancy array when the batch's key space holds no more cells than N,
+    and sorted otherwise (see :func:`box_dimension`).
     ``map_batches(fn, batches)`` runs the batches, in order (``map`` or a
     thread pool's ``map``); the slope is still fitted one frame at a time.
     """
@@ -360,7 +390,8 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
 
     def run(batch: np.ndarray) -> list[DimensionEstimate]:
         clouds = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
-        return [_fit(scales, c) for c in _box_counts(clouds, scale_lo, scale_hi)]
+        return [_fit(scales, c)
+                for c in _box_counts(clouds, scale_lo, scale_hi, overwrite=True)]
 
     batches = [frames[i:i + size] for i in range(0, len(frames), size)]
     return [est for ests in map_batches(run, batches) for est in ests]
@@ -369,6 +400,7 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
 def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
     """Affinely rescale each coordinate into [0, 1]; coordinates whose range
     is below the tolerance collapse to 0 (dimension-neutral for the rest).
+    A non-finite coordinate raises :class:`InputDomainError`.
 
     The result is the transpose of a contiguous (k, N) array, one row per
     coordinate: numpy reduces a narrow (N, k) array along axis 0 slowly.
@@ -384,6 +416,10 @@ def _unit_box_rows(rows: np.ndarray, degenerate_tol: float = 1e-12) -> np.ndarra
     rows whose range is below the tolerance become 0."""
     lo = rows.min(axis=-1, keepdims=True)
     span = rows.max(axis=-1, keepdims=True) - lo
+    # A NaN or infinite coordinate gives a NaN or infinite span, which must
+    # not read as a degenerate row.
+    if not np.isfinite(span).all():
+        raise InputDomainError("cannot rescale non-finite points into the unit box")
     live = span > degenerate_tol
     rows -= lo
     rows /= np.where(live, span, 1.0)
@@ -394,11 +430,6 @@ def _unit_box_rows(rows: np.ndarray, degenerate_tol: float = 1e-12) -> np.ndarra
 def null_compressor(data: bytes) -> float:
     """Identity length in bits; calibration baseline."""
     return 8.0 * len(data)
-
-
-def deflate_compressor(data: bytes) -> float:
-    """zlib at max level, overhead-corrected against the empty input."""
-    return 8.0 * max(0, len(zlib.compress(data, 9)) - len(zlib.compress(b"", 9)))
 
 
 def kt_compressor(data: bytes) -> float:
@@ -442,6 +473,8 @@ def complexity_profile(x, r_max: int,
         raise InputDomainError(f"r_max must be <= 64, got {r_max}")
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
+        if not np.isfinite(pts).all():
+            raise InputDomainError("cannot profile a non-finite vector")
         pts = pts[None, :]
         pts = pts - np.floor(pts)
     else:

@@ -122,15 +122,14 @@ def perturbation_inverse_bound(a, a2) -> PerturbationBound:
     inv_norm = spectral_norm(a_inv)
     diff_norm = spectral_norm(a - a2)
     premise = inv_norm * diff_norm < 1.0
+    s2 = np.linalg.svd(a2, compute_uv=False)
     if not premise:
-        s2 = np.linalg.svd(a2, compute_uv=False)
         if s2[-1] <= SINGULARITY_RTOL * max(s2[0], 1.0):
             return PerturbationBound(np.inf, np.inf, False)
         actual = spectral_norm(a_inv - np.linalg.inv(a2))
         return PerturbationBound(np.inf, actual, False)
     # The premise guarantees A2 is invertible; a singular A2 here would
     # contradict the Neumann-series argument.
-    s2 = np.linalg.svd(a2, compute_uv=False)
     if s2[-1] <= SINGULARITY_RTOL * s2[0]:
         raise SingularityError(
             "perturbed matrix singular although the Neumann premise holds",

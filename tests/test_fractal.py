@@ -10,8 +10,10 @@ from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      complexity_profile, export_sample, generate,
                      kt_compressor, load_sample, normalize_unit_box,
                      null_compressor, sample_uniform, similarity_dimension)
-from projlab.fractal import (IFSSpec, PointSample, Similarity, _truncate_bits,
-                             default_scale_hi)
+from projlab import fractal
+from projlab.fractal import (IFSSpec, PointSample, Similarity, _box_counts,
+                             _truncate_bits, default_scale_hi,
+                             projected_dimensions)
 
 
 def unit_interval_ifs():
@@ -56,6 +58,29 @@ def test_generate_exhaustive_deterministic():
     a = generate(cantor_dust(), 5)
     b = generate(cantor_dust(), 5)
     assert np.array_equal(a.points, b.points)
+
+
+def generate_by_concatenation(spec, depth):
+    """Reference: each level as one np.concatenate of the m mapped copies of
+    the previous level."""
+    pts = spec.maps[0].fixed_point[None, :]
+    for _ in range(depth):
+        pts = np.concatenate([m.ratio * pts + m.translation for m in spec.maps])
+    return pts
+
+
+def test_generate_matches_concatenated_levels():
+    rng = np.random.default_rng(8)
+    wide = IFSSpec(n=8, maps=tuple((r, rng.uniform(-1.0, 1.0, 8))
+                                   for r in (0.3, 0.45, 0.2)))
+    cases = [(cantor_dust(), depth) for depth in range(0, 9)]
+    cases += [(wide, depth) for depth in range(0, 8)]
+    for spec, depth in cases:
+        points = generate(spec, depth).points
+        expected = generate_by_concatenation(spec, depth)
+        assert points.shape == expected.shape == (len(spec.maps)**depth, spec.n)
+        assert np.array_equal(points, expected)
+        assert points.tobytes() == expected.tobytes()
 
 
 def test_generate_budget_error_suggests_chaos():
@@ -176,6 +201,102 @@ def test_box_counts_invariant_under_coarse_dyadic_shift(window, steps):
     assert box_dimension(pts + shift, lo, hi).counts == box_dimension(pts, lo, hi).counts
 
 
+def record_occupancy(monkeypatch):
+    """The key-space size of each occupancy count."""
+    spaces = []
+    real = fractal._occupied_keys
+    monkeypatch.setattr(fractal, "_occupied_keys",
+                        lambda keys, space: spaces.append(space) or real(keys, space))
+    return spaces
+
+
+@st.composite
+def grids_near_point_count(draw):
+    """A batch of clouds whose key space 2^(k x bits) at scale_hi is one
+    point short of, equal to, or one point over the point count N.
+
+    Every cloud has a point on its origin cell, which is a multiple of
+    2^(scale_hi - scale_lo) cells and may be negative; the widest cloud also
+    has a point on its last cell, so the key width is known.  The others are
+    narrower, and a third of each cloud repeats its other points.  Cells plus
+    a fraction on a 2^-20 grid are exact in float64.
+    """
+    k = draw(st.integers(1, 3))
+    bits = draw(st.integers(max(1, 3 - k), 12 // k))
+    space = 1 << (k * bits)
+    count = space + draw(st.sampled_from([-1, 0, 1]))
+    batch = draw(st.integers(1, 4))
+    scale_lo = draw(st.integers(0, 3))
+    scale_hi = draw(st.integers(scale_lo + 2, scale_lo + 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    widths = rng.integers(0, bits + 1, batch)
+    widths[rng.integers(batch)] = bits
+    step = scale_hi - scale_lo
+    clouds = np.empty((batch, k, count))
+    for cloud, width in zip(clouds, widths):
+        cells = rng.integers(0, 1 << width, (k, count))
+        cells[:, 0] = 0
+        cells[rng.integers(k), 1] = (1 << width) - 1
+        repeats = rng.integers(0, count, count // 3)
+        cells[:, count - count // 3:] = cells[:, repeats]
+        origin = rng.integers(-20, 21, (k, 1)) << step
+        frac = rng.integers(0, 1 << 20, (k, count)) / 2.0**20
+        cloud[:] = (origin + cells + frac) / 2.0**scale_hi
+    return clouds, space, scale_lo, scale_hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=grids_near_point_count())
+def test_occupancy_and_sort_paths_match_per_scale_reference(window):
+    clouds, space, lo, hi = window
+    with pytest.MonkeyPatch.context() as mp:
+        occupied = record_occupancy(mp)
+        counts = _box_counts(clouds, lo, hi)
+        in_place = _box_counts(clouds.copy(), lo, hi, overwrite=True)
+    # Occupancy exactly when the key space holds no more cells than N.
+    if space <= clouds.shape[2]:
+        assert occupied == [space, space]
+    else:
+        assert occupied == []
+    assert np.array_equal(in_place, counts)
+    for cloud, row in zip(clouds, counts):
+        assert tuple(row.tolist()) == per_scale_counts(cloud.T, range(lo, hi + 1))
+
+
+def test_dust_projection_counts_by_occupancy(monkeypatch):
+    # 4^8 dust points projected onto a line and rescaled into [0, 1] fall in
+    # cells 0..2^13 at scale 13: a 2^14-key space, smaller than N.
+    points = generate(cantor_dust(), 8).points
+    frames = np.array([[[0.6], [0.8]], [[1.0], [0.0]], [[-0.28], [0.96]]])
+    spaces = record_occupancy(monkeypatch)
+    ests = projected_dimensions(points, frames, 2, 13)
+    assert spaces == [1 << 14] * len(frames)
+    for frame, est in zip(frames, ests):
+        line = normalize_unit_box(points @ frame)
+        assert est.counts == per_scale_counts(line, range(2, 14))
+        assert est == box_dimension(line, 2, 13)
+    assert spaces == [1 << 14] * (2 * len(frames))
+
+
+def test_counting_leaves_inputs_unchanged():
+    rng = np.random.default_rng(3)
+    clouds = [rng.random((5000, 1)), rng.random((5000, 2)) - 0.5,
+              np.asfortranarray(rng.random((3000, 3))),
+              generate(cantor_dust(), 6)]
+    for cloud in clouds:
+        pts = cloud.points if isinstance(cloud, PointSample) else cloud
+        before = pts.copy()
+        box_dimension(cloud, 2, 10)
+        assert pts.tobytes() == before.tobytes()
+    points = generate(cantor_dust(), 7).points
+    angles = np.linspace(0.1, 3.0, 4)
+    frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
+    points_before, frames_before = points.copy(), frames.copy()
+    projected_dimensions(points, frames, 2, 12)
+    assert points.tobytes() == points_before.tobytes()
+    assert frames.tobytes() == frames_before.tobytes()
+
+
 def test_box_dimension_key_width_limit():
     rng = np.random.default_rng(4)
     # 3 axes x 21 bits fill the 63-bit key exactly.
@@ -277,6 +398,19 @@ def test_normalize_unit_box_matches_column_reference(k):
     out = normalize_unit_box(pts)
     assert out.shape == pts.shape
     assert out.tobytes(order="C") == normalize_columns(pts).tobytes(order="C")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinate_is_not_a_degenerate_axis(bad):
+    # A NaN span once read as degenerate: the column became 0 and the
+    # estimate came out silently wrong.
+    x = np.array([[0.1, 0.2], [bad, 0.5], [0.7, 0.1], [0.9, 0.9]])
+    with pytest.raises(InputDomainError, match="non-finite"):
+        box_dimension(normalize_unit_box(x), 2, 6)
+    with pytest.raises(InputDomainError, match="non-finite"):
+        complexity_profile(x.tolist(), 8)
+    with pytest.raises(InputDomainError, match="non-finite"):
+        complexity_profile(np.array([0.25, bad]), 8)
 
 
 def test_complexity_profile_constant_point():
