@@ -121,17 +121,26 @@ def _best_subsets(n: int, k: int, count: int, score) -> tuple[np.ndarray, np.nda
     return subsets[best_row], best_score
 
 
-def _column_sigmas(p: np.ndarray):
-    """Scorer for :func:`_best_subsets`: the smallest singular value of the
-    column block P[:, S] of each projection in the (D, n, n) stack."""
-    return lambda block: np.linalg.svd(p[:, :, block].transpose(0, 2, 1, 3),
-                                       compute_uv=False)[..., -1]
+def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column selection of each projection of a (D, n, n) stack: the (D, k)
+    index sets I maximizing the smallest singular value of P[:, I], those
+    (D,) singular values, and the (D, n, k) bases P[:, I].  The best I of a
+    rank-k projection has sigma(P[:, I]) >= binom(n, k)^(-1/2), so a maximum
+    at the rank tolerance raises :class:`DegeneracyError`."""
+    cols, sigma = _best_subsets(
+        p.shape[-1], k, len(p),
+        lambda block: np.linalg.svd(p[:, :, block].transpose(0, 2, 1, 3),
+                                    compute_uv=False)[..., -1])
+    if sigma.min() <= _RANK_TOL:
+        raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
+    return cols, sigma, np.take_along_axis(p, cols[:, None, :], axis=2)
 
 
-def _row_dets(a: np.ndarray):
-    """Scorer for :func:`_best_subsets`: |det(A_S)| of the row block A[S] of
-    each basis in the (D, n, k) stack."""
-    return lambda block: np.abs(np.linalg.det(a[:, block]))
+def _good_rows(a: np.ndarray) -> np.ndarray:
+    """Row selection of each basis of a (D, n, k) stack: the (D, k) index
+    sets I maximizing |det(A_I)|."""
+    d, n, k = a.shape
+    return _best_subsets(n, k, d, lambda block: np.abs(np.linalg.det(a[:, block])))[0]
 
 
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
@@ -144,10 +153,8 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
     per block of at most 1024 subsets, so memory stays bounded for large
     binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
     """
-    p = v.proj
-    idx, sigma = _best_subsets(v.n, v.k, 1, _column_sigmas(p[None]))
-    best_idx = tuple(int(i) for i in idx[0])
-    a = p[:, list(best_idx)]
+    cols, sigma, a = _good_columns(v.proj[None], v.k)
+    a, best_idx = a[0], tuple(cols[0].tolist())
     a_rows = a[list(best_idx), :]
     s_rows = np.linalg.svd(a_rows, compute_uv=False)
     report = ConditionReport(
@@ -174,8 +181,7 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
-    idx, _ = _best_subsets(n, m, 1, _row_dets(a[None]))
-    best_idx = tuple(int(i) for i in idx[0])
+    best_idx = tuple(_good_rows(a[None])[0].tolist())
     k1, k2 = float(s[0]), float(s[-1])
     report = ConditionReport(
         sigma_min=k2,
@@ -197,12 +203,8 @@ def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     normalizes the row blocks.  The rank check reuses the smallest singular
     value of the chosen basis, which that SVD has already computed.
     """
-    n = p.shape[-1]
-    cols, sigma = _best_subsets(n, k, len(p), _column_sigmas(p))
-    if sigma.min() <= _RANK_TOL:
-        raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
-    a = np.take_along_axis(p, cols[:, None, :], axis=2)
-    rows, _ = _best_subsets(n, k, len(p), _row_dets(a))
+    a = _good_columns(p, k)[2]
+    rows = _good_rows(a)
     a_prime = a @ np.linalg.inv(np.take_along_axis(a, rows[:, :, None], axis=1))
     np.put_along_axis(a_prime, rows[:, :, None], np.eye(k), axis=1)
     return rows, a_prime
@@ -251,17 +253,17 @@ def chart_stability(v: Subspace, eps: float, trials: int,
     """
     from .grassmann import perturb_within
 
-    a, basis_idx, _ = good_basis(v)
-    sub_idx, _ = good_submatrix(a)
-    rows = list(sub_idx)
+    cols, sigma, a = _good_columns(v.proj[None], v.k)
+    a, basis_idx = a[0], cols[0].tolist()
+    rows = _good_rows(a[None])[0].tolist()
     a_i_inv = np.linalg.inv(a[rows, :])
     a_prime = a @ a_i_inv
-    constant = stability_constant(v.n, v.k, mk.smallest_singular_value(a))
+    constant = stability_constant(v.n, v.k, float(sigma[0]))
 
     max_observed = 0.0
     for trial in range(trials):
         w = perturb_within(v, eps, rng)
-        a_t = w.proj[:, list(basis_idx)]
+        a_t = w.proj[:, basis_idx]
         if mk.spectral_norm(a_i_inv) * mk.spectral_norm(a[rows, :] - a_t[rows, :]) >= 0.5:
             raise PremiseViolationError(
                 "perturbed row block left the Neumann-premise region", trial=trial)
@@ -272,15 +274,9 @@ def chart_stability(v: Subspace, eps: float, trials: int,
 
 
 def orthonormal_frame(v: Subspace) -> np.ndarray:
-    """Deterministic orthonormal basis of a subspace: the frame of its chart,
-    see :func:`chart_frame`."""
-    return chart_frame(to_chart(v))
-
-
-def chart_frame(c: Chart) -> np.ndarray:
-    """Orthonormal basis of the plane a chart describes, see
-    :func:`orthonormal_frames`."""
-    return orthonormal_frames(c.reconstruct()[None])[0]
+    """Deterministic orthonormal basis of a subspace: the frame of its chart
+    basis, see :func:`orthonormal_frames`."""
+    return orthonormal_frames(chart_bases(v.proj[None], v.k)[1])[0]
 
 
 def orthonormal_frames(bases: np.ndarray) -> np.ndarray:

@@ -61,7 +61,7 @@ def _load_config(args) -> ExperimentConfig:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if args.seed is not None:
+    if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
     return ExperimentConfig.from_dict(obj)
 
@@ -90,7 +90,11 @@ def run_cli(argv=None) -> int:
             path = Path(args.subspace)
             if not path.exists():
                 raise ConfigError(f"subspace file not found: {path}")
-            print(to_chart(Subspace.from_json(path.read_text())).to_json())
+            try:
+                v = Subspace.from_json(path.read_text())
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"subspace file is not valid JSON: {exc}") from exc
+            print(to_chart(v).to_json())
         elif args.command == "dims":
             path = Path(args.sample)
             if not path.exists() or not path.with_suffix(".json").exists():

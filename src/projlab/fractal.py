@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ConfigError, InputDomainError, ResourceBudgetError
 
 EXHAUSTIVE_BUDGET = 10**7
-CHAOS_BURN_IN = 100
+# normalize_unit_box collapses a coordinate whose range is at most this to 0.
+DEGENERATE_SPAN = 1e-12
 # Projected coordinates box-counted together: projected_dimensions stacks
 # B directions of k x N coordinates with B * k * N at most this.
 COUNT_BATCH_POINTS = 1 << 15
@@ -50,15 +51,11 @@ class Similarity:
 
 @dataclass(frozen=True)
 class IFSSpec:
-    """A self-similar set description: ambient dimension plus contractions.
-
-    The open-set condition is recorded as supplied, not verified.
-    """
+    """A self-similar set description: ambient dimension plus contractions."""
 
     n: int
     maps: tuple
     label: Optional[str] = None
-    open_set_condition: bool = True
 
     def __post_init__(self):
         maps = tuple(m if isinstance(m, Similarity) else Similarity(*m)
@@ -145,52 +142,35 @@ def similarity_dimension(spec: IFSSpec) -> float:
     return (lo + hi) / 2.0
 
 
-def generate(spec: IFSSpec, depth: int, mode: str = "exhaustive",
-             rng: Optional[np.random.Generator] = None) -> PointSample:
-    """Point cloud on the attractor.
+def generate(spec: IFSSpec, depth: int) -> PointSample:
+    """Point cloud on the attractor: every length-``depth`` composition of
+    the maps applied to the fixed point of the first map (m^depth points).
 
-    Exhaustive mode applies every length-``depth`` composition of the maps to
-    the fixed point of the first map (m^depth points).  Each level is written
-    into one of two preallocated buffers, used in turn: map i of the m maps
-    fills the i-th block of the next level with ``ratio * pts + translation``.
-    Chaos mode runs a chaos-game orbit of ``depth`` points after a 100-step
-    burn-in, choosing each map with probability 1/m.
+    Each level is written into one of two preallocated buffers, used in
+    turn: map i of the m maps fills the i-th block of the next level with
+    ``ratio * pts + translation``.
     """
     m = len(spec.maps)
-    ratios = [s.ratio for s in spec.maps]
-    translations = [s.translation for s in spec.maps]
-    if mode == "exhaustive":
-        if m**depth > EXHAUSTIVE_BUDGET:
-            raise ResourceBudgetError(
-                f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}; "
-                "use chaos mode")
-        # Level j lives in buffers[j % 2]; the last level fills `final`.
-        final = np.empty((m**depth, spec.n))
-        spare = np.empty((m**max(depth - 1, 0), spec.n))
-        buffers = (final, spare) if depth % 2 == 0 else (spare, final)
-        pts = buffers[0][:1]
-        pts[0] = spec.maps[0].fixed_point
-        for level in range(1, depth + 1):
-            size = len(pts)
-            out = buffers[level % 2][:m * size]
-            for i, (r, t) in enumerate(zip(ratios, translations)):
-                block = out[i * size:(i + 1) * size]
-                np.multiply(pts, r, out=block)
-                block += t
-            pts = out
-        return PointSample(points=pts, depth=depth, source=spec)
-    if mode == "chaos":
-        if rng is None:
-            raise InputDomainError("chaos mode requires an rng")
-        x = spec.maps[0].fixed_point
-        choices = rng.choice(m, size=CHAOS_BURN_IN + depth, p=np.full(m, 1.0 / m))
-        out = np.empty((depth, spec.n))
-        for step, i in enumerate(choices):
-            x = ratios[i] * x + translations[i]
-            if step >= CHAOS_BURN_IN:
-                out[step - CHAOS_BURN_IN] = x
-        return PointSample(points=out, depth=depth, source=spec)
-    raise InputDomainError(f"unknown generation mode '{mode}'")
+    if depth < 0:
+        raise InputDomainError(f"depth must be >= 0, got {depth}")
+    if m**depth > EXHAUSTIVE_BUDGET:
+        raise ResourceBudgetError(
+            f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
+    # Level j lives in buffers[j % 2]; the last level fills `final`.
+    final = np.empty((m**depth, spec.n))
+    spare = np.empty((m**max(depth - 1, 0), spec.n))
+    buffers = (final, spare) if depth % 2 == 0 else (spare, final)
+    pts = buffers[0][:1]
+    pts[0] = spec.maps[0].fixed_point
+    for level in range(1, depth + 1):
+        size = len(pts)
+        out = buffers[level % 2][:m * size]
+        for i, sim in enumerate(spec.maps):
+            block = out[i * size:(i + 1) * size]
+            np.multiply(pts, sim.ratio, out=block)
+            block += sim.translation
+        pts = out
+    return PointSample(points=pts, depth=depth, source=spec)
 
 
 @dataclass(frozen=True)
@@ -208,9 +188,8 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     """Finest reliable dyadic scale exponent for a sample.
 
     For IFS samples the resolution is r_max^depth, so scales up to
-    depth*log2(1/r_max) - 2 avoid saturation; the coarse-side bias of a short
-    window is worse than previously assumed, so the cap sits at 18 rather
-    than 8.  Bare point lists keep the conservative 8.
+    depth*log2(1/r_max) - 2 avoid saturation, capped at 18.  Bare point
+    lists keep the conservative 8.
     """
     if isinstance(sample, PointSample) and sample.source is not None:
         r_max = max(m.ratio for m in sample.source.maps)
@@ -397,9 +376,10 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     return [est for ests in map_batches(run, batches) for est in ests]
 
 
-def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
+def normalize_unit_box(points) -> np.ndarray:
     """Affinely rescale each coordinate into [0, 1]; coordinates whose range
-    is below the tolerance collapse to 0 (dimension-neutral for the rest).
+    is at most ``DEGENERATE_SPAN`` collapse to 0 (dimension-neutral for the
+    rest).
     A non-finite coordinate raises :class:`InputDomainError`.
 
     The result is the transpose of a contiguous (k, N) array, one row per
@@ -408,19 +388,19 @@ def normalize_unit_box(points, degenerate_tol: float = 1e-12) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return _unit_box_rows(np.array(pts.T, order="C"), degenerate_tol).T
+    return _unit_box_rows(np.array(pts.T, order="C")).T
 
 
-def _unit_box_rows(rows: np.ndarray, degenerate_tol: float = 1e-12) -> np.ndarray:
+def _unit_box_rows(rows: np.ndarray) -> np.ndarray:
     """Rescale each length-N row of a (..., N) array into [0, 1], in place;
-    rows whose range is below the tolerance become 0."""
+    rows whose range is at most ``DEGENERATE_SPAN`` become 0."""
     lo = rows.min(axis=-1, keepdims=True)
     span = rows.max(axis=-1, keepdims=True) - lo
     # A NaN or infinite coordinate gives a NaN or infinite span, which must
     # not read as a degenerate row.
     if not np.isfinite(span).all():
         raise InputDomainError("cannot rescale non-finite points into the unit box")
-    live = span > degenerate_tol
+    live = span > DEGENERATE_SPAN
     rows -= lo
     rows /= np.where(live, span, 1.0)
     rows[~live[..., 0]] = 0.0

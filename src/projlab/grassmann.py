@@ -65,14 +65,17 @@ class Subspace:
     def from_json(cls, text: str) -> "Subspace":
         obj = json.loads(text)
         for key in ("n", "k", "proj"):
-            if key not in obj:
+            if not isinstance(obj, dict) or key not in obj:
                 raise InputDomainError(f"subspace JSON missing field '{key}'")
-        n = int(obj["n"])
-        proj = np.asarray(obj["proj"], dtype=float)
-        if proj.size != n * n:
-            raise InputDomainError(
-                f"invariant violated: proj has {proj.size} entries, expected {n * n}")
-        return cls(n=n, k=int(obj["k"]), proj=proj.reshape(n, n))
+        try:
+            n, k = int(obj["n"]), int(obj["k"])
+            proj = np.asarray(obj["proj"], dtype=float)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise InputDomainError(f"subspace JSON: {exc}") from exc
+        if n < 1 or proj.size != n * n:
+            raise InputDomainError(f"invariant violated: n={n} with {proj.size} proj "
+                                   "entries; need n >= 1 and n * n entries")
+        return cls(n=n, k=k, proj=proj.reshape(n, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,11 @@ identical results.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,30 +86,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        required = ("ifs", "n", "k", "num_directions", "depth", "scale_lo",
-                    "scale_hi", "threshold_s", "seed", "mode")
-        for key in required:
-            if key not in obj:
-                raise ConfigError(f"field {key}: missing from config")
-        try:
-            ifs = IFSSpec.from_json(obj["ifs"]) if not isinstance(obj["ifs"], IFSSpec) \
-                else obj["ifs"]
-        except (InputDomainError, KeyError, TypeError) as exc:
-            raise ConfigError(f"field ifs: {exc}") from exc
-        return cls(ifs=ifs, n=int(obj["n"]), k=int(obj["k"]),
-                   num_directions=int(obj["num_directions"]),
-                   depth=int(obj["depth"]), scale_lo=int(obj["scale_lo"]),
-                   scale_hi=int(obj["scale_hi"]),
-                   threshold_s=float(obj["threshold_s"]),
-                   seed=int(obj["seed"]), mode=str(obj["mode"]))
+        """The config of a parsed JSON object, each field read by the cast
+        of its annotation in ``_FIELD_CASTS``."""
+        values = {}
+        for f in fields(cls):
+            if not isinstance(obj, dict) or f.name not in obj:
+                raise ConfigError(f"field {f.name}: missing from config")
+            try:
+                values[f.name] = _FIELD_CASTS[f.type](obj[f.name])
+            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"field {f.name}: {exc}") from exc
+        return cls(**values)
 
     def echo(self) -> dict:
-        import json
-        return {"ifs": json.loads(self.ifs.to_json()), "n": self.n, "k": self.k,
-                "num_directions": self.num_directions, "depth": self.depth,
-                "scale_lo": self.scale_lo, "scale_hi": self.scale_hi,
-                "threshold_s": self.threshold_s, "seed": self.seed,
-                "mode": self.mode}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["ifs"] = json.loads(self.ifs.to_json())
+        return out
+
+
+# How ExperimentConfig.from_dict reads a JSON value, by field annotation.
+_FIELD_CASTS = {"int": int, "float": float, "str": str,
+                "IFSSpec": lambda v: v if isinstance(v, IFSSpec) else IFSSpec.from_json(v)}
 
 
 @dataclass(frozen=True)

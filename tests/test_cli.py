@@ -83,6 +83,14 @@ def test_invalid_json_config(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_non_object_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path),
+                    "--seed", "3"]) == 2
+    assert "field ifs: missing from config" in capsys.readouterr().err
+
+
 def test_config_error_names_offending_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", threshold_s=5.0)
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
@@ -93,6 +101,10 @@ def test_config_error_names_offending_field(tmp_path, capsys):
     (dict(depth=-1), "field depth"),
     (dict(scale_lo=9, scale_hi=4), "field scale_hi"),
     (dict(depth=12), "field depth: 4^12 sample points exceed"),
+    (dict(n="two"), "field n: invalid literal for int()"),
+    (dict(depth=None), "field depth: int() argument must be"),
+    (dict(threshold_s="high"), "field threshold_s: could not convert string to float"),
+    (dict(seed=[1]), "field seed: int() argument must be"),
 ])
 def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path / "cfg.json", **{"depth": 10, **overrides})
@@ -121,6 +133,26 @@ def test_chart_subcommand(tmp_path, capsys):
 def test_chart_missing_file(tmp_path, capsys):
     assert run_cli(["chart", "--subspace", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_chart_invalid_json_is_config_error(tmp_path, capsys):
+    sub = tmp_path / "v.json"
+    sub.write_text('{"n": 2, "k": ')
+    assert run_cli(["chart", "--subspace", str(sub)]) == 2
+    assert "subspace file is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, message", [
+    ([2, 1, [1.0, 0.0, 0.0, 0.0]], "subspace JSON missing field 'n'"),
+    ({"n": "two", "k": 1, "proj": [1.0, 0.0, 0.0, 0.0]}, "invalid literal for int()"),
+    ({"n": 2, "k": None, "proj": [1.0, 0.0, 0.0, 0.0]}, "int() argument must be"),
+    ({"n": -1, "k": 1, "proj": [1.0]}, "need n >= 1 and n * n entries"),
+], ids=["list", "n-string", "k-null", "n-negative"])
+def test_chart_malformed_subspace_is_numeric_failure(tmp_path, capsys, document, message):
+    sub = tmp_path / "v.json"
+    sub.write_text(json.dumps(document))
+    assert run_cli(["chart", "--subspace", str(sub)]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_dims_subcommand(tmp_path, capsys):

@@ -83,21 +83,15 @@ def test_generate_matches_concatenated_levels():
         assert points.tobytes() == expected.tobytes()
 
 
-def test_generate_budget_error_suggests_chaos():
-    with pytest.raises(ResourceBudgetError, match="chaos"):
+def test_generate_budget_error_names_the_budget():
+    with pytest.raises(ResourceBudgetError,
+                       match="4\\^13 points exceed the exhaustive budget 10000000$"):
         generate(cantor_dust(), 13)
 
 
-def test_generate_chaos_stays_in_bounding_box():
-    rng = np.random.default_rng(5)
-    sample = generate(cantor_dust(), 5000, mode="chaos", rng=rng)
-    assert sample.points.shape == (5000, 2)
-    assert np.all(sample.points >= 0.0) and np.all(sample.points <= 1.0)
-
-
-def test_generate_chaos_requires_rng():
-    with pytest.raises(InputDomainError):
-        generate(cantor_dust(), 100, mode="chaos")
+def test_generate_rejects_negative_depth():
+    with pytest.raises(InputDomainError, match="depth must be >= 0, got -1"):
+        generate(cantor_dust(), -1)
 
 
 def test_ifs_validation():

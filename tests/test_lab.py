@@ -99,6 +99,18 @@ def test_config_from_dict_missing_field():
         ExperimentConfig.from_dict(obj)
 
 
+def test_config_from_dict_reads_each_field_or_names_it():
+    obj = sweep_config().echo()
+    # 1e400 reads as inf, which int() cannot take; str() reads None as
+    # "None", which the mode check then rejects.
+    for key, value in [("n", 1e400), ("scale_lo", "2.5"), ("mode", None)]:
+        with pytest.raises(ConfigError, match=f"field {key}"):
+            ExperimentConfig.from_dict({**obj, key: value})
+    bad_map = {**obj["ifs"], "maps": [{"ratio": 0.5, "translation": ["x", 0.0]}] * 2}
+    with pytest.raises(ConfigError, match="field ifs: could not convert string"):
+        ExperimentConfig.from_dict({**obj, "ifs": bad_map})
+
+
 def test_sweep_shape_and_flags():
     result = marstrand_sweep(sweep_config())
     assert len(result.rows) == 8

@@ -10,6 +10,7 @@ bit for bit.
 
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -17,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
-                     ResourceBudgetError, Subspace, box_dimension, cantor_dust,
-                     cantor_on_axis, exceptional_scan, generate, good_basis,
-                     good_submatrix, marstrand_sweep, normalize_unit_box,
-                     result_csv, sample_uniform, to_chart)
-from projlab import fractal
-from projlab.charts import chart_frame
+                     ResourceBudgetError, box_dimension, cantor_dust,
+                     cantor_on_axis, exceptional_scan, generate,
+                     marstrand_sweep, normalize_unit_box, orthonormal_frame,
+                     result_csv, sample_uniform)
+from projlab import fractal, lab
 from projlab.fractal import _box_counts, projected_dimensions
 from projlab.lab import THREADS_ENV, _scan_cells_per_axis
 
@@ -56,10 +56,25 @@ def loop_haar_projection(rng, n, k):
     return (p + p.T) / 2.0
 
 
+def loop_best_subset(n, k, score):
+    """Reference selector: the k-subset of range(n) with the largest score,
+    one score per subset, first strict maximum."""
+    best_score, best_idx = -1.0, None
+    for idx in itertools.combinations(range(n), k):
+        value = float(score(list(idx)))
+        if value > best_score:
+            best_score, best_idx = value, idx
+    return best_idx
+
+
 def loop_chart(p, n, k):
-    """Reference: good basis, then good row block, then normalize."""
-    a, _, _ = good_basis(Subspace(n=n, k=k, proj=p))
-    idx, _ = good_submatrix(a)
+    """Reference: the column block of P with the largest smallest singular
+    value (one SVD per subset), then its row block of largest |det| (one det
+    per subset), then normalize."""
+    cols = loop_best_subset(
+        n, k, lambda s: np.linalg.svd(p[:, s], compute_uv=False)[-1])
+    a = p[:, list(cols)]
+    idx = loop_best_subset(n, k, lambda s: abs(np.linalg.det(a[s, :])))
     a_prime = a @ np.linalg.inv(a[list(idx), :])
     others = [i for i in range(n) if i not in set(idx)]
     return Chart(n=n, k=k, I=idx, free=a_prime[others, :])
@@ -108,12 +123,29 @@ def oracle_rows(cfg):
 
 def capture_batches(monkeypatch):
     """Keep a copy of each counting batch of projected points, (B, k, N),
-    before it is rescaled into the unit box."""
-    batches = []
-    real = fractal._unit_box_rows
-    monkeypatch.setattr(fractal, "_unit_box_rows",
-                        lambda rows: batches.append(rows.copy()) or real(rows))
-    return batches
+    before it is rescaled into the unit box.  Returns the copies in batch
+    order, which on a thread pool is not the order the batches run in."""
+    copies = {}
+    local = threading.local()
+    real_map, real_rows = lab._map_batches, fractal._unit_box_rows
+
+    def indexed_map(fn, batches):
+        def run(item):
+            local.index, batch = item
+            return fn(batch)
+        return real_map(run, list(enumerate(batches)))
+
+    def capture(rows):
+        copies[local.index] = rows.copy()
+        return real_rows(rows)
+
+    monkeypatch.setattr(lab, "_map_batches", indexed_map)
+    monkeypatch.setattr(fractal, "_unit_box_rows", capture)
+    return copies
+
+
+def in_order(copies):
+    return [copies[i] for i in range(len(copies))]
 
 
 def run_matches_oracle(cfg, monkeypatch):
@@ -121,9 +153,10 @@ def run_matches_oracle(cfg, monkeypatch):
     batches = capture_batches(monkeypatch)
     result = run(cfg)
     monkeypatch.undo()
+    clouds = in_order(batches)
     expected = oracle_rows(cfg)
     assert len(result.rows) == len(expected)
-    for row, cloud, (c, coords, est) in zip(result.rows, np.concatenate(batches),
+    for row, cloud, (c, coords, est) in zip(result.rows, np.concatenate(clouds),
                                             expected):
         assert row.chart.I == c.I
         assert row.chart.free.tobytes() == c.free.tobytes()
@@ -132,7 +165,7 @@ def run_matches_oracle(cfg, monkeypatch):
         assert row.estimate.slope_stderr.hex() == est.slope_stderr.hex()
         assert row.estimate.counts == est.counts
         assert row.exceptional == (est.value < cfg.threshold_s)
-    return result, [len(b) for b in batches]
+    return result, [len(b) for b in clouds]
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (8, 4)])
@@ -170,7 +203,7 @@ def test_batching_and_threads_keep_results_csv(monkeypatch, cfg, per_batch, thre
     monkeypatch.setenv(THREADS_ENV, threads)
     batches = capture_batches(monkeypatch)
     result = run(cfg)
-    assert sorted(map(len, batches), reverse=True) == [
+    assert [len(b) for b in in_order(batches)] == [
         min(per_batch, directions - i) for i in range(0, directions, per_batch)]
     assert result_csv(result) == reference
 
@@ -181,6 +214,15 @@ def test_large_sample_counts_one_direction_per_batch(monkeypatch):
     assert len(generate(cfg.ifs, cfg.depth).points) > fractal.COUNT_BATCH_POINTS
     _, sizes = run_matches_oracle(cfg, monkeypatch)
     assert sizes == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (6, 3), (8, 4)])
+def test_orthonormal_frame_matches_loop(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    for _ in range(20):
+        v = sample_uniform(n, k, rng)
+        expected = loop_frame(loop_chart(v.proj, n, k))
+        assert orthonormal_frame(v).tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -240,8 +282,8 @@ def test_batched_counter_raises_like_box_dimension():
 
 def test_projected_dimensions_one_frame_per_estimate():
     points = generate(random_ifs(4, 1), 5).points
-    frames = np.stack([chart_frame(to_chart(sample_uniform(
-        4, 2, np.random.default_rng(i)))) for i in range(5)])
+    frames = np.stack([orthonormal_frame(sample_uniform(
+        4, 2, np.random.default_rng(i))) for i in range(5)])
     ests = projected_dimensions(points, frames, 2, 7)
     for frame, est in zip(frames, ests):
         assert est == box_dimension(normalize_unit_box(points @ frame), 2, 7)
