@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON field reader
+that raises them."""
 
 
 class ProjlabError(Exception):
@@ -47,3 +48,18 @@ class ResourceBudgetError(ProjlabError, ValueError):
 class ConfigError(ProjlabError, ValueError):
     """An experiment configuration file is malformed; the message names the
     offending field."""
+
+
+def read_fields(doc, casts: dict, error: type, what: str) -> list:
+    """Each field of the parsed JSON object ``doc``, read by its cast in
+    ``casts``.  Raises ``error``, naming the document ``what`` and the field,
+    when ``doc`` is not an object, a field is missing or a cast raises."""
+    values = []
+    for name, cast in casts.items():
+        if not isinstance(doc, dict) or name not in doc:
+            raise error(f"field {name}: missing from {what}")
+        try:
+            values.append(cast(doc[name]))
+        except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
+            raise error(f"{what} field {name}: {exc}") from exc
+    return values

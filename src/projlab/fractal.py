@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputDomainError, ResourceBudgetError
+from .errors import (ConfigError, InputDomainError, ResourceBudgetError,
+                     read_fields)
 
 EXHAUSTIVE_BUDGET = 10**7
 # normalize_unit_box collapses a coordinate whose range is at most this to 0.
@@ -43,6 +44,9 @@ class Similarity:
                            np.asarray(self.translation, dtype=float))
         if not (0.0 < self.ratio < 1.0):
             raise InputDomainError(f"contraction ratio must be in (0, 1), got {self.ratio}")
+        if not np.isfinite(self.translation).all():
+            raise InputDomainError(
+                f"translation must be finite, got {self.translation.tolist()}")
 
     @property
     def fixed_point(self) -> np.ndarray:
@@ -77,13 +81,14 @@ class IFSSpec:
         })
 
     @classmethod
-    def from_json(cls, text: str) -> "IFSSpec":
+    def from_json(cls, text) -> "IFSSpec":
+        """The IFS of a JSON text or of its parsed object."""
         obj = json.loads(text) if isinstance(text, str) else text
-        for key in ("n", "maps"):
-            if key not in obj:
-                raise InputDomainError(f"IFS JSON missing field '{key}'")
-        maps = tuple(Similarity(m["ratio"], m["translation"]) for m in obj["maps"])
-        return cls(n=int(obj["n"]), maps=maps, label=obj.get("label"))
+        n, maps = read_fields(obj, {"n": int, "maps": list}, InputDomainError, "IFS JSON")
+        casts = {"ratio": float, "translation": lambda t: np.asarray(t, dtype=float)}
+        maps = [Similarity(*read_fields(m, casts, InputDomainError, f"IFS JSON map {i}"))
+                for i, m in enumerate(maps)]
+        return cls(n=n, maps=maps, label=obj.get("label"))
 
 
 def cantor_middle_thirds() -> IFSSpec:
@@ -198,19 +203,18 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     return max(scale_lo + 2, 8)
 
 
-def _nested_cell_keys(clouds: np.ndarray, scale_lo: int, scale_hi: int,
-                      overwrite: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Sortable int64 box keys at ``scale_hi`` of a (B, k, N) stack of
-    clouds, (B, N), and the bit length of each cloud's cell coordinates;
-    see :func:`box_dimension`.  With ``overwrite`` the cells are scaled and
-    floored in ``clouds`` itself, which must be a float64 array."""
+def _nested_cell_keys(clouds: np.ndarray, scale_lo: int,
+                      scale_hi: int) -> tuple[np.ndarray, list[int]]:
+    """Sortable int64 box keys at ``scale_hi`` of a (B, k, N) float64 stack
+    of clouds, (B, N), and the bit length of each cloud's cell coordinates;
+    see :func:`box_dimension`.  The cells are scaled and floored in
+    ``clouds`` itself, whose rows per axis should be contiguous: numpy
+    reduces (N, k) along axis 0 slowly."""
     k = clouds.shape[1]
-    # Contiguous rows per axis: numpy reduces (N, k) along axis 0 slowly.
-    cells = clouds if overwrite else np.empty(clouds.shape)
-    np.multiply(clouds, 2.0**scale_hi, out=cells)
-    np.floor(cells, out=cells)
-    lo = cells.min(axis=2)
-    hi = cells.max(axis=2)
+    clouds *= 2.0**scale_hi
+    np.floor(clouds, out=clouds)
+    lo = clouds.min(axis=2)
+    hi = clouds.max(axis=2)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise InputDomainError("cannot box-count non-finite points")
     if lo.min() < -2.0**62 or hi.max() >= 2.0**62:
@@ -224,7 +228,7 @@ def _nested_cell_keys(clouds: np.ndarray, scale_lo: int, scale_hi: int,
         raise ResourceBudgetError(
             f"box keys for k={k} at scale_hi={scale_hi} need {k} x {max(bits)} "
             "bits, over the 63-bit limit; lower scale_hi")
-    cells = cells.astype(np.int64)
+    cells = clouds.astype(np.int64)
     cells -= offset[:, :, None]
     if k == 1:
         return cells[:, 0], bits
@@ -248,13 +252,12 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 
-def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int,
-                overwrite: bool = False) -> np.ndarray:
+def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
     """Occupied boxes at scales 2^-scale_lo..2^-scale_hi of each cloud of a
-    (B, k, N) stack, as (B, scales) counts; see :func:`box_dimension`.
-    ``overwrite`` lets the counter scale a float64 ``clouds`` in place."""
+    (B, k, N) float64 stack, as (B, scales) counts; see
+    :func:`box_dimension`.  Works in place: ``clouds`` is scaled to cells."""
     k, size = clouds.shape[1:]
-    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi, overwrite)
+    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi)
     space = 1 << (k * max(bits))
     if space <= size:
         jumps = [row[1:] ^ row[:-1] for row in _occupied_keys(keys, space)]
@@ -344,7 +347,8 @@ def box_dimension(sample, scale_lo: int = 2,
     if pts.size == 0:
         raise InputDomainError("cannot box-count an empty point set")
     scales = _scales(scale_lo, scale_hi)
-    return _fit(scales, _box_counts(pts.T[None], scale_lo, scale_hi)[0])
+    clouds = np.array(pts.T[None], order="C")
+    return _fit(scales, _box_counts(clouds, scale_lo, scale_hi)[0])
 
 
 def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
@@ -370,7 +374,7 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     def run(batch: np.ndarray) -> list[DimensionEstimate]:
         clouds = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
         return [_fit(scales, c)
-                for c in _box_counts(clouds, scale_lo, scale_hi, overwrite=True)]
+                for c in _box_counts(clouds, scale_lo, scale_hi)]
 
     batches = [frames[i:i + size] for i in range(0, len(frames), size)]
     return [est for ests in map_batches(run, batches) for est in ests]
@@ -482,16 +486,8 @@ def load_sample(path) -> PointSample:
         sidecar = json.loads(path.with_suffix(".json").read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"sample {path}: sidecar is not valid JSON: {exc}") from exc
-    fields = []
-    for key in ("count", "n", "depth"):
-        if not isinstance(sidecar, dict) or key not in sidecar:
-            raise ConfigError(f"sample {path}: sidecar has no field '{key}'")
-        try:
-            fields.append(int(sidecar[key]))
-        except (TypeError, ValueError):
-            raise ConfigError(f"sample {path}: sidecar field '{key}' is not an "
-                              f"integer: {sidecar[key]!r}") from None
-    count, n, depth = fields
+    count, n, depth = read_fields(sidecar, dict.fromkeys(("count", "n", "depth"), int),
+                                  ConfigError, f"sample {path} sidecar")
     raw = path.read_bytes()
     if len(raw) != 8 * count * n:
         raise ConfigError(

@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import DegeneracyError, InputDomainError
+from .errors import DegeneracyError, InputDomainError, read_fields
 
-# Two subspaces with rho below this are considered equal.
-EQUALITY_RHO = 1e-8
+# contains() and AffinePlane.contains_point() accept residuals up to these.
+_CONTAINMENT_TOL = 1e-8
+_POINT_TOL = 1e-9
 
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCY_TOL = 1e-10
@@ -54,24 +55,15 @@ class Subspace:
         object.__setattr__(v, "proj", proj)
         return v
 
-    def same_as(self, other: "Subspace") -> bool:
-        return metric_rho(self, other) <= EQUALITY_RHO
-
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k,
                            "proj": self.proj.ravel().tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "Subspace":
-        obj = json.loads(text)
-        for key in ("n", "k", "proj"):
-            if not isinstance(obj, dict) or key not in obj:
-                raise InputDomainError(f"subspace JSON missing field '{key}'")
-        try:
-            n, k = int(obj["n"]), int(obj["k"])
-            proj = np.asarray(obj["proj"], dtype=float)
-        except (ArithmeticError, TypeError, ValueError) as exc:
-            raise InputDomainError(f"subspace JSON: {exc}") from exc
+        casts = {"n": int, "k": int, "proj": lambda p: np.asarray(p, dtype=float)}
+        n, k, proj = read_fields(json.loads(text), casts, InputDomainError,
+                                 "subspace JSON")
         if n < 1 or proj.size != n * n:
             raise InputDomainError(f"invariant violated: n={n} with {proj.size} proj "
                                    "entries; need n >= 1 and n * n entries")
@@ -100,9 +92,9 @@ class AffinePlane:
         p = np.asarray(point, dtype=float)
         return cls(direction, p - direction.proj @ p)
 
-    def contains_point(self, x, tol: float = 1e-9) -> bool:
+    def contains_point(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return np.linalg.norm(x - (self.direction.proj @ x + self.offset)) <= tol
+        return np.linalg.norm(x - (self.direction.proj @ x + self.offset)) <= _POINT_TOL
 
 
 def check_projections(p: np.ndarray, k: int) -> None:
@@ -181,11 +173,11 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     return Subspace(n=v.n, k=v.n - v.k, proj=np.eye(v.n) - v.proj)
 
 
-def contains(w: Subspace, v: Subspace, tol: float = EQUALITY_RHO) -> bool:
+def contains(w: Subspace, v: Subspace) -> bool:
     """Whether the plane of ``v`` lies inside ``w`` (any k's, same n)."""
     if w.n != v.n:
         raise InputDomainError("containment requires the same ambient dimension")
-    return mk.spectral_norm(w.proj @ v.proj - v.proj) <= tol
+    return mk.spectral_norm(w.proj @ v.proj - v.proj) <= _CONTAINMENT_TOL
 
 
 def sample_uniform(n: int, k: int, rng: np.random.Generator) -> Subspace:

@@ -11,6 +11,7 @@ identical results.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -23,7 +24,7 @@ import numpy as np
 # perfbench/spans.py looks it up.
 from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
                      to_chart)
-from .errors import ConfigError, InputDomainError
+from .errors import ConfigError, InputDomainError, read_fields
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
                       box_dimension, generate, projected_dimensions)
 from .grassmann import basis_projections, haar_projections
@@ -72,6 +73,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field scale_hi: need scale_hi >= scale_lo + 2 (at least 3 scales), "
                 f"got scale_lo={self.scale_lo}, scale_hi={self.scale_hi}")
+        # Unit-box cells reach 2^scale_hi: scale_hi + 1 bits per axis of a key.
+        if self.scale_hi > 61 or self.k * (self.scale_hi + 1) > 63:
+            raise ConfigError(
+                f"field scale_hi: box keys need scale_hi <= 61 and k * (scale_hi + 1) "
+                f"<= 63, got scale_hi={self.scale_hi} for k={self.k}")
         if self.ifs.n != self.n:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
         if self.mode not in ("sweep", "scan"):
@@ -88,15 +94,8 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         """The config of a parsed JSON object, each field read by the cast
         of its annotation in ``_FIELD_CASTS``."""
-        values = {}
-        for f in fields(cls):
-            if not isinstance(obj, dict) or f.name not in obj:
-                raise ConfigError(f"field {f.name}: missing from config")
-            try:
-                values[f.name] = _FIELD_CASTS[f.type](obj[f.name])
-            except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"field {f.name}: {exc}") from exc
-        return cls(**values)
+        casts = {f.name: _FIELD_CASTS[f.type] for f in fields(cls)}
+        return cls(*read_fields(obj, casts, ConfigError, "config"))
 
     def echo(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -106,7 +105,7 @@ class ExperimentConfig:
 
 # How ExperimentConfig.from_dict reads a JSON value, by field annotation.
 _FIELD_CASTS = {"int": int, "float": float, "str": str,
-                "IFSSpec": lambda v: v if isinstance(v, IFSSpec) else IFSSpec.from_json(v)}
+                "IFSSpec": IFSSpec.from_json}
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,12 @@ def _run(config: ExperimentConfig, projections: np.ndarray,
          params: list[tuple]) -> SweepResult:
     """The direction pipeline: charts, frames and one dimension estimate
     for each projection of a (D, n, n) stack, whose rows carry ``params``."""
+    map_batches = functools.partial(_map_batches, threads=_thread_count())
     sample = generate(config.ifs, config.depth)
     index_sets, bases = chart_bases(projections, config.k)
     estimates = projected_dimensions(sample.points, orthonormal_frames(bases),
                                      config.scale_lo, config.scale_hi,
-                                     _map_batches)
+                                     map_batches)
     rows = tuple(DirectionRow(index=i, chart=c, estimate=est,
                               exceptional=est.value < config.threshold_s,
                               params=p)
@@ -210,10 +210,9 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
     return result
 
 
-def _map_batches(fn, batches) -> list:
+def _map_batches(fn, batches, threads: int) -> list:
     """``fn`` of each counting batch, in order: serially, or on a pool of
-    ``PROJLAB_THREADS`` threads."""
-    threads = _thread_count()
+    ``threads`` threads."""
     if threads == 1:
         return list(map(fn, batches))
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -171,6 +172,17 @@ def test_good_submatrix_rejects_rank_deficient():
         good_submatrix(a)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: good_submatrix(np.ones((1, 2))), "need rows >= cols"),
+    (lambda: relative_chart(sample_uniform(4, 2, np.random.default_rng(0)),
+                            sample_uniform(4, 2, np.random.default_rng(1))),
+     "need k1 < k2"),
+], ids=["good_submatrix-wide", "relative_chart-k1-not-below-k2"])
+def test_chart_arguments_out_of_domain(call, message):
+    with pytest.raises(InputDomainError, match=message):
+        call()
+
+
 def test_to_chart_examples():
     x_axis = from_basis(np.array([[1.0], [0.0]]))
     c = to_chart(x_axis)
@@ -290,6 +302,17 @@ def test_chart_json_round_trip():
     c2 = Chart.from_json(c.to_json())
     assert c2.I == c.I
     assert np.array_equal(c2.free, c.free)
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"n": "two", "k": 1, "I": [0], "free": [1.0]}, "chart JSON field n: invalid literal"),
+    ({"n": 2, "k": 1, "I": [0], "free": [1.0, 2.0]}, r"free block shape \(2,\)"),
+    ({"n": 2, "k": 1, "I": ["a"], "free": [1.0]}, "chart JSON field I: invalid literal"),
+    ({"n": 2, "k": 1, "I": 5, "free": [1.0]}, "chart JSON field I: 'int' object"),
+], ids=["n-string", "free-length", "I-string", "I-int"])
+def test_chart_json_rejects_with_typed_error(document, message):
+    with pytest.raises(InputDomainError, match=message):
+        Chart.from_json(json.dumps(document))
 
 
 def test_chart_rejects_bad_shapes():

@@ -3,17 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from projlab import (Chart, PointSample, cantor_dust, cantor_on_axis,
-                     export_sample, from_basis, generate)
+from projlab import (Chart, IFSSpec, InputDomainError, PointSample, cantor_dust,
+                     cantor_on_axis, export_sample, from_basis, generate)
+from projlab import lab
 from projlab.cli import run_cli
+from projlab.lab import THREADS_ENV
 
 
-def write_config(path, **overrides):
+def config_document(**overrides):
     base = dict(ifs=json.loads(cantor_dust().to_json()), n=2, k=1,
                 num_directions=8, depth=6, scale_lo=2, scale_hi=8,
                 threshold_s=0.9, seed=42, mode="sweep")
     base.update(overrides)
-    path.write_text(json.dumps(base))
+    return base
+
+
+def write_config(path, **overrides):
+    path.write_text(json.dumps(config_document(**overrides)))
     return path
 
 
@@ -112,6 +118,32 @@ def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     assert field in capsys.readouterr().err
 
 
+def nonfinite_dust(value):
+    ifs = json.loads(cantor_dust().to_json())
+    ifs["maps"][1]["translation"] = [value, 0.0]
+    return ifs
+
+
+@pytest.mark.parametrize("overrides, threads, field", [
+    (dict(scale_hi=62), "1", "field scale_hi: box keys need scale_hi <= 61"),
+    (dict(scale_hi=70), "1", "field scale_hi: box keys need scale_hi <= 61"),
+    ({}, "abc", f"field {THREADS_ENV}: not an integer"),
+    (dict(ifs=nonfinite_dust(float("nan"))), "1",
+     "config field ifs: translation must be finite"),
+    (dict(ifs=nonfinite_dust(float("inf"))), "1",
+     "config field ifs: translation must be finite"),
+], ids=["scale_hi-62", "scale_hi-70", "threads", "translation-nan", "translation-inf"])
+def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
+                                      threads, field):
+    calls = []
+    monkeypatch.setattr(lab, "generate", lambda *args: calls.append(args))
+    monkeypatch.setenv(THREADS_ENV, threads)
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    assert calls == []
+
+
 def test_scan_coarse_grid_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", ifs=json.loads(cantor_on_axis().to_json()),
                        num_directions=4, threshold_s=0.5, mode="scan")
@@ -143,7 +175,7 @@ def test_chart_invalid_json_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("document, message", [
-    ([2, 1, [1.0, 0.0, 0.0, 0.0]], "subspace JSON missing field 'n'"),
+    ([2, 1, [1.0, 0.0, 0.0, 0.0]], "field n: missing from subspace JSON"),
     ({"n": "two", "k": 1, "proj": [1.0, 0.0, 0.0, 0.0]}, "invalid literal for int()"),
     ({"n": 2, "k": None, "proj": [1.0, 0.0, 0.0, 0.0]}, "int() argument must be"),
     ({"n": -1, "k": 1, "proj": [1.0]}, "need n >= 1 and n * n entries"),
@@ -191,14 +223,14 @@ def test_dims_incomplete_sidecar_is_config_error(tmp_path, capsys, field):
     del sidecar[field]
     path.with_suffix(".json").write_text(json.dumps(sidecar))
     assert run_cli(["dims", "--sample", str(path)]) == 2
-    assert f"'{field}'" in capsys.readouterr().err
+    assert f"field {field}: missing from sample" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, message", [
     ("{count: 64", "not valid JSON"),
-    ('{"count": "x", "n": 2, "depth": 3}', "field 'count' is not an integer"),
-    ('{"count": 64, "n": null, "depth": 3}', "field 'n' is not an integer"),
-    ("[64, 2, 3]", "no field 'count'"),
+    ('{"count": "x", "n": 2, "depth": 3}', "field count: invalid literal for int()"),
+    ('{"count": 64, "n": null, "depth": 3}', "field n: int() argument must be"),
+    ("[64, 2, 3]", "field count: missing from sample"),
 ])
 def test_dims_malformed_sidecar_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "dust.bin"
@@ -215,3 +247,67 @@ def test_dims_size_mismatch_is_config_error(tmp_path, capsys):
     assert run_cli(["dims", "--sample", str(path)]) == 2
     err = capsys.readouterr().err
     assert "1016 bytes" in err and "1024" in err
+
+
+def cli_error(capsys, argv, code):
+    assert run_cli(argv) == code
+    return capsys.readouterr().err
+
+
+def read_config(tmp_path, capsys, document):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(document))
+    return cli_error(capsys, ["sweep", "--config", str(path), "--out", str(tmp_path)], 2)
+
+
+def read_sidecar(tmp_path, capsys, document):
+    path = tmp_path / "dust.bin"
+    export_sample(generate(cantor_dust(), 3), path)
+    path.with_suffix(".json").write_text(json.dumps(document))
+    return cli_error(capsys, ["dims", "--sample", str(path)], 2)
+
+
+def read_subspace(tmp_path, capsys, document):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps(document))
+    return cli_error(capsys, ["chart", "--subspace", str(path)], 3)
+
+
+def read_with(reader):
+    def read(tmp_path, capsys, document):
+        with pytest.raises(InputDomainError) as exc:
+            reader(json.dumps(document))
+        return str(exc.value)
+    return read
+
+
+# Per document kind: its reader, a valid document, the name the reader's
+# messages give the document, and a field with a value its cast cannot read.
+READERS = {
+    "config": (read_config, config_document(), "config", "num_directions", "many"),
+    "sidecar": (read_sidecar, {"count": 64, "n": 2, "depth": 3}, "sidecar",
+                "depth", "deep"),
+    "subspace": (read_subspace, {"n": 2, "k": 1, "proj": [1.0, 0.0, 0.0, 0.0]},
+                 "subspace JSON", "k", "one"),
+    "chart": (read_with(Chart.from_json), {"n": 2, "k": 1, "I": [0], "free": [1.0]},
+              "chart JSON", "I", ["a"]),
+    "ifs": (read_with(IFSSpec.from_json), json.loads(cantor_dust().to_json()),
+            "IFS JSON", "maps", 5),
+}
+
+
+@pytest.mark.parametrize("case", ["non-object", "missing", "uncastable"])
+@pytest.mark.parametrize("kind", list(READERS))
+def test_reader_error_names_document_and_field(tmp_path, capsys, kind, case):
+    read, document, name, field, bad = READERS[kind]
+    if case == "non-object":
+        message = f"field {next(iter(document))}: missing from "
+        document = list(document.values())
+    elif case == "missing":
+        message = f"field {field}: missing from "
+        document = {key: value for key, value in document.items() if key != field}
+    else:
+        message = f"{name} field {field}: "
+        document = {**document, field: bad}
+    err = read(tmp_path, capsys, document)
+    assert message in err and name in err

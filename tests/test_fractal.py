@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -99,6 +100,27 @@ def test_ifs_validation():
         IFSSpec(n=1, maps=(Similarity(0.5, np.zeros(1)),))
     with pytest.raises(InputDomainError):
         Similarity(1.2, np.zeros(1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PointSample(points=np.empty((0, 2)), depth=1), "must be nonempty"),
+    (lambda: IFSSpec(n=2, maps=((0.5, [0.0]), (0.5, [1.0]))), r"translation shape \(1,\)"),
+], ids=["empty-sample", "translation-shape"])
+def test_sample_and_ifs_reject_bad_shapes(call, message):
+    with pytest.raises(InputDomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n="two"), "IFS JSON field n: invalid literal"),
+    (dict(maps=[0.5, 0.5]), "field ratio: missing from IFS JSON map 0"),
+    (dict(maps=[{"ratio": 0.5, "translation": [0.0]}, {"ratio": 0.5}]),
+     "field translation: missing from IFS JSON map 1"),
+], ids=["n-string", "map-not-object", "map-without-translation"])
+def test_ifs_json_rejects_with_typed_error(change, message):
+    document = {**json.loads(cantor_middle_thirds().to_json()), **change}
+    with pytest.raises(InputDomainError, match=message):
+        IFSSpec.from_json(json.dumps(document))
 
 
 def test_ifs_json_round_trip():
@@ -245,14 +267,12 @@ def test_occupancy_and_sort_paths_match_per_scale_reference(window):
     clouds, space, lo, hi = window
     with pytest.MonkeyPatch.context() as mp:
         occupied = record_occupancy(mp)
-        counts = _box_counts(clouds, lo, hi)
-        in_place = _box_counts(clouds.copy(), lo, hi, overwrite=True)
+        counts = _box_counts(clouds.copy(), lo, hi)
     # Occupancy exactly when the key space holds no more cells than N.
     if space <= clouds.shape[2]:
-        assert occupied == [space, space]
+        assert occupied == [space]
     else:
         assert occupied == []
-    assert np.array_equal(in_place, counts)
     for cloud, row in zip(clouds, counts):
         assert tuple(row.tolist()) == per_scale_counts(cloud.T, range(lo, hi + 1))
 

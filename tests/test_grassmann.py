@@ -208,6 +208,19 @@ def test_subspace_rejects_broken_invariants():
         Subspace(n=3, k=2, proj=np.diag([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Subspace(n=2, k=2, proj=np.eye(2)), "need 0 < k < n"),
+    (lambda: Subspace(n=3, k=1, proj=X_AXIS_2D.proj), r"shape \(2, 2\) does not match n=3"),
+    (lambda: from_basis(np.eye(2)), "need 0 < k < n"),
+    (lambda: contains(X_AXIS_2D, line(0.0, n=3)), "same ambient dimension"),
+    (lambda: AffinePlane(X_AXIS_2D, np.zeros(3)), "offset dimension"),
+], ids=["subspace-k-not-below-n", "subspace-shape", "from_basis-k-not-below-n",
+        "contains-across-n", "affine-offset-length"])
+def test_subspace_arguments_out_of_domain(call, message):
+    with pytest.raises(InputDomainError, match=message):
+        call()
+
+
 def test_subspace_json_round_trip():
     rng = np.random.default_rng(77)
     v = sample_uniform(4, 2, rng)
@@ -217,7 +230,7 @@ def test_subspace_json_round_trip():
 
 
 def test_subspace_json_rejects_with_diagnostic():
-    with pytest.raises(InputDomainError, match="missing field"):
+    with pytest.raises(InputDomainError, match="field proj: missing from subspace JSON"):
         Subspace.from_json(json.dumps({"n": 2, "k": 1}))
     bad = json.dumps({"n": 2, "k": 1, "proj": [1.0, 0.1, 0.0, 0.0]})
     with pytest.raises(InputDomainError, match="symmetric"):

@@ -107,7 +107,8 @@ def test_config_from_dict_reads_each_field_or_names_it():
         with pytest.raises(ConfigError, match=f"field {key}"):
             ExperimentConfig.from_dict({**obj, key: value})
     bad_map = {**obj["ifs"], "maps": [{"ratio": 0.5, "translation": ["x", 0.0]}] * 2}
-    with pytest.raises(ConfigError, match="field ifs: could not convert string"):
+    with pytest.raises(ConfigError, match="config field ifs: IFS JSON map 0 field "
+                                          "translation: could not convert string"):
         ExperimentConfig.from_dict({**obj, "ifs": bad_map})
 
 

@@ -81,6 +81,17 @@ def test_inverse_norm_is_reciprocal_smallest_singular_value():
             1.0 / smallest_singular_value(m), rel=1e-8)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: determinant(np.ones((2, 3))), "square"),
+    (lambda: inverse(np.ones((2, 3))), "square"),
+    (lambda: cauchy_binet(np.ones((1, 2))), "need rows >= cols"),
+    (lambda: perturbation_inverse_bound(np.eye(2), np.eye(3)), "same size"),
+], ids=["determinant", "inverse", "cauchy_binet", "perturbation_inverse_bound"])
+def test_shape_errors_are_typed(call, message):
+    with pytest.raises(InputDomainError, match=message):
+        call()
+
+
 def test_inverse_rejects_singular():
     with pytest.raises(SingularityError) as exc:
         inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))

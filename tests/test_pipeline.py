@@ -129,11 +129,11 @@ def capture_batches(monkeypatch):
     local = threading.local()
     real_map, real_rows = lab._map_batches, fractal._unit_box_rows
 
-    def indexed_map(fn, batches):
+    def indexed_map(fn, batches, threads):
         def run(item):
             local.index, batch = item
             return fn(batch)
-        return real_map(run, list(enumerate(batches)))
+        return real_map(run, list(enumerate(batches)), threads)
 
     def capture(rows):
         copies[local.index] = rows.copy()
@@ -250,7 +250,7 @@ def cloud_batches(draw):
 @given(window=cloud_batches())
 def test_batched_counts_equal_per_cloud_box_dimension(window):
     clouds, lo, hi = window
-    counts = _box_counts(np.ascontiguousarray(clouds.transpose(0, 2, 1)), lo, hi)
+    counts = _box_counts(np.array(clouds.transpose(0, 2, 1), order="C"), lo, hi)
     for cloud, row in zip(clouds, counts):
         assert tuple(row.tolist()) == box_dimension(cloud, lo, hi).counts
         for j, count in zip(range(lo, hi + 1), row):

@@ -31,6 +31,11 @@ def test_span_from_points_collinear_rejected():
         span_from_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
 
 
+def test_span_from_points_needs_two_points():
+    with pytest.raises(InputDomainError, match="at least two points"):
+        span_from_points([[0.0, 0.0]])
+
+
 def test_span_from_points_sigma_matches_svd_oracle():
     rng = np.random.default_rng(2)
     pts = [rng.standard_normal(4) for _ in range(4)]
@@ -38,7 +43,7 @@ def test_span_from_points_sigma_matches_svd_oracle():
     diffs = np.column_stack([p - pts[0] for p in pts[1:]])
     assert res.sigma == pytest.approx(smallest_singular_value(diffs), abs=1e-10)
     for p in pts:
-        assert res.plane.contains_point(p, tol=1e-9)
+        assert res.plane.contains_point(p)
 
 
 def test_line_through_examples():
