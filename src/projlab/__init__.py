@@ -2,7 +2,7 @@
 
 from .charts import (Chart, ConditionReport, chart_stability, embed_relative,
                      from_chart, good_basis, good_submatrix, orthonormal_frame,
-                     relative_chart, stability_constant, to_chart)
+                     perturb_within, relative_chart, stability_constant, to_chart)
 from .errors import (ConfigError, DegeneracyError, InputDomainError,
                      PremiseViolationError, ProjlabError, ResourceBudgetError,
                      SingularityError)
@@ -13,8 +13,7 @@ from .fractal import (DimensionEstimate, IFSSpec, PointSample, Similarity,
                       normalize_unit_box, null_compressor,
                       similarity_dimension)
 from .grassmann import (AffinePlane, Subspace, contains, from_basis,
-                        metric_rho, orthogonal_complement, perturb_within,
-                        project_point, sample_uniform)
+                        metric_rho, orthogonal_complement, project_point, sample_uniform)
 from .lab import (DirectionRow, ExperimentConfig, SweepResult,
                   exceptional_scan, kaufman_bound, marstrand_sweep,
                   result_csv)

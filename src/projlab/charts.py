@@ -22,8 +22,8 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
-                     read_fields)
-from .grassmann import Subspace, contains, from_basis
+                     integer, parse_json, read_fields)
+from .grassmann import Subspace, contains, from_basis, metric_rho
 
 # A basis whose smallest singular value is at most this is rank deficient.
 _RANK_TOL = 1e-10
@@ -66,11 +66,11 @@ class Chart:
                            "free": self.free.ravel().tolist()})
 
     @classmethod
-    def from_json(cls, text: str) -> "Chart":
-        casts = {"n": int, "k": int, "I": lambda i: tuple(map(int, i)),
+    def from_json(cls, text) -> "Chart":
+        casts = {"n": integer, "k": integer, "I": lambda i: tuple(map(integer, i)),
                  "free": lambda f: np.asarray(f, dtype=float)}
-        n, k, idx, free = read_fields(json.loads(text), casts, InputDomainError,
-                                      "chart JSON")
+        n, k, idx, free = read_fields(parse_json(text, InputDomainError, "chart JSON"),
+                                      casts, InputDomainError, "chart JSON")
         # A free list of the wrong length is left to the shape check.
         free = free.reshape(n - k, k) if free.size == (n - k) * k else free
         return cls(n=n, k=k, I=idx, free=free)
@@ -230,6 +230,27 @@ def from_chart(c: Chart) -> Subspace:
     return from_basis(c.reconstruct())
 
 
+def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspace:
+    """A genuine rank-k projection at metric distance in (0, eps] from ``v``.
+
+    Moves in chart coordinates by a random free-block offset, shrinking the
+    step until the metric target is met; this keeps the result exactly on
+    the Grassmannian, unlike naive perturbation of the projection matrix.
+    """
+    if not (0.0 < eps < 1.0):
+        raise InputDomainError(f"eps must lie in (0, 1), got {eps}")
+    c = to_chart(v)
+    g = rng.standard_normal(c.free.shape)
+    g /= mk.spectral_norm(g)
+    t = eps
+    for _ in range(200):
+        w = from_chart(Chart(n=c.n, k=c.k, I=c.I, free=c.free + t * g))
+        if 0.0 < metric_rho(w, v) <= eps:
+            return w
+        t /= 2.0
+    raise DegeneracyError("could not realize a perturbation below eps", sigma=eps)
+
+
 def stability_constant(n: int, k: int, c_hat: float) -> float:
     """Per-instance Lipschitz constant for chart coordinates under metric
     perturbations, with c_hat the smallest singular value of the good basis."""
@@ -247,8 +268,6 @@ def chart_stability(v: Subspace, eps: float, trials: int,
     the contract is max_observed <= constant * eps, provided the premise
     ||A_I^{-1}|| * ||A_I - A~_I|| < 1/2 holds in every trial.
     """
-    from .grassmann import perturb_within
-
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, basis_idx = a[0], cols[0].tolist()
     rows = _good_rows(a[None])[0].tolist()

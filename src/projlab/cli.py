@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .charts import to_chart
-from .errors import ConfigError, ProjlabError
+from .errors import ConfigError, ProjlabError, parse_json
 from .fractal import box_dimension, load_sample
 from .grassmann import Subspace
 from .lab import (ExperimentConfig, exceptional_scan, kaufman_bound,
@@ -57,10 +57,7 @@ def _load_config(args) -> ExperimentConfig:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    obj = parse_json(path.read_text(), ConfigError, "config")
     if args.seed is not None and isinstance(obj, dict):
         obj["seed"] = args.seed
     return ExperimentConfig.from_dict(obj)
@@ -80,21 +77,15 @@ def run_cli(argv=None) -> int:
             print(kaufman_bound(args.n, args.k, args.s))
         elif args.command in ("sweep", "scan"):
             config = _load_config(args)
-            if config.mode != args.command:
-                raise ConfigError(
-                    f"field mode: config says '{config.mode}' but the "
-                    f"'{args.command}' subcommand was invoked")
             runner = marstrand_sweep if args.command == "sweep" else exceptional_scan
             _write_outputs(runner(config), args.out)
         elif args.command == "chart":
             path = Path(args.subspace)
             if not path.exists():
                 raise ConfigError(f"subspace file not found: {path}")
-            try:
-                v = Subspace.from_json(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"subspace file is not valid JSON: {exc}") from exc
-            print(to_chart(v).to_json())
+            # Invalid JSON exits 2; a document that is no subspace exits 3.
+            doc = parse_json(path.read_text(), ConfigError, "subspace file")
+            print(to_chart(Subspace.from_json(doc)).to_json())
         elif args.command == "dims":
             path = Path(args.sample)
             if not path.exists() or not path.with_suffix(".json").exists():

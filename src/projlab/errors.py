@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the JSON field reader
-that raises them."""
+"""Exception types shared across the package, and the JSON parser, field
+reader and integer cast that raise them."""
+
+import json
 
 
 class ProjlabError(Exception):
@@ -63,3 +65,19 @@ def read_fields(doc, casts: dict, error: type, what: str) -> list:
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise error(f"{what} field {name}: {exc}") from exc
     return values
+
+
+def parse_json(text, error: type, what: str):
+    """The JSON value of ``text``, or ``text`` itself when already parsed.
+    Raises ``error`` naming the document ``what`` on invalid JSON text."""
+    try:
+        return json.loads(text) if isinstance(text, str) else text
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+
+
+def integer(value) -> int:
+    """``int(value)``, refusing the fractional floats that ``int`` truncates."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, InputDomainError, ResourceBudgetError,
-                     read_fields)
+                     integer, parse_json, read_fields)
 
 EXHAUSTIVE_BUDGET = 10**7
 # normalize_unit_box collapses a coordinate whose range is at most this to 0.
@@ -83,8 +83,8 @@ class IFSSpec:
     @classmethod
     def from_json(cls, text) -> "IFSSpec":
         """The IFS of a JSON text or of its parsed object."""
-        obj = json.loads(text) if isinstance(text, str) else text
-        n, maps = read_fields(obj, {"n": int, "maps": list}, InputDomainError, "IFS JSON")
+        obj = parse_json(text, InputDomainError, "IFS JSON")
+        n, maps = read_fields(obj, {"n": integer, "maps": list}, InputDomainError, "IFS JSON")
         casts = {"ratio": float, "translation": lambda t: np.asarray(t, dtype=float)}
         maps = [Similarity(*read_fields(m, casts, InputDomainError, f"IFS JSON map {i}"))
                 for i, m in enumerate(maps)]
@@ -120,12 +120,16 @@ class PointSample:
     source: IFSSpec = field(repr=False, default=None)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        pts = _as_points(self.points)
         if pts.size == 0:
             raise InputDomainError("point sample must be nonempty")
         object.__setattr__(self, "points", pts)
+
+
+def _as_points(points) -> np.ndarray:
+    """A float array of points, one per row; a 1-d array is one column."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def similarity_dimension(spec: IFSSpec) -> float:
@@ -203,41 +207,6 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
     return max(scale_lo + 2, 8)
 
 
-def _nested_cell_keys(clouds: np.ndarray, scale_lo: int,
-                      scale_hi: int) -> tuple[np.ndarray, list[int]]:
-    """Sortable int64 box keys at ``scale_hi`` of a (B, k, N) float64 stack
-    of clouds, (B, N), and the bit length of each cloud's cell coordinates;
-    see :func:`box_dimension`.  The cells are scaled and floored in
-    ``clouds`` itself, whose rows per axis should be contiguous: numpy
-    reduces (N, k) along axis 0 slowly."""
-    k = clouds.shape[1]
-    clouds *= 2.0**scale_hi
-    np.floor(clouds, out=clouds)
-    lo = clouds.min(axis=2)
-    hi = clouds.max(axis=2)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise InputDomainError("cannot box-count non-finite points")
-    if lo.min() < -2.0**62 or hi.max() >= 2.0**62:
-        raise ResourceBudgetError(
-            f"coordinates up to {max(-lo.min(), hi.max()):.3g} boxes from the "
-            f"origin exceed 62 bits at scale_hi={scale_hi}")
-    step = scale_hi - scale_lo
-    offset = (lo.astype(np.int64) >> step) << step
-    bits = [int(v).bit_length() for v in (hi.astype(np.int64) - offset).max(axis=1)]
-    if k * max(bits) > 63:
-        raise ResourceBudgetError(
-            f"box keys for k={k} at scale_hi={scale_hi} need {k} x {max(bits)} "
-            "bits, over the 63-bit limit; lower scale_hi")
-    cells = clouds.astype(np.int64)
-    cells -= offset[:, :, None]
-    if k == 1:
-        return cells[:, 0], bits
-    # Spreading to the widest cloud's length leaves narrower keys unchanged.
-    _spread_bits(cells, max(bits), k)
-    cells <<= np.arange(k)[:, None]
-    return np.bitwise_or.reduce(cells, axis=1), bits
-
-
 def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
     """Move bit i of each value in ``x`` (below 2^bits) to bit k*i, in place.
 
@@ -252,13 +221,19 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 
-def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
-    """Occupied boxes at scales 2^-scale_lo..2^-scale_hi of each cloud of a
-    (B, k, N) float64 stack, as (B, scales) counts; see
-    :func:`box_dimension`.  Works in place: ``clouds`` is scaled to cells."""
-    k, size = clouds.shape[1:]
-    keys, bits = _nested_cell_keys(clouds, scale_lo, scale_hi)
-    space = 1 << (k * max(bits))
+def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
+                scale_hi: int) -> np.ndarray:
+    """(B, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi of a
+    (B, k, N) stack of int64 cells at ``scale_hi`` (see :func:`box_dimension`),
+    which the caller keeps in [0, 2^bits) with k * bits <= 63.  Checks nothing; in place."""
+    k, size = cells.shape[1:]
+    if k == 1:
+        keys = cells[:, 0]
+    else:
+        _spread_bits(cells, bits, k)
+        cells <<= np.arange(k)[:, None]
+        keys = np.bitwise_or.reduce(cells, axis=1)
+    space = 1 << (k * bits)
     if space <= size:
         jumps = [row[1:] ^ row[:-1] for row in _occupied_keys(keys, space)]
     else:
@@ -267,9 +242,9 @@ def _box_counts(clouds: np.ndarray, scale_lo: int, scale_hi: int) -> np.ndarray:
     counts = np.ones((len(keys), scale_hi - scale_lo + 1), dtype=np.int64)
     # One 1-d count per cloud and scale: counting along an axis sums bools,
     # which is slower than counting a flat array.
-    for row, width, out in zip(jumps, bits, counts):
+    for row, out in zip(jumps, counts):
         for s, shift in enumerate(range(k * (scale_hi - scale_lo), -1, -k)):
-            if shift < k * width:
+            if shift < k * bits:
                 out[s] += np.count_nonzero(row >= 1 << shift)
     return counts
 
@@ -286,8 +261,6 @@ def _occupied_keys(keys: np.ndarray, space: int) -> list[np.ndarray]:
 
 
 def _scales(scale_lo: int, scale_hi: int) -> list[int]:
-    if scale_lo >= scale_hi:
-        raise InputDomainError("need scale_lo < scale_hi")
     scales = list(range(scale_lo, scale_hi + 1))
     if len(scales) < 3:
         raise InputDomainError("need at least 3 scales")
@@ -305,6 +278,14 @@ def _fit(scales: list[int], counts: np.ndarray) -> DimensionEstimate:
     stderr = math.sqrt(float(residuals @ residuals) / dof / sxx) if dof > 0 else 0.0
     return DimensionEstimate(value=float(slope), slope_stderr=stderr,
                              scales=tuple(scales), counts=tuple(counts.tolist()))
+
+
+def _check_key_width(k: int, bits: int, scale_hi: int) -> None:
+    """Raise :class:`ResourceBudgetError` unless k x bits fit one int64 key."""
+    if k * bits > 63:
+        raise ResourceBudgetError(
+            f"box keys for k={k} at scale_hi={scale_hi} need {k} x {bits} "
+            "bits, over the 63-bit limit; lower scale_hi")
 
 
 def box_dimension(sample, scale_lo: int = 2,
@@ -326,29 +307,42 @@ def box_dimension(sample, scale_lo: int = 2,
     coarser box whole.  In the ordered keys, two neighbours lie in different
     boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)).
 
-    The keys are ordered in one of two ways, with the same counts.  When the
-    key space, 2^(k x bit length of the shifted cells), holds no more cells
-    than the cloud has points, each key marks its cell in a boolean
-    occupancy array of that space, and the marked cells are the sorted
-    distinct keys: O(N + 2^(k bits)) work, and repeated keys would only add
-    zero jumps.  Otherwise the N keys are sorted.
+    When the key space, 2^(k x bit length of the shifted cells), holds no
+    more cells than the cloud has points, each key marks its cell in a
+    boolean occupancy array, whose marked cells are the sorted distinct
+    keys (repeated keys would only add zero jumps); otherwise the N keys
+    are sorted.  Both give the same counts.
 
-    Keys are int64, so k times the bit length of the shifted cells must not
-    exceed 63, and cells at ``scale_hi`` must lie within 2^62 boxes of the
-    origin; a wider grid raises :class:`ResourceBudgetError`.
-
-    This is the one-cloud case of :func:`projected_dimensions`' counter.
+    This is the one entry that counts outside points, so it checks them
+    for the counter it shares with :func:`projected_dimensions`: a
+    non-finite point raises :class:`InputDomainError`, and cells beyond
+    2^62 boxes from the origin or keys over 63 bits (k x the bit length of
+    the shifted cells) raise :class:`ResourceBudgetError`.
     """
     if scale_hi is None:
         scale_hi = default_scale_hi(sample, scale_lo)
-    pts = sample.points if isinstance(sample, PointSample) else np.asarray(sample, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(sample.points if isinstance(sample, PointSample) else sample)
     if pts.size == 0:
         raise InputDomainError("cannot box-count an empty point set")
     scales = _scales(scale_lo, scale_hi)
-    clouds = np.array(pts.T[None], order="C")
-    return _fit(scales, _box_counts(clouds, scale_lo, scale_hi)[0])
+    # One contiguous row per axis: numpy reduces (N, k) along axis 0 slowly.
+    cells = np.array(pts.T, order="C")
+    cells *= 2.0**scale_hi
+    np.floor(cells, out=cells)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise InputDomainError("cannot box-count non-finite points")
+    if lo.min() < -2.0**62 or hi.max() >= 2.0**62:
+        raise ResourceBudgetError(
+            f"coordinates up to {max(-lo.min(), hi.max()):.3g} boxes from the "
+            f"origin exceed 62 bits at scale_hi={scale_hi}")
+    step = scale_hi - scale_lo
+    offset = (lo.astype(np.int64) >> step) << step
+    bits = int((hi.astype(np.int64) - offset).max()).bit_length()
+    _check_key_width(len(cells), bits, scale_hi)
+    cells = cells.astype(np.int64)
+    cells -= offset[:, None]
+    return _fit(scales, _box_counts(cells[None], bits, scale_lo, scale_hi)[0])
 
 
 def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
@@ -361,20 +355,27 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
     Frames are taken in batches of B with B * k * N at most
     ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
-    projected, then rescaled and scaled to ``scale_hi`` cells in place, keyed,
-    ordered and counted as one (B, k, N) stack.  The keys are ordered by an
-    occupancy array when the batch's key space holds no more cells than N,
-    and sorted otherwise (see :func:`box_dimension`).
+    projected, rescaled in place (a non-finite coordinate raises
+    :class:`InputDomainError`), floored to int64 cells, keyed, ordered and
+    counted as one (B, k, N) stack.  Unit-box cells lie in [0, 2^scale_hi]
+    by construction, so the keys need scale_hi + 1 bits per axis and no
+    offset; k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError`
+    before anything is projected.
     ``map_batches(fn, batches)`` runs the batches, in order (``map`` or a
     thread pool's ``map``); the slope is still fitted one frame at a time.
     """
     scales = _scales(scale_lo, scale_hi)
-    size = max(1, COUNT_BATCH_POINTS // (len(points) * frames.shape[2]))
+    k, bits = frames.shape[2], scale_hi + 1
+    _check_key_width(k, bits, scale_hi)
+    size = max(1, COUNT_BATCH_POINTS // (len(points) * k))
 
     def run(batch: np.ndarray) -> list[DimensionEstimate]:
-        clouds = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
-        return [_fit(scales, c)
-                for c in _box_counts(clouds, scale_lo, scale_hi)]
+        # Allocated first: after the projection, small temporaries fragmented the heap.
+        cells = np.empty((len(batch), k, len(points)), dtype=np.int64)
+        rows = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
+        # The rows are non-negative, so the int64 cast floors them.
+        np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
+        return [_fit(scales, c) for c in _box_counts(cells, bits, scale_lo, scale_hi)]
 
     batches = [frames[i:i + size] for i in range(0, len(frames), size)]
     return [est for ests in map_batches(run, batches) for est in ests]
@@ -383,16 +384,12 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
 def normalize_unit_box(points) -> np.ndarray:
     """Affinely rescale each coordinate into [0, 1]; coordinates whose range
     is at most ``DEGENERATE_SPAN`` collapse to 0 (dimension-neutral for the
-    rest).
-    A non-finite coordinate raises :class:`InputDomainError`.
+    rest).  A non-finite coordinate raises :class:`InputDomainError`.
 
     The result is the transpose of a contiguous (k, N) array, one row per
     coordinate: numpy reduces a narrow (N, k) array along axis 0 slowly.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return _unit_box_rows(np.array(pts.T, order="C")).T
+    return _unit_box_rows(np.array(_as_points(points).T, order="C")).T
 
 
 def _unit_box_rows(rows: np.ndarray) -> np.ndarray:
@@ -482,11 +479,9 @@ def export_sample(sample: PointSample, path) -> None:
 
 def load_sample(path) -> PointSample:
     path = Path(path)
-    try:
-        sidecar = json.loads(path.with_suffix(".json").read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sample {path}: sidecar is not valid JSON: {exc}") from exc
-    count, n, depth = read_fields(sidecar, dict.fromkeys(("count", "n", "depth"), int),
+    sidecar = parse_json(path.with_suffix(".json").read_text(), ConfigError,
+                         f"sample {path}: sidecar")
+    count, n, depth = read_fields(sidecar, dict.fromkeys(("count", "n", "depth"), integer),
                                   ConfigError, f"sample {path} sidecar")
     raw = path.read_bytes()
     if len(raw) != 8 * count * n:

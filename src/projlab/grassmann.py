@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import DegeneracyError, InputDomainError, read_fields
+from .errors import (DegeneracyError, InputDomainError, integer, parse_json,
+                     read_fields)
 
 # contains() and AffinePlane.contains_point() accept residuals up to these.
 _CONTAINMENT_TOL = 1e-8
@@ -60,10 +61,10 @@ class Subspace:
                            "proj": self.proj.ravel().tolist()})
 
     @classmethod
-    def from_json(cls, text: str) -> "Subspace":
-        casts = {"n": int, "k": int, "proj": lambda p: np.asarray(p, dtype=float)}
-        n, k, proj = read_fields(json.loads(text), casts, InputDomainError,
-                                 "subspace JSON")
+    def from_json(cls, text) -> "Subspace":
+        casts = {"n": integer, "k": integer, "proj": lambda p: np.asarray(p, dtype=float)}
+        n, k, proj = read_fields(parse_json(text, InputDomainError, "subspace JSON"),
+                                 casts, InputDomainError, "subspace JSON")
         if n < 1 or proj.size != n * n:
             raise InputDomainError(f"invariant violated: n={n} with {proj.size} proj "
                                    "entries; need n >= 1 and n * n entries")
@@ -126,13 +127,15 @@ def _symmetrized_checked(p: np.ndarray, k: int) -> np.ndarray:
 
 def basis_projections(a: np.ndarray) -> np.ndarray:
     """Orthogonal projections onto the column spans of a (D, n, k) stack of
-    bases, as a checked (D, n, n) stack."""
-    sigma = np.linalg.svd(a, compute_uv=False)[..., -1]
+    bases, as a checked (D, n, n) stack.  Dependent columns, as k > n
+    columns always are, raise :class:`DegeneracyError`."""
+    d, n, k = a.shape
+    sigma = np.linalg.svd(a, compute_uv=False)[..., -1] if k <= n else np.zeros(d)
     if sigma.min() <= 1e-8:
         raise DegeneracyError("basis columns are (nearly) linearly dependent",
                               sigma=float(sigma.min()))
     at = a.swapaxes(-1, -2)
-    return _symmetrized_checked(a @ np.linalg.solve(at @ a, at), a.shape[-1])
+    return _symmetrized_checked(a @ np.linalg.solve(at @ a, at), k)
 
 
 def haar_projections(g: np.ndarray) -> np.ndarray:
@@ -143,10 +146,8 @@ def haar_projections(g: np.ndarray) -> np.ndarray:
     return _symmetrized_checked(q @ q.swapaxes(-1, -2), g.shape[-1])
 
 
-def from_basis(columns) -> Subspace:
-    """Orthogonal projection onto the span of the given column vectors."""
-    a = np.column_stack([np.asarray(c, dtype=float) for c in columns]) \
-        if not isinstance(columns, np.ndarray) else np.asarray(columns, dtype=float)
+def from_basis(a) -> Subspace:
+    """Orthogonal projection onto the column span of an (n, k) matrix, 0 < k < n."""
     a = mk.as_matrix(a)
     p = basis_projections(a[None])[0]
     n, k = a.shape
@@ -186,28 +187,3 @@ def sample_uniform(n: int, k: int, rng: np.random.Generator) -> Subspace:
         raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
     g = rng.standard_normal((n, k))
     return Subspace._checked(k, haar_projections(g[None])[0])
-
-
-def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspace:
-    """A genuine rank-k projection at metric distance in (0, eps] from ``v``.
-
-    Moves in chart coordinates by a random free-block offset, shrinking the
-    step until the metric target is met; this keeps the result exactly on
-    the Grassmannian, unlike naive perturbation of the projection matrix.
-    """
-    if not (0.0 < eps < 1.0):
-        raise InputDomainError(f"eps must lie in (0, 1), got {eps}")
-    from . import charts  # local import: charts builds on this module
-
-    c = charts.to_chart(v)
-    g = rng.standard_normal(c.free.shape)
-    g /= mk.spectral_norm(g)
-    t = eps
-    for _ in range(200):
-        cand = charts.Chart(n=c.n, k=c.k, I=c.I, free=c.free + t * g)
-        w = charts.from_chart(cand)
-        rho = metric_rho(w, v)
-        if 0.0 < rho <= eps:
-            return w
-        t /= 2.0
-    raise DegeneracyError("could not realize a perturbation below eps", sigma=eps)

@@ -24,7 +24,7 @@ import numpy as np
 # perfbench/spans.py looks it up.
 from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
                      to_chart)
-from .errors import ConfigError, InputDomainError, read_fields
+from .errors import ConfigError, InputDomainError, integer, read_fields
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
                       box_dimension, generate, projected_dimensions)
 from .grassmann import basis_projections, haar_projections
@@ -104,7 +104,7 @@ class ExperimentConfig:
 
 
 # How ExperimentConfig.from_dict reads a JSON value, by field annotation.
-_FIELD_CASTS = {"int": int, "float": float, "str": str,
+_FIELD_CASTS = {"int": integer, "float": float, "str": str,
                 "IFSSpec": IFSSpec.from_json}
 
 

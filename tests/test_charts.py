@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import charts
-from projlab import (Chart, DegeneracyError, InputDomainError,
-                     chart_stability, contains, embed_relative, from_basis,
+from projlab import (Chart, DegeneracyError, IFSSpec, InputDomainError,
+                     Subspace, chart_stability, contains, embed_relative, from_basis,
                      from_chart, good_basis, good_submatrix, metric_rho,
                      relative_chart, sample_uniform, smallest_singular_value,
                      spectral_norm, to_chart)
@@ -313,6 +313,21 @@ def test_chart_json_round_trip():
 def test_chart_json_rejects_with_typed_error(document, message):
     with pytest.raises(InputDomainError, match=message):
         Chart.from_json(json.dumps(document))
+
+
+def test_chart_json_rejects_fractional_index():
+    # int() would read 0.9 as row 0.
+    with pytest.raises(InputDomainError, match="chart JSON field I: not an integer: 0.9"):
+        Chart.from_json(json.dumps({"n": 2, "k": 1, "I": [0.9], "free": [1.0]}))
+
+
+def test_json_readers_reject_invalid_text_with_typed_error():
+    with pytest.raises(InputDomainError, match="chart JSON is not valid JSON"):
+        Chart.from_json('{"n": 2')
+    with pytest.raises(InputDomainError, match="subspace JSON is not valid JSON"):
+        Subspace.from_json('{"n": 2, "k": ')
+    with pytest.raises(InputDomainError, match="IFS JSON is not valid JSON"):
+        IFSSpec.from_json("[1, 2")
 
 
 def test_chart_rejects_bad_shapes():

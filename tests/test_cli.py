@@ -118,6 +118,27 @@ def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    (dict(num_directions=8.9), "field num_directions: not an integer: 8.9"),
+    (dict(depth=6.7), "field depth: not an integer: 6.7"),
+    (dict(seed=4.2), "field seed: not an integer: 4.2"),
+])
+def test_fractional_integer_field_is_config_error(tmp_path, capsys, overrides, field):
+    # int() would truncate these and run 8 directions at depth 6 with seed 4.
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_integral_float_field_reads_as_int(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", num_directions=8.0, seed=42.0)
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    cfg = write_config(tmp_path / "cfg.json")
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    for name in ("results.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def nonfinite_dust(value):
     ifs = json.loads(cantor_dust().to_json())
     ifs["maps"][1]["translation"] = [value, 0.0]

@@ -228,14 +228,13 @@ def record_occupancy(monkeypatch):
 
 @st.composite
 def grids_near_point_count(draw):
-    """A batch of clouds whose key space 2^(k x bits) at scale_hi is one
-    point short of, equal to, or one point over the point count N.
+    """A batch of (B, k, N) int64 cells at scale_hi and their bit width,
+    whose key space 2^(k x bits) is one point short of, equal to, or one
+    point over the point count N.
 
-    Every cloud has a point on its origin cell, which is a multiple of
-    2^(scale_hi - scale_lo) cells and may be negative; the widest cloud also
-    has a point on its last cell, so the key width is known.  The others are
-    narrower, and a third of each cloud repeats its other points.  Cells plus
-    a fraction on a 2^-20 grid are exact in float64.
+    Every cloud has a point on cell 0; the widest cloud also has a point on
+    its last cell, 2^bits - 1.  The others are narrower, and a third of each
+    cloud repeats its other points.
     """
     k = draw(st.integers(1, 3))
     bits = draw(st.integers(max(1, 3 - k), 12 // k))
@@ -247,34 +246,32 @@ def grids_near_point_count(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     widths = rng.integers(0, bits + 1, batch)
     widths[rng.integers(batch)] = bits
-    step = scale_hi - scale_lo
-    clouds = np.empty((batch, k, count))
-    for cloud, width in zip(clouds, widths):
-        cells = rng.integers(0, 1 << width, (k, count))
-        cells[:, 0] = 0
-        cells[rng.integers(k), 1] = (1 << width) - 1
+    cells = np.empty((batch, k, count), dtype=np.int64)
+    for cloud, width in zip(cells, widths):
+        cloud[:] = rng.integers(0, 1 << width, (k, count))
+        cloud[:, 0] = 0
+        cloud[rng.integers(k), 1] = (1 << width) - 1
         repeats = rng.integers(0, count, count // 3)
-        cells[:, count - count // 3:] = cells[:, repeats]
-        origin = rng.integers(-20, 21, (k, 1)) << step
-        frac = rng.integers(0, 1 << 20, (k, count)) / 2.0**20
-        cloud[:] = (origin + cells + frac) / 2.0**scale_hi
-    return clouds, space, scale_lo, scale_hi
+        cloud[:, count - count // 3:] = cloud[:, repeats]
+    return cells, bits, space, scale_lo, scale_hi
 
 
 @settings(max_examples=80, deadline=None)
 @given(window=grids_near_point_count())
 def test_occupancy_and_sort_paths_match_per_scale_reference(window):
-    clouds, space, lo, hi = window
+    cells, bits, space, lo, hi = window
     with pytest.MonkeyPatch.context() as mp:
         occupied = record_occupancy(mp)
-        counts = _box_counts(clouds.copy(), lo, hi)
+        counts = _box_counts(cells.copy(), bits, lo, hi)
     # Occupancy exactly when the key space holds no more cells than N.
-    if space <= clouds.shape[2]:
+    if space <= cells.shape[2]:
         assert occupied == [space]
     else:
         assert occupied == []
-    for cloud, row in zip(clouds, counts):
-        assert tuple(row.tolist()) == per_scale_counts(cloud.T, range(lo, hi + 1))
+    # Cells over 2^scale_hi are exact floats whose floors at scale j are
+    # the cells shifted right by scale_hi - j.
+    for cloud, row in zip(cells, counts):
+        assert tuple(row.tolist()) == per_scale_counts(cloud.T / 2.0**hi, range(lo, hi + 1))
 
 
 def test_dust_projection_counts_by_occupancy(monkeypatch):
@@ -383,6 +380,17 @@ def test_box_dimension_input_validation():
 
 def test_default_scale_hi_bare_points():
     assert default_scale_hi(np.zeros((5, 1))) == 8
+
+
+def test_one_dimensional_array_is_one_column():
+    x = np.random.default_rng(8).random(300) * 5.0 - 1.0
+    column = x[:, None]
+    assert PointSample(points=x, depth=0).points.tobytes() == \
+        PointSample(points=column, depth=0).points.tobytes()
+    assert box_dimension(x, 2, 8) == box_dimension(column, 2, 8)
+    out = normalize_unit_box(x)
+    assert out.shape == column.shape
+    assert out.tobytes() == normalize_unit_box(column).tobytes()
 
 
 def test_normalize_unit_box():

@@ -46,6 +46,16 @@ def test_from_basis_rejects_dependent_columns():
     assert exc.value.sigma <= 1e-8
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (3, 5)])
+def test_from_basis_rejects_wide_matrix(shape):
+    # More columns than rows are dependent; once a raw LinAlgError (2 x 3)
+    # or a trace message (3 x 5).
+    a = np.random.default_rng(1).standard_normal(shape)
+    with pytest.raises(DegeneracyError, match="linearly dependent") as exc:
+        from_basis(a)
+    assert exc.value.sigma == 0.0
+
+
 def test_project_point_examples():
     assert np.allclose(project_point(X_AXIS_2D, [3.0, 4.0]), [3.0, 0.0])
     diag = from_basis(np.array([[1.0], [1.0]]) / math.sqrt(2))

@@ -250,7 +250,11 @@ def cloud_batches(draw):
 @given(window=cloud_batches())
 def test_batched_counts_equal_per_cloud_box_dimension(window):
     clouds, lo, hi = window
-    counts = _box_counts(np.array(clouds.transpose(0, 2, 1), order="C"), lo, hi)
+    # The pipeline's domain: each cloud rescaled into the unit box, whose
+    # cells at scale_hi lie in [0, 2^scale_hi] and need hi + 1 bits.
+    clouds = [normalize_unit_box(cloud) for cloud in clouds]
+    cells = np.floor(np.stack([c.T for c in clouds]) * 2.0**hi).astype(np.int64)
+    counts = _box_counts(cells, hi + 1, lo, hi)
     for cloud, row in zip(clouds, counts):
         assert tuple(row.tolist()) == box_dimension(cloud, lo, hi).counts
         for j, count in zip(range(lo, hi + 1), row):
@@ -263,21 +267,20 @@ def test_batched_counter_raises_like_box_dimension():
     good = rng.random((3, 100))
     bad = good.copy()
     bad[1, 7] = np.nan
+    identity = np.eye(3)[None]
     with pytest.raises(InputDomainError, match="non-finite"):
         box_dimension(bad.T, 2, 8)
     with pytest.raises(InputDomainError, match="non-finite"):
-        _box_counts(np.stack([good, bad]), 2, 8)
-    # 3 axes x 22 bits exceed the 63-bit key; a narrow cloud does not rescue
-    # the batch.
+        projected_dimensions(bad.T, identity, 2, 8)
+    # 3 axes x 22 bits exceed the 63-bit key.  The pipeline refuses before
+    # it projects, so the NaN is never reached.
     with pytest.raises(ResourceBudgetError, match="k=3 at scale_hi=22"):
         box_dimension(good.T, 2, 22)
     with pytest.raises(ResourceBudgetError, match="k=3 at scale_hi=22"):
-        _box_counts(np.stack([good * 2.0**-10, good]), 2, 22)
+        projected_dimensions(bad.T, identity, 2, 22)
     huge = np.full((1, 1, 3), 1e30)
     with pytest.raises(ResourceBudgetError, match="scale_hi=8"):
         box_dimension(huge[0].T, 2, 8)
-    with pytest.raises(ResourceBudgetError, match="scale_hi=8"):
-        _box_counts(np.concatenate([good[:1, None, :3], huge]), 2, 8)
 
 
 def test_projected_dimensions_one_frame_per_estimate():
