@@ -4,9 +4,12 @@ A chart fixes a row index set I and normalizes a basis matrix A of the
 plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  Index sets are
 chosen exhaustively for conditioning: the basis columns maximize the
-smallest singular value, the row block maximizes |det|.  Subsets are
-scored by one batched SVD or determinant per block of at most 1024
-submatrices, and a stack of projections is charted at once
+smallest singular value, the row block maximizes |det|.  Column blocks are
+scored by an eigvalsh filter over the k x k principal blocks of the
+projection, then by SVD rescoring of the near-maximal blocks, with the
+margin derived from the symmetry and idempotency tolerances of a checked
+projection; row blocks by determinant.  Each batched call scores at most
+1024 submatrices, and a stack of projections is charted at once
 (:func:`chart_bases`); :func:`to_chart` is its one-projection case.
 """
 
@@ -23,14 +26,25 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
                      integer, parse_json, read_fields)
-from .grassmann import Subspace, contains, from_basis, metric_rho
+from .grassmann import (_IDEMPOTENCY_TOL, _SYMMETRY_TOL, Subspace, contains,
+                        from_basis, metric_rho)
 
 # A basis whose smallest singular value is at most this is rank deficient.
 _RANK_TOL = 1e-10
-# Submatrices scored per batched svd/det call; bounds the stacked
+# Submatrices scored per batched eigvalsh/svd/det call (eigvalsh filter,
+# SVD rescoring of the near-maximal blocks, determinant); bounds the stacked
 # submatrices at 1024 x n x k floats whatever binom(n, k) and the number of
 # projections are.
 _SUBSET_BLOCK = 1024
+# Column blocks whose filter eigenvalue lies within this of their
+# projection's best one are rescored by SVD.  For P passed by
+# check_projections, with S = (P + P^T) / 2 and K = (P - P^T) / 2,
+# P[:, I]^T P[:, I] - S[I, I] is the I-block of the symmetric part of
+# -2KP + (P^2 - P), so by Weyl |sigma(P[:, I])^2 - lambda_min(S[I, I])| <=
+# _SYMMETRY_TOL * ||P|| + _IDEMPOTENCY_TOL, about 2e-10, plus rounding.  The
+# SVD winner's eigenvalue is then within twice that of the best one; the
+# factor 4 leaves as much again for ||P|| > 1 and rounding.
+_CANDIDATE_MARGIN = 4 * (_SYMMETRY_TOL + _IDEMPOTENCY_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,40 +111,48 @@ def _index_subsets(n: int, k: int) -> np.ndarray:
     return subsets
 
 
-def _best_subsets(n: int, k: int, count: int, score) -> tuple[np.ndarray, np.ndarray]:
-    """For each of ``count`` items, the k-subset of range(n) with the
-    largest score: a (count, k) index array and the (count,) scores.
+def _score_table(n: int, k: int, count: int, score) -> np.ndarray:
+    """The (count, binom(n, k)) table of every item's score for every
+    k-subset of range(n), in lexicographic subset order.
 
     ``score`` maps a (B, k) block of subsets to the (count, B) scores of
     every item; a call scores at most ``_SUBSET_BLOCK`` submatrices in all
-    (at least one subset per item).  Ties go to the lexicographically first
-    subset: ``argmax`` keeps the first maximum within a block, and a later
-    block wins only with a strictly larger score.
+    (at least one subset per item).  ``np.argmax`` over a row then picks the
+    lexicographically first of tied subsets.
     """
     subsets = _index_subsets(n, k)
     step = max(1, _SUBSET_BLOCK // count)
-    best_score = np.full(count, -math.inf)
-    best_row = np.zeros(count, dtype=np.intp)
-    for start in range(0, len(subsets), step):
-        scores = score(subsets[start:start + step])
-        j = np.argmax(scores, axis=1)
-        top = np.take_along_axis(scores, j[:, None], axis=1)[:, 0]
-        better = top > best_score
-        best_score[better] = top[better]
-        best_row[better] = start + j[better]
-    return subsets[best_row], best_score
+    return np.concatenate([score(subsets[start:start + step])
+                           for start in range(0, len(subsets), step)], axis=1)
 
 
 def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column selection of each projection of a (D, n, n) stack: the (D, k)
     index sets I maximizing the smallest singular value of P[:, I], those
-    (D,) singular values, and the (D, n, k) bases P[:, I].  The best I of a
-    rank-k projection has sigma(P[:, I]) >= binom(n, k)^(-1/2), so a maximum
-    at the rank tolerance raises :class:`DegeneracyError`."""
-    cols, sigma = _best_subsets(
-        p.shape[-1], k, len(p),
-        lambda block: np.linalg.svd(p[:, :, block].transpose(0, 2, 1, 3),
-                                    compute_uv=False)[..., -1])
+    (D,) singular values, and the (D, n, k) bases P[:, I].
+
+    An eigvalsh filter scores every principal block P[I, I], whose smallest
+    eigenvalue is sigma(P[:, I])^2 up to the projection tolerances; SVD
+    rescoring of the near-maximal blocks, those within ``_CANDIDATE_MARGIN``
+    of their projection's best eigenvalue, then picks I and sigma exactly as
+    an SVD of every block would.  The best I of a rank-k projection has
+    sigma(P[:, I]) >= binom(n, k)^(-1/2), so a maximum at the rank tolerance
+    raises :class:`DegeneracyError`.
+    """
+    d, n, _ = p.shape
+    subsets = _index_subsets(n, k)
+    sym = (p + p.swapaxes(-1, -2)) / 2.0
+    lam = _score_table(n, k, d, lambda block: np.linalg.eigvalsh(
+        sym[:, block[:, :, None], block[:, None, :]])[..., 0])
+    items, cands = np.nonzero(lam >= lam.max(axis=1, keepdims=True) - _CANDIDATE_MARGIN)
+    # The (m, n, k) column blocks of the m candidates, gathered as rows of P^T.
+    blocks = p.swapaxes(-1, -2)[items[:, None], subsets[cands]].swapaxes(-1, -2)
+    scores = np.full(lam.shape, -math.inf)
+    scores[items, cands] = np.concatenate([
+        np.linalg.svd(blocks[start:start + _SUBSET_BLOCK], compute_uv=False)[..., -1]
+        for start in range(0, len(blocks), _SUBSET_BLOCK)])
+    best = np.argmax(scores, axis=1)
+    cols, sigma = subsets[best], scores[np.arange(d), best]
     if sigma.min() <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
     return cols, sigma, np.take_along_axis(p, cols[:, None, :], axis=2)
@@ -140,7 +162,8 @@ def _good_rows(a: np.ndarray) -> np.ndarray:
     """Row selection of each basis of a (D, n, k) stack: the (D, k) index
     sets I maximizing |det(A_I)|."""
     d, n, k = a.shape
-    return _best_subsets(n, k, d, lambda block: np.abs(np.linalg.det(a[:, block])))[0]
+    dets = _score_table(n, k, d, lambda block: np.abs(np.linalg.det(a[:, block])))
+    return _index_subsets(n, k)[np.argmax(dets, axis=1)]
 
 
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
@@ -148,10 +171,12 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
 
     Returns (A, I, report) where the columns of A are P_V e_i for i in I and
     I maximizes the smallest singular value over all binom(n, k) choices
-    (lexicographically first on ties).  The choice is exhaustive: the
-    column blocks of every subset are stacked and scored by one batched SVD
-    per block of at most 1024 subsets, so memory stays bounded for large
-    binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
+    (lexicographically first on ties).  The choice is exhaustive: an
+    eigvalsh filter scores the principal block of every subset, and SVD
+    rescoring of the near-maximal blocks, within a margin derived from the
+    projection tolerances, gives the same I and sigma as an SVD of every
+    column block.  Each batched call takes at most 1024 subsets, so memory
+    stays bounded for large binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
     """
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, best_idx = a[0], tuple(cols[0].tolist())
@@ -198,10 +223,12 @@ def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the (D, k) row index sets I and the (D, n, k) chart bases A',
     with the identity at the I-rows and the free block elsewhere.  Per
     projection this is :func:`good_basis` followed by :func:`good_submatrix`,
-    for the whole stack at once: one batched SVD scores every column block,
-    one batched determinant every row block, and one batched inverse
-    normalizes the row blocks.  The rank check reuses the smallest singular
-    value of the chosen basis, which that SVD has already computed.
+    for the whole stack at once: a batched eigvalsh filter scores every
+    principal block, a batched SVD rescores the near-maximal column blocks
+    (within the margin derived from the projection tolerances), a batched
+    determinant scores every row block, and one batched inverse normalizes
+    the row blocks.  The rank check reuses the smallest singular value of
+    the chosen basis, which the rescoring has already computed.
     """
     a = _good_columns(p, k)[2]
     rows = _good_rows(a)

@@ -435,8 +435,13 @@ def kt_compressor(data: bytes) -> float:
 def _truncate_bits(points: np.ndarray, r: int) -> bytes:
     """Fixed-point binary truncation to r dyadic digits per coordinate,
     concatenated coordinate-major and packed into bytes."""
-    levels = np.floor(points * float(2**r)).astype(np.uint64)
-    levels = np.minimum(levels, 2**r - 1)
+    levels = np.floor(points * float(2**r))
+    # A fractional part that rounded up to 1.0 takes the top level, all r
+    # digits one.  It is set after the cast: 2^64 does not fit uint64.
+    top = levels >= 2.0**r
+    levels[top] = 0.0
+    levels = levels.astype(np.uint64)
+    levels[top] = 2**r - 1
     shifts = np.arange(r - 1, -1, -1, dtype=np.uint64)
     bits = (levels.T[:, :, None] >> shifts) & np.uint64(1)
     return np.packbits(bits.astype(np.uint8)).tobytes()
@@ -450,8 +455,8 @@ def complexity_profile(x, r_max: int,
     normalization into [0, 1): fractional parts for a single vector, min-max
     scaling for a point list.  Raw profile only; no liminf is claimed.
     """
-    if r_max > 64:
-        raise InputDomainError(f"r_max must be <= 64, got {r_max}")
+    if not 1 <= r_max <= 64:
+        raise InputDomainError(f"r_max must lie in 1..64, got {r_max}")
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         if not np.isfinite(pts).all():

@@ -126,9 +126,12 @@ class SweepResult:
 def _thread_count() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise ConfigError(f"field {THREADS_ENV}: not an integer: {raw!r}")
+    if threads < 1:
+        raise ConfigError(f"field {THREADS_ENV}: must be at least 1, got {raw!r}")
+    return threads
 
 
 def _run(config: ExperimentConfig, projections: np.ndarray,

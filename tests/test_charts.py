@@ -59,18 +59,63 @@ def test_batched_selection_matches_loop(v):
     assert_selection_matches_loop(v)
 
 
-def tie_subspaces():
+def tie_bases():
     perm = np.eye(5)[:, [3, 0, 4, 1, 2]]
-    return [from_basis(np.eye(4)[:, [1, 3]]),   # coordinate planes
-            from_basis(np.eye(5)[:, [0, 2, 4]]),
-            from_basis(np.eye(3)[:, :2]),
-            from_basis(perm[:, :3]),            # permutation-matrix basis
-            diag_line_2d(),                     # every subset ties
-            from_basis(np.ones((4, 1)) / 2.0)]
+    h2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+    return [np.eye(4)[:, [1, 3]],               # coordinate planes
+            np.eye(5)[:, [0, 2, 4]],
+            np.eye(3)[:, :2],
+            perm[:, :3],                        # permutation-matrix basis
+            np.array([[1.0], [1.0]]) / math.sqrt(2),  # every subset ties
+            np.ones((4, 1)) / 2.0,
+            np.kron(np.eye(3), np.ones((2, 1))),     # 8 tied best subsets
+            np.kron(np.kron(h2, h2), h2)[:, :4]]     # Hadamard columns
+
+
+def tie_subspaces():
+    return [from_basis(b) for b in tie_bases()]
 
 
 @pytest.mark.parametrize("v", tie_subspaces())
 def test_batched_selection_ties_match_loop(v):
+    assert_selection_matches_loop(v)
+
+
+@st.composite
+def near_tie_subspaces(draw):
+    """A tie plane turned by a Cayley rotation of angle at most 1e-15..1e-9:
+    its tied subsets now differ at about the rounding level, where the
+    eigenvalue filter and the SVD may order them differently."""
+    basis = draw(st.sampled_from(tie_bases()))
+    n = basis.shape[0]
+    angle = 10.0 ** draw(st.floats(-15.0, -9.0))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n))
+    skew = angle / 2.0 * (g - g.T) / spectral_norm(g - g.T)
+    return from_basis(np.linalg.solve(np.eye(n) - skew, np.eye(n) + skew) @ basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=near_tie_subspaces())
+def test_batched_selection_near_ties_match_loop(v):
+    assert_selection_matches_loop(v)
+
+
+@st.composite
+def perturbed_subspaces(draw):
+    """A Haar or tie plane plus a symmetric perturbation of spectral norm up
+    to 5e-11, which Subspace still accepts: sigma(P[:, I])^2 and the
+    eigenvalue of P[I, I] then differ by up to about that much, so the tie
+    planes test the rescoring margin well above the rounding level."""
+    v = draw(st.one_of(subspaces(), st.sampled_from(tie_subspaces())))
+    size = draw(st.floats(0.0, 5e-11))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((v.n, v.n))
+    e = g + g.T
+    return Subspace(n=v.n, k=v.k, proj=v.proj + size * e / spectral_norm(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(v=perturbed_subspaces())
+def test_batched_selection_within_tolerance_matches_loop(v):
     assert_selection_matches_loop(v)
 
 
@@ -337,15 +382,18 @@ def test_chart_rejects_bad_shapes():
         Chart(n=4, k=2, I=(0, 1), free=np.zeros((3, 2)))
 
 
-def test_to_chart_makes_one_svd_call(monkeypatch):
+def test_to_chart_scores_blocks_once(monkeypatch):
     v = sample_uniform(8, 4, np.random.default_rng(53))
-    calls = []
-    real = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **kw: calls.append(np.shape(a[0])) or real(*a, **kw))
+    calls = {"eigvalsh": [], "svd": []}
+    for name, real in [("eigvalsh", np.linalg.eigvalsh), ("svd", np.linalg.svd)]:
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _name=name, _real=real, **kw:
+                            calls[_name].append(np.shape(a[0])) or _real(*a, **kw))
     c = to_chart(v)
-    # One batched SVD scores all 70 column blocks; the rank check reuses it.
-    assert calls == [(1, 70, 8, 4)]
+    # One batched eigvalsh filters all 70 principal 4 x 4 blocks; only the
+    # near-maximal column block goes to the SVD, whose value the rank check
+    # reuses.
+    assert calls == {"eigvalsh": [(1, 70, 4, 4)], "svd": [(1, 8, 4)]}
     assert metric_rho(from_chart(c), v) <= 1e-9
 
 

@@ -149,11 +149,14 @@ def nonfinite_dust(value):
     (dict(scale_hi=62), "1", "field scale_hi: box keys need scale_hi <= 61"),
     (dict(scale_hi=70), "1", "field scale_hi: box keys need scale_hi <= 61"),
     ({}, "abc", f"field {THREADS_ENV}: not an integer"),
+    ({}, "0", f"field {THREADS_ENV}: must be at least 1"),
+    ({}, "-2", f"field {THREADS_ENV}: must be at least 1"),
     (dict(ifs=nonfinite_dust(float("nan"))), "1",
      "config field ifs: translation must be finite"),
     (dict(ifs=nonfinite_dust(float("inf"))), "1",
      "config field ifs: translation must be finite"),
-], ids=["scale_hi-62", "scale_hi-70", "threads", "translation-nan", "translation-inf"])
+], ids=["scale_hi-62", "scale_hi-70", "threads", "threads-0", "threads-negative",
+        "translation-nan", "translation-inf"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
                                       threads, field):
     calls = []

@@ -468,6 +468,25 @@ def test_complexity_profile_rejects_large_r():
         complexity_profile(np.zeros(1), 65)
 
 
+@pytest.mark.parametrize("r_max", [0, -3])
+def test_complexity_profile_rejects_r_below_one(r_max):
+    # These once returned an empty profile.
+    with pytest.raises(InputDomainError, match="r_max must lie in 1..64"):
+        complexity_profile(np.zeros(1), r_max)
+
+
+def test_complexity_profile_fraction_rounded_to_one():
+    # -1e-20 - floor(-1e-20) rounds to 1.0.  At r = 64 its level 2^64 once
+    # overflowed the uint64 cast with a warning and came out as zero digits.
+    inputs = []
+    complexity_profile(np.array([-1e-20, 0.5]), 64,
+                       compressor=lambda data: inputs.append(data) or 0.0)
+    for r in (63, 64):
+        bits = np.unpackbits(np.frombuffer(inputs[r - 1], dtype=np.uint8))
+        assert bits[:r].all()
+        assert bits[r] == 1 and not bits[r + 1:2 * r].any()
+
+
 def test_kt_compressor_calibration():
     assert kt_compressor(bytes(12)) < 8.0  # 96 constant bits
     rng = np.random.default_rng(0)

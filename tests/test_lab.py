@@ -229,3 +229,11 @@ def test_invalid_thread_env(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "many")
     with pytest.raises(ConfigError, match=THREADS_ENV):
         marstrand_sweep(sweep_config())
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_thread_env_below_one(monkeypatch, threads):
+    # A count below 1 once ran one thread silently.
+    monkeypatch.setenv(THREADS_ENV, threads)
+    with pytest.raises(ConfigError, match=f"field {THREADS_ENV}: must be at least 1"):
+        marstrand_sweep(sweep_config())
