@@ -4,12 +4,8 @@ A chart fixes a row index set I and normalizes a basis matrix A of the
 plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  Index sets are
 chosen exhaustively for conditioning: the basis columns maximize the
-smallest singular value, the row block maximizes |det|.  Column blocks are
-scored by an eigvalsh filter over the k x k principal blocks of the
-projection, then by SVD rescoring of the near-maximal blocks, with the
-margin derived from the symmetry and idempotency tolerances of a checked
-projection; row blocks by determinant.  Each batched call scores at most
-1024 submatrices, and a stack of projections is charted at once
+smallest singular value (:func:`_good_columns`), the row block maximizes
+|det| (:func:`_good_rows`).  A stack of projections is charted at once
 (:func:`chart_bases`); :func:`to_chart` is its one-projection case.
 """
 
@@ -113,17 +109,17 @@ def _index_subsets(n: int, k: int) -> np.ndarray:
 
 def _score_table(n: int, k: int, count: int, score) -> np.ndarray:
     """The (count, binom(n, k)) table of every item's score for every
-    k-subset of range(n), in lexicographic subset order.
-
-    ``score`` maps a (B, k) block of subsets to the (count, B) scores of
-    every item; a call scores at most ``_SUBSET_BLOCK`` submatrices in all
-    (at least one subset per item).  ``np.argmax`` over a row then picks the
-    lexicographically first of tied subsets.
+    k-subset of range(n), in lexicographic subset order, so ``np.argmax``
+    over a row picks the first of tied subsets.  ``score`` maps a slice of
+    the items and a (B, k) block of subsets to the (items, B) scores; no
+    call scores more than ``_SUBSET_BLOCK`` submatrices.
     """
     subsets = _index_subsets(n, k)
-    step = max(1, _SUBSET_BLOCK // count)
-    return np.concatenate([score(subsets[start:start + step])
-                           for start in range(0, len(subsets), step)], axis=1)
+    rows = min(count, _SUBSET_BLOCK)
+    step = _SUBSET_BLOCK // rows
+    return np.block([[score(slice(i, i + rows), subsets[j:j + step])
+                      for j in range(0, len(subsets), step)]
+                     for i in range(0, count, rows)])
 
 
 def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -142,8 +138,8 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     d, n, _ = p.shape
     subsets = _index_subsets(n, k)
     sym = (p + p.swapaxes(-1, -2)) / 2.0
-    lam = _score_table(n, k, d, lambda block: np.linalg.eigvalsh(
-        sym[:, block[:, :, None], block[:, None, :]])[..., 0])
+    lam = _score_table(n, k, d, lambda items, block: np.linalg.eigvalsh(
+        sym[items, block[:, :, None], block[:, None, :]])[..., 0])
     items, cands = np.nonzero(lam >= lam.max(axis=1, keepdims=True) - _CANDIDATE_MARGIN)
     # The (m, n, k) column blocks of the m candidates, gathered as rows of P^T.
     blocks = p.swapaxes(-1, -2)[items[:, None], subsets[cands]].swapaxes(-1, -2)
@@ -162,7 +158,9 @@ def _good_rows(a: np.ndarray) -> np.ndarray:
     """Row selection of each basis of a (D, n, k) stack: the (D, k) index
     sets I maximizing |det(A_I)|."""
     d, n, k = a.shape
-    dets = _score_table(n, k, d, lambda block: np.abs(np.linalg.det(a[:, block])))
+    # A subnormal entry can make LU divide by zero yet give a finite det.
+    with np.errstate(divide="ignore"):
+        dets = _score_table(n, k, d, lambda items, block: np.abs(np.linalg.det(a[items, block])))
     return _index_subsets(n, k)[np.argmax(dets, axis=1)]
 
 
@@ -171,24 +169,17 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
 
     Returns (A, I, report) where the columns of A are P_V e_i for i in I and
     I maximizes the smallest singular value over all binom(n, k) choices
-    (lexicographically first on ties).  The choice is exhaustive: an
-    eigvalsh filter scores the principal block of every subset, and SVD
-    rescoring of the near-maximal blocks, within a margin derived from the
-    projection tolerances, gives the same I and sigma as an SVD of every
-    column block.  Each batched call takes at most 1024 subsets, so memory
-    stays bounded for large binom(n, k).  Always ||A|| <= 1 and sigma(A) > 0.
+    (lexicographically first on ties), chosen exhaustively by
+    :func:`_good_columns`.  Always ||A|| <= 1 and sigma(A) > 0.
     """
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, best_idx = a[0], tuple(cols[0].tolist())
     a_rows = a[list(best_idx), :]
     s_rows = np.linalg.svd(a_rows, compute_uv=False)
-    report = ConditionReport(
-        sigma_min=float(sigma[0]),
-        sigma_max=mk.spectral_norm(a),
+    return a, best_idx, ConditionReport(
+        sigma_min=float(sigma[0]), sigma_max=mk.spectral_norm(a),
         det_AI=float(np.linalg.det(a_rows)),
-        inv_norm_bound=float(1.0 / s_rows[-1]) if s_rows[-1] > 0 else math.inf,
-    )
-    return a, best_idx, report
+        inv_norm_bound=float(1.0 / s_rows[-1]) if s_rows[-1] > 0 else math.inf)
 
 
 def good_submatrix(a) -> tuple[tuple, ConditionReport]:
@@ -208,13 +199,9 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
     best_idx = tuple(_good_rows(a[None])[0].tolist())
     k1, k2 = float(s[0]), float(s[-1])
-    report = ConditionReport(
-        sigma_min=k2,
-        sigma_max=k1,
-        det_AI=float(np.linalg.det(a[list(best_idx), :])),
-        inv_norm_bound=math.sqrt(math.comb(n, m)) * k1 ** (m - 1) / k2**m,
-    )
-    return best_idx, report
+    return best_idx, ConditionReport(
+        sigma_min=k2, sigma_max=k1, det_AI=float(np.linalg.det(a[list(best_idx), :])),
+        inv_norm_bound=math.sqrt(math.comb(n, m)) * k1 ** (m - 1) / k2**m)
 
 
 def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,12 +210,9 @@ def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns the (D, k) row index sets I and the (D, n, k) chart bases A',
     with the identity at the I-rows and the free block elsewhere.  Per
     projection this is :func:`good_basis` followed by :func:`good_submatrix`,
-    for the whole stack at once: a batched eigvalsh filter scores every
-    principal block, a batched SVD rescores the near-maximal column blocks
-    (within the margin derived from the projection tolerances), a batched
-    determinant scores every row block, and one batched inverse normalizes
-    the row blocks.  The rank check reuses the smallest singular value of
-    the chosen basis, which the rescoring has already computed.
+    for the whole stack at once (:func:`_good_columns`, whose rescoring
+    also gives the rank check, and :func:`_good_rows`); one batched inverse
+    normalizes the row blocks.
     """
     a = _good_columns(p, k)[2]
     rows = _good_rows(a)

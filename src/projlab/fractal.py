@@ -236,17 +236,27 @@ def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
     space = 1 << (k * bits)
     if space <= size:
         jumps = [row[1:] ^ row[:-1] for row in _occupied_keys(keys, space)]
+        cloud = np.repeat(np.arange(len(keys)), [len(row) for row in jumps])
+        jumps = np.concatenate(jumps)
     else:
         keys.sort(axis=1)
         jumps = keys[:, 1:] ^ keys[:, :-1]
-    counts = np.ones((len(keys), scale_hi - scale_lo + 1), dtype=np.int64)
-    # One 1-d count per cloud and scale: counting along an axis sums bools,
-    # which is slower than counting a flat array.
-    for row, out in zip(jumps, counts):
-        for s, shift in enumerate(range(k * (scale_hi - scale_lo), -1, -k)):
-            if shift < k * bits:
-                out[s] += np.count_nonzero(row >= 1 << shift)
-    return counts
+        cloud = np.arange(len(keys))[:, None]
+    # 65 bins per cloud for bit lengths 0..64 (none reaches 64, as k * bits <= 63);
+    # longer[:, t] counts the jumps longer than t bits, for t = 0..63.
+    hist = np.bincount((_bit_lengths(jumps) + 65 * cloud).ravel(), minlength=65 * len(keys))
+    longer = hist.reshape(-1, 65)[:, :0:-1].cumsum(axis=1)[:, ::-1]
+    return 1 + longer[:, np.minimum(np.arange(k * (scale_hi - scale_lo), -1, -k), 63)]
+
+
+def _bit_lengths(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of each entry of a non-negative int64 array."""
+    e = np.frexp(x)[1]
+    # The float cast is exact below 2^53.  Above, it can round 2^m - 1 up
+    # to 2^m: step back where x < 2^(e - 1), a power of two that uint64 holds.
+    if np.max(x, initial=0) >= 1 << 53:
+        e -= x.view(np.uint64) < np.ldexp(1.0, e - 1).astype(np.uint64)
+    return e
 
 
 def _occupied_keys(keys: np.ndarray, space: int) -> list[np.ndarray]:
@@ -267,17 +277,23 @@ def _scales(scale_lo: int, scale_hi: int) -> list[int]:
     return scales
 
 
-def _fit(scales: list[int], counts: np.ndarray) -> DimensionEstimate:
-    """Least-squares slope of log2(counts) against the scale exponents."""
-    x = np.asarray(scales, dtype=float)
+def _fit_table(scales: list[int], counts: np.ndarray) -> list[DimensionEstimate]:
+    """Closed-form least-squares slope of log2(counts) against the scales,
+    per row of a (D, scales) count table.  Only elementwise operations and
+    row sums touch the table, so a row's bits do not depend on other rows."""
+    xc = np.asarray(scales, dtype=float)
+    # Integer scales: the centred scales and sxx are exact.
+    xc -= xc.mean()
+    sxx = float(np.sum(xc * xc))
     y = np.log2(counts.astype(float))
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    dof = len(x) - 2
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(residuals @ residuals) / dof / sxx) if dof > 0 else 0.0
-    return DimensionEstimate(value=float(slope), slope_stderr=stderr,
-                             scales=tuple(scales), counts=tuple(counts.tolist()))
+    # Shifted by the first value, a constant row fits 0.0 and 0.0 exactly.
+    y -= y[:, :1]
+    slope = (y * xc).sum(axis=1) / sxx
+    residuals = y - slope[:, None] * xc
+    residuals -= residuals.mean(axis=1, keepdims=True)
+    stderr = np.sqrt((residuals * residuals).sum(axis=1) / (len(scales) - 2) / sxx)
+    return [DimensionEstimate(value=v, slope_stderr=e, scales=tuple(scales), counts=tuple(c))
+            for v, e, c in zip(slope.tolist(), stderr.tolist(), counts.tolist())]
 
 
 def _check_key_width(k: int, bits: int, scale_hi: int) -> None:
@@ -305,13 +321,14 @@ def box_dimension(sample, scale_lo: int = 2,
     j is key >> k(scale_hi - j).  Cells are first shifted by a per-axis
     offset that is a multiple of 2^(scale_hi - scale_lo), which keeps every
     coarser box whole.  In the ordered keys, two neighbours lie in different
-    boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)).
+    boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)), so
+    one histogram of the XORs' bit lengths gives the count at every scale.
 
     When the key space, 2^(k x bit length of the shifted cells), holds no
     more cells than the cloud has points, each key marks its cell in a
     boolean occupancy array, whose marked cells are the sorted distinct
     keys (repeated keys would only add zero jumps); otherwise the N keys
-    are sorted.  Both give the same counts.
+    are sorted.  Both give the same counts, and :func:`_fit_table` fits them.
 
     This is the one entry that counts outside points, so it checks them
     for the counter it shares with :func:`projected_dimensions`: a
@@ -342,7 +359,7 @@ def box_dimension(sample, scale_lo: int = 2,
     _check_key_width(len(cells), bits, scale_hi)
     cells = cells.astype(np.int64)
     cells -= offset[:, None]
-    return _fit(scales, _box_counts(cells[None], bits, scale_lo, scale_hi)[0])
+    return _fit_table(scales, _box_counts(cells[None], bits, scale_lo, scale_hi))[0]
 
 
 def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
@@ -357,28 +374,27 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
     projected, rescaled in place (a non-finite coordinate raises
     :class:`InputDomainError`), floored to int64 cells, keyed, ordered and
-    counted as one (B, k, N) stack.  Unit-box cells lie in [0, 2^scale_hi]
-    by construction, so the keys need scale_hi + 1 bits per axis and no
-    offset; k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError`
-    before anything is projected.
-    ``map_batches(fn, batches)`` runs the batches, in order (``map`` or a
-    thread pool's ``map``); the slope is still fitted one frame at a time.
+    counted as one (B, k, N) stack, by ``map_batches(fn, batches)`` (``map``
+    or a thread pool's ``map``); one :func:`_fit_table` then fits all counts.
+    Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
+    scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
+    :class:`ResourceBudgetError` before anything is projected.
     """
     scales = _scales(scale_lo, scale_hi)
     k, bits = frames.shape[2], scale_hi + 1
     _check_key_width(k, bits, scale_hi)
     size = max(1, COUNT_BATCH_POINTS // (len(points) * k))
 
-    def run(batch: np.ndarray) -> list[DimensionEstimate]:
+    def run(batch: np.ndarray) -> np.ndarray:
         # Allocated first: after the projection, small temporaries fragmented the heap.
         cells = np.empty((len(batch), k, len(points)), dtype=np.int64)
         rows = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
         # The rows are non-negative, so the int64 cast floors them.
         np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
-        return [_fit(scales, c) for c in _box_counts(cells, bits, scale_lo, scale_hi)]
+        return _box_counts(cells, bits, scale_lo, scale_hi)
 
     batches = [frames[i:i + size] for i in range(0, len(frames), size)]
-    return [est for ests in map_batches(run, batches) for est in ests]
+    return _fit_table(scales, np.concatenate(list(map_batches(run, batches))))
 
 
 def normalize_unit_box(points) -> np.ndarray:

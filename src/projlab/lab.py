@@ -98,9 +98,8 @@ class ExperimentConfig:
         return cls(*read_fields(obj, casts, ConfigError, "config"))
 
     def echo(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["ifs"] = json.loads(self.ifs.to_json())
-        return out
+        return ({f.name: getattr(self, f.name) for f in fields(self)}
+                | {"ifs": json.loads(self.ifs.to_json())})
 
 
 # How ExperimentConfig.from_dict reads a JSON value, by field annotation.
@@ -201,12 +200,9 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
     bases, params = _grid_directions(config)
     result = _run(config, basis_projections(bases), params)
     flagged = [r.params for r in result.rows if r.exceptional]
-    if flagged:
-        hi = max(4, min(8, int(math.log2(len(params)))))
-        flagged_dim = box_dimension(np.asarray(flagged), 2, hi).value
-    else:
-        flagged_dim = 0.0
-    result.summary["flagged_param_dimension"] = flagged_dim
+    hi = max(4, min(8, int(math.log2(len(params)))))
+    result.summary["flagged_param_dimension"] = (
+        box_dimension(np.asarray(flagged), 2, hi).value if flagged else 0.0)
     result.summary["caveat"] = (
         "flagged-set dimension is measured in grid parameter coordinates, "
         "not in the invariant metric on the Grassmannian")

@@ -1,10 +1,11 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlab import charts
@@ -33,7 +34,9 @@ def loop_good_submatrix_index(a):
     """Reference selector: one det per row subset, first strict maximum."""
     best_det, best_idx = -1.0, None
     for idx in itertools.combinations(range(a.shape[0]), a.shape[1]):
-        d = abs(float(np.linalg.det(a[list(idx), :])))
+        # A subnormal entry can make LAPACK divide by zero inside det.
+        with np.errstate(divide="ignore"):
+            d = abs(float(np.linalg.det(a[list(idx), :])))
         if d > best_det:
             best_det, best_idx = d, idx
     return best_idx
@@ -113,8 +116,17 @@ def perturbed_subspaces(draw):
     return Subspace(n=v.n, k=v.k, proj=v.proj + size * e / spectral_norm(e))
 
 
+def subnormal_subspace():
+    """The coordinate plane of rows 0 and 1, with subnormal entries that
+    make LAPACK's LU divide by zero inside det of the row block (1, 2)."""
+    return Subspace(n=3, k=2, proj=np.array([[1.0, 0.0, 5e-324],
+                                             [0.0, 1.0, 0.0],
+                                             [5e-324, 0.0, 0.0]]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(v=perturbed_subspaces())
+@example(v=subnormal_subspace())
 def test_batched_selection_within_tolerance_matches_loop(v):
     assert_selection_matches_loop(v)
 
@@ -401,3 +413,33 @@ def test_chart_bases_rejects_rank_deficient_basis():
     # No column block of the zero matrix has a positive singular value.
     with pytest.raises(DegeneracyError, match="rank deficient"):
         charts.chart_bases(np.zeros((2, 3, 3)), 1)
+
+
+def test_chart_bases_subnormal_entries_do_not_warn():
+    v = subnormal_subspace()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows, bases = charts.chart_bases(v.proj[None], 2)
+    assert rows.tolist() == [[0, 1]]
+    assert bases[0, :2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_score_table_bounds_submatrices_per_call(monkeypatch):
+    # 2000 projections of G(4, 2): more projections than one call may take.
+    rng = np.random.default_rng(59)
+    p = np.stack([sample_uniform(4, 2, rng).proj for _ in range(2000)])
+    monkeypatch.setattr(charts, "_SUBSET_BLOCK", 10**9)
+    whole_rows, whole_bases = charts.chart_bases(p, 2)
+    monkeypatch.setattr(charts, "_SUBSET_BLOCK", 1024)
+    stacks = []
+    for name in ("eigvalsh", "svd", "det"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *args, _real=real, **kw:
+                            stacks.append(math.prod(np.shape(a)[:-2])) or _real(a, *args, **kw))
+    rows, bases = charts.chart_bases(p, 2)
+    assert stacks and max(stacks) <= 1024
+    # 2000 x 6 principal blocks and row blocks: at least 12 calls each.
+    assert len(stacks) >= 24
+    assert rows.tobytes() == whole_rows.tobytes()
+    assert bases.tobytes() == whole_bases.tobytes()

@@ -12,9 +12,9 @@ from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      kt_compressor, load_sample, normalize_unit_box,
                      null_compressor, sample_uniform, similarity_dimension)
 from projlab import fractal
-from projlab.fractal import (IFSSpec, PointSample, Similarity, _box_counts,
-                             _truncate_bits, default_scale_hi,
-                             projected_dimensions)
+from projlab.fractal import (IFSSpec, PointSample, Similarity, _bit_lengths,
+                             _box_counts, _fit_table, _truncate_bits,
+                             default_scale_hi, projected_dimensions)
 
 
 def unit_interval_ifs():
@@ -287,6 +287,76 @@ def test_dust_projection_counts_by_occupancy(monkeypatch):
         assert est.counts == per_scale_counts(line, range(2, 14))
         assert est == box_dimension(line, 2, 13)
     assert spaces == [1 << 14] * (2 * len(frames))
+
+
+def test_bit_lengths_are_exact():
+    # Above 2^53 the float cast rounds 2^m - 1 up to 2^m.
+    values = [0] + [v for m in range(63) for v in (2**m - 1, 2**m, 2**m + 1)]
+    values.append(2**63 - 1)
+    for chunk in (values, [v for v in values if v < 2**53]):
+        lengths = _bit_lengths(np.array(chunk, dtype=np.int64))
+        assert lengths.tolist() == [v.bit_length() for v in chunk]
+
+
+def test_box_counts_of_63_bit_keys():
+    # k = 3 axes of 21 bits fill the 63-bit key, and a few points spread
+    # over the whole grid leave jumps far above 2^53 between sorted keys.
+    # In the last cloud the keys 0 and 2^57 - 1 are neighbours, one box at
+    # scale hi - 19, whose float jump rounds up to 2^57.
+    rng = np.random.default_rng(29)
+    bits, lo, hi = 21, 0, 20
+    cells = rng.integers(0, 1 << bits, (3, 3, 40))
+    cells[:, :, 0] = 0
+    cells[:, :, 1] = (1 << bits) - 1
+    cells[-1, :, 2:] = (1 << 19) - 1
+    counts = _box_counts(cells.copy(), bits, lo, hi)
+    for cloud, row in zip(cells, counts):
+        oracle = [len(np.unique(cloud.T >> (hi - j), axis=0)) for j in range(lo, hi + 1)]
+        assert row.tolist() == oracle
+
+
+def polyfit_reference(scales, counts):
+    x, y = np.asarray(scales, dtype=float), np.log2(counts.astype(float))
+    slope, intercept = np.polyfit(x, y, 1)
+    residuals = y - (slope * x + intercept)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    return slope, math.sqrt(float(residuals @ residuals) / (len(x) - 2) / sxx)
+
+
+def random_count_table(rng, rows, size):
+    """Nondecreasing counts from 1 to about 2^20 per row, as box counts grow."""
+    steps = rng.integers(0, 3, (rows, size)) * rng.random((rows, size))
+    return np.maximum(1, np.round(2.0 ** np.cumsum(steps, axis=1))).astype(np.int64)
+
+
+def test_fit_table_rows_independent_of_table():
+    rng = np.random.default_rng(41)
+    scales = list(range(2, 18))
+    table = random_count_table(rng, 360, len(scales))
+    together = _fit_table(scales, table)
+    for i, est in enumerate(together):
+        alone = _fit_table(scales, table[i:i + 1])[0]
+        assert (alone.value, alone.slope_stderr) == (est.value, est.slope_stderr)
+        assert alone.counts == tuple(table[i].tolist())
+
+
+def test_fit_table_matches_polyfit():
+    rng = np.random.default_rng(43)
+    for lo, hi in [(0, 2), (2, 8), (2, 13), (1, 17), (3, 22)]:
+        scales = list(range(lo, hi + 1))
+        table = random_count_table(rng, 50, len(scales))
+        for row, est in zip(table, _fit_table(scales, table)):
+            slope, stderr = polyfit_reference(scales, row)
+            assert abs(est.value - slope) <= 1e-14
+            assert abs(est.slope_stderr - stderr) <= 1e-14 * max(1.0, stderr)
+
+
+def test_fit_table_constant_counts_fit_zero_exactly():
+    for size in range(3, 20):
+        scales = list(range(2, 2 + size))
+        table = np.array([[c] * size for c in (1, 3, 7, 1000, 12345, 2**40 + 1)])
+        for est in _fit_table(scales, table):
+            assert (est.value, est.slope_stderr) == (0.0, 0.0)
 
 
 def test_counting_leaves_inputs_unchanged():
