@@ -223,12 +223,20 @@ def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
     """The :class:`Chart` of each row index set and chart basis of
-    :func:`chart_bases`."""
+    :func:`chart_bases`.  Those index sets are increasing k-subsets of
+    range(n) and the free blocks float (n - k, k) arrays by construction, so
+    the charts are made without :meth:`Chart.__post_init__`'s checks."""
     d, n, k = bases.shape
     free_rows = np.ones((d, n), dtype=bool)
     np.put_along_axis(free_rows, rows, False, axis=1)
     free = bases[free_rows].reshape(d, n - k, k)
-    return [Chart(n=n, k=k, I=tuple(i), free=f) for i, f in zip(rows.tolist(), free)]
+    charts = []
+    for i, f in zip(rows.tolist(), free):
+        chart = object.__new__(Chart)
+        # A frozen dataclass's fields live in its __dict__.
+        chart.__dict__.update(n=n, k=k, I=tuple(i), free=f)
+        charts.append(chart)
+    return charts
 
 
 def to_chart(v: Subspace) -> Chart:

@@ -155,9 +155,12 @@ def generate(spec: IFSSpec, depth: int) -> PointSample:
     """Point cloud on the attractor: every length-``depth`` composition of
     the maps applied to the fixed point of the first map (m^depth points).
 
-    Each level is written into one of two preallocated buffers, used in
-    turn: map i of the m maps fills the i-th block of the next level with
-    ``ratio * pts + translation``.
+    Levels are built coordinate-major, in (n, m^level) arrays, and the last
+    is returned transposed: ``points`` is the (N, n) view of a contiguous
+    (n, N) array, so ``points.T`` needs no copy.  Each level is written into
+    one of two preallocated buffers, used in turn: map i of the m maps fills
+    the i-th column block of the next level with ``ratio * pts +
+    translation``, which adds one scalar to each contiguous coordinate row.
     """
     m = len(spec.maps)
     if depth < 0:
@@ -166,20 +169,20 @@ def generate(spec: IFSSpec, depth: int) -> PointSample:
         raise ResourceBudgetError(
             f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
     # Level j lives in buffers[j % 2]; the last level fills `final`.
-    final = np.empty((m**depth, spec.n))
-    spare = np.empty((m**max(depth - 1, 0), spec.n))
+    final = np.empty((spec.n, m**depth))
+    spare = np.empty((spec.n, m**max(depth - 1, 0)))
     buffers = (final, spare) if depth % 2 == 0 else (spare, final)
-    pts = buffers[0][:1]
-    pts[0] = spec.maps[0].fixed_point
+    pts = buffers[0][:, :1]
+    pts[:, 0] = spec.maps[0].fixed_point
     for level in range(1, depth + 1):
-        size = len(pts)
-        out = buffers[level % 2][:m * size]
+        size = pts.shape[1]
+        out = buffers[level % 2][:, :m * size]
         for i, sim in enumerate(spec.maps):
-            block = out[i * size:(i + 1) * size]
+            block = out[:, i * size:(i + 1) * size]
             np.multiply(pts, sim.ratio, out=block)
-            block += sim.translation
+            block += sim.translation[:, None]
         pts = out
-    return PointSample(points=pts, depth=depth, source=spec)
+    return PointSample(points=pts.T, depth=depth, source=spec)
 
 
 @dataclass(frozen=True)
@@ -224,14 +227,15 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
 def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
                 scale_hi: int) -> np.ndarray:
     """(B, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi of a
-    (B, k, N) stack of int64 cells at ``scale_hi`` (see :func:`box_dimension`),
-    which the caller keeps in [0, 2^bits) with k * bits <= 63.  Checks nothing; in place."""
+    (B, k, N) stack of cells at ``scale_hi`` (see :func:`box_dimension`),
+    which the caller keeps in [0, 2^bits) in the dtype of
+    :func:`_key_dtype`.  Checks nothing; in place."""
     k, size = cells.shape[1:]
     if k == 1:
         keys = cells[:, 0]
     else:
         _spread_bits(cells, bits, k)
-        cells <<= np.arange(k)[:, None]
+        cells <<= np.arange(k, dtype=cells.dtype)[:, None]
         keys = np.bitwise_or.reduce(cells, axis=1)
     space = 1 << (k * bits)
     if space <= size:
@@ -244,17 +248,25 @@ def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
         cloud = np.arange(len(keys))[:, None]
     # 65 bins per cloud for bit lengths 0..64 (none reaches 64, as k * bits <= 63);
     # longer[:, t] counts the jumps longer than t bits, for t = 0..63.
-    hist = np.bincount((_bit_lengths(jumps) + 65 * cloud).ravel(), minlength=65 * len(keys))
+    lengths = _bit_lengths(jumps)
+    lengths += 65 * cloud
+    hist = np.bincount(lengths.ravel(), minlength=65 * len(keys))
     longer = hist.reshape(-1, 65)[:, :0:-1].cumsum(axis=1)[:, ::-1]
     return 1 + longer[:, np.minimum(np.arange(k * (scale_hi - scale_lo), -1, -k), 63)]
 
 
 def _bit_lengths(x: np.ndarray) -> np.ndarray:
-    """``int.bit_length`` of each entry of a non-negative int64 array."""
-    e = np.frexp(x)[1]
-    # The float cast is exact below 2^53.  Above, it can round 2^m - 1 up
-    # to 2^m: step back where x < 2^(e - 1), a power of two that uint64 holds.
-    if np.max(x, initial=0) >= 1 << 53:
+    """``int.bit_length`` of each entry of a non-negative int32 or int64
+    array, as int64: the exponent field of its float64 cast, less 1022
+    (1.0 has field 1023), clamped at 0 (0.0 has field 0)."""
+    e = x.astype(np.float64).view(np.int64)
+    e >>= 52
+    e -= 1022
+    np.maximum(e, 0, out=e)
+    # The float cast is exact below 2^53, so for every int32.  Above, it can
+    # round 2^m - 1 up to 2^m: step back where x < 2^(e - 1), a power of two
+    # that uint64 holds.
+    if x.dtype == np.int64 and np.max(x, initial=0) >= 1 << 53:
         e -= x.view(np.uint64) < np.ldexp(1.0, e - 1).astype(np.uint64)
     return e
 
@@ -296,12 +308,14 @@ def _fit_table(scales: list[int], counts: np.ndarray) -> list[DimensionEstimate]
             for v, e, c in zip(slope.tolist(), stderr.tolist(), counts.tolist())]
 
 
-def _check_key_width(k: int, bits: int, scale_hi: int) -> None:
-    """Raise :class:`ResourceBudgetError` unless k x bits fit one int64 key."""
+def _key_dtype(k: int, bits: int, scale_hi: int) -> type:
+    """The dtype of box keys of k x bits bits: ``np.int32`` up to 31 bits,
+    ``np.int64`` up to 63; wider keys raise :class:`ResourceBudgetError`."""
     if k * bits > 63:
         raise ResourceBudgetError(
             f"box keys for k={k} at scale_hi={scale_hi} need {k} x {bits} "
             "bits, over the 63-bit limit; lower scale_hi")
+    return np.int32 if k * bits <= 31 else np.int64
 
 
 def box_dimension(sample, scale_lo: int = 2,
@@ -323,6 +337,10 @@ def box_dimension(sample, scale_lo: int = 2,
     coarser box whole.  In the ordered keys, two neighbours lie in different
     boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)), so
     one histogram of the XORs' bit lengths gives the count at every scale.
+    Keys of at most 31 bits (k x the bit length of the shifted cells) are
+    counted as int32, wider ones as int64.  A bit length is read off the
+    exponent field of the XOR's float64 cast, which is exact for every int32
+    and corrected where an int64 XOR of 2^53 or more rounds up.
 
     When the key space, 2^(k x bit length of the shifted cells), holds no
     more cells than the cloud has points, each key marks its cell in a
@@ -356,9 +374,10 @@ def box_dimension(sample, scale_lo: int = 2,
     step = scale_hi - scale_lo
     offset = (lo.astype(np.int64) >> step) << step
     bits = int((hi.astype(np.int64) - offset).max()).bit_length()
-    _check_key_width(len(cells), bits, scale_hi)
+    dtype = _key_dtype(len(cells), bits, scale_hi)
     cells = cells.astype(np.int64)
     cells -= offset[:, None]
+    cells = cells.astype(dtype, copy=False)
     return _fit_table(scales, _box_counts(cells[None], bits, scale_lo, scale_hi))[0]
 
 
@@ -373,23 +392,29 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     Frames are taken in batches of B with B * k * N at most
     ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
     projected, rescaled in place (a non-finite coordinate raises
-    :class:`InputDomainError`), floored to int64 cells, keyed, ordered and
+    :class:`InputDomainError`), floored to integer cells, keyed, ordered and
     counted as one (B, k, N) stack, by ``map_batches(fn, batches)`` (``map``
     or a thread pool's ``map``); one :func:`_fit_table` then fits all counts.
     Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
     scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
-    :class:`ResourceBudgetError` before anything is projected.
+    :class:`ResourceBudgetError` before anything is projected.  Keys of at
+    most 31 bits, k * (scale_hi + 1) <= 31 (a scan of lines at scale_hi 17
+    has 18), are counted as int32 and wider ones as int64; bit lengths come
+    from the float64 exponent field, as in :func:`box_dimension`.
     """
     scales = _scales(scale_lo, scale_hi)
     k, bits = frames.shape[2], scale_hi + 1
-    _check_key_width(k, bits, scale_hi)
+    dtype = _key_dtype(k, bits, scale_hi)
     size = max(1, COUNT_BATCH_POINTS // (len(points) * k))
+    # One contiguous (n, N) operand for every batch's product; the transpose
+    # of a generate() sample already is one.
+    coords = np.ascontiguousarray(points.T)
 
     def run(batch: np.ndarray) -> np.ndarray:
         # Allocated first: after the projection, small temporaries fragmented the heap.
-        cells = np.empty((len(batch), k, len(points)), dtype=np.int64)
-        rows = _unit_box_rows(batch.swapaxes(1, 2) @ points.T)
-        # The rows are non-negative, so the int64 cast floors them.
+        cells = np.empty((len(batch), k, len(points)), dtype=dtype)
+        rows = _unit_box_rows(batch.swapaxes(1, 2) @ coords)
+        # The rows are non-negative, so the integer cast floors them.
         np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
         return _box_counts(cells, bits, scale_lo, scale_hi)
 

@@ -238,7 +238,7 @@ def result_csv(result: SweepResult) -> str:
     lines = [",".join(header)]
     for row in result.rows:
         cells = [str(row.index)]
-        cells += [repr(float(x)) for x in row.chart.free.ravel()]
+        cells += map(repr, row.chart.free.ravel().tolist())
         cells += [repr(float(row.estimate.value)),
                   repr(float(row.estimate.slope_stderr)),
                   "true" if row.exceptional else "false"]

@@ -443,3 +443,28 @@ def test_score_table_bounds_submatrices_per_call(monkeypatch):
     assert len(stacks) >= 24
     assert rows.tobytes() == whole_rows.tobytes()
     assert bases.tobytes() == whole_bases.tobytes()
+
+
+def test_charts_of_equals_validated_construction():
+    rng = np.random.default_rng(61)
+    for n, k in [(2, 1), (4, 2), (6, 3)]:
+        p = np.stack([sample_uniform(n, k, rng).proj for _ in range(7)])
+        rows, bases = charts.chart_bases(p, k)
+        built = charts.charts_of(rows, bases)
+        assert len(built) == len(p)
+        for chart in built:
+            checked = Chart(n=chart.n, k=chart.k, I=chart.I, free=chart.free)
+            assert (type(chart.n), type(chart.k)) == (int, int)
+            assert (chart.n, chart.k) == (checked.n, checked.k) == (n, k)
+            assert chart.I == checked.I and all(type(i) is int for i in chart.I)
+            assert chart.free.dtype == checked.free.dtype == np.float64
+            assert chart.free.shape == (n - k, k)
+            assert chart.free.tobytes() == checked.free.tobytes()
+            assert chart.to_json() == checked.to_json()
+    # A chart built by hand keeps every check.
+    with pytest.raises(InputDomainError, match="not strictly increasing"):
+        Chart(n=4, k=2, I=(1, 0), free=np.zeros((2, 2)))
+    with pytest.raises(InputDomainError, match="out of range"):
+        Chart(n=4, k=2, I=(0, 4), free=np.zeros((2, 2)))
+    with pytest.raises(InputDomainError, match="free block shape"):
+        Chart(n=4, k=2, I=(0, 1), free=np.zeros((2, 3)))

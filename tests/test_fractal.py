@@ -82,6 +82,11 @@ def test_generate_matches_concatenated_levels():
         assert points.shape == expected.shape == (len(spec.maps)**depth, spec.n)
         assert np.array_equal(points, expected)
         assert points.tobytes() == expected.tobytes()
+        # Coordinate-major: the transpose is a contiguous (n, N) array,
+        # which np.ascontiguousarray returns without a copy.
+        coords = points.T
+        assert coords.flags.c_contiguous
+        assert np.ascontiguousarray(coords) is coords
 
 
 def test_generate_budget_error_names_the_budget():
@@ -296,6 +301,80 @@ def test_bit_lengths_are_exact():
     for chunk in (values, [v for v in values if v < 2**53]):
         lengths = _bit_lengths(np.array(chunk, dtype=np.int64))
         assert lengths.tolist() == [v.bit_length() for v in chunk]
+
+
+def test_bit_lengths_of_int32_are_exact():
+    values = [0] + [v for m in range(31) for v in (2**m - 1, 2**m, 2**m + 1)]
+    values.append(2**31 - 1)
+    lengths = _bit_lengths(np.array(values, dtype=np.int32))
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == [v.bit_length() for v in values]
+
+
+@st.composite
+def wide_key_grids(draw):
+    """A batch of (B, k, N) cells whose keys are 30, 31 or 32 bits wide
+    (k x bits), so keys reach 2^31 - 1 and the key space far exceeds N.
+    Every cloud has a point on cell 0 and one on its last cell; a third of
+    each cloud repeats its other points."""
+    k, bits = draw(st.sampled_from([(1, 30), (1, 31), (1, 32), (2, 15), (2, 16), (3, 10)]))
+    count = draw(st.integers(2, 300))
+    batch = draw(st.integers(1, 3))
+    scale_lo = draw(st.integers(0, 3))
+    scale_hi = draw(st.integers(scale_lo + 2, scale_lo + bits))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(0, 1 << bits, (batch, k, count))
+    # Clustered clouds keep the finer scales from saturating at N.
+    cells[:, :, count // 2:] >>= rng.integers(0, bits, (batch, k, 1))
+    cells[:, :, 0] = 0
+    cells[:, :, 1] = (1 << bits) - 1
+    repeats = rng.integers(0, count, count // 3)
+    cells[:, :, count - count // 3:] = cells[:, :, repeats]
+    return cells, bits, scale_lo, scale_hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(window=wide_key_grids())
+def test_box_counts_of_31_and_32_bit_keys_on_both_dtypes(window):
+    cells, bits, lo, hi = window
+    k = cells.shape[1]
+    assert fractal._key_dtype(k, bits, hi) == (np.int32 if k * bits <= 31 else np.int64)
+    dtypes = [np.int64] + ([np.int32] if k * bits <= 31 else [])
+    # Cells over 2^scale_hi are exact floats whose floors at scale j are
+    # the cells shifted right by scale_hi - j.
+    expected = [per_scale_counts(cloud.T / 2.0**hi, range(lo, hi + 1)) for cloud in cells]
+    for dtype in dtypes:
+        counts = _box_counts(cells.astype(dtype), bits, lo, hi)
+        assert [tuple(row.tolist()) for row in counts] == expected
+
+
+def record_key_dtypes(monkeypatch):
+    """The dtype of the cells of each counting batch."""
+    dtypes = []
+    real = fractal._box_counts
+    monkeypatch.setattr(fractal, "_box_counts",
+                        lambda cells, *args: dtypes.append(cells.dtype) or real(cells, *args))
+    return dtypes
+
+
+def test_key_dtype_follows_key_width(monkeypatch):
+    # Scan-axis shaped: lines at scale_hi 17 have 18-bit keys, counted as
+    # int32; at scale_hi 31 the 32-bit keys need int64.
+    points = generate(fractal.cantor_on_axis(), 8).points
+    angles = np.linspace(0.1, 3.0, 5)
+    frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
+    dtypes = record_key_dtypes(monkeypatch)
+    narrow = projected_dimensions(points, frames, 2, 17)
+    assert dtypes and set(dtypes) == {np.dtype(np.int32)}
+    dtypes.clear()
+    wide = projected_dimensions(points, frames, 2, 31)
+    assert dtypes and set(dtypes) == {np.dtype(np.int64)}
+    assert [est.counts[:16] for est in wide] == [est.counts for est in narrow]
+    # box_dimension picks the dtype from the shifted cells' bit length.
+    dtypes.clear()
+    box_dimension(points[:, :1], 2, 17)
+    box_dimension(points[:, :1], 2, 40)
+    assert dtypes == [np.dtype(np.int32), np.dtype(np.int64)]
 
 
 def test_box_counts_of_63_bit_keys():
@@ -612,6 +691,9 @@ def test_sample_export_round_trip(tmp_path):
     sample = generate(cantor_dust(), 4)
     path = tmp_path / "dust.bin"
     export_sample(sample, path)
+    # Row-major float64 bytes, whatever the layout of the points in memory.
+    expected = generate_by_concatenation(cantor_dust(), 4)
+    assert path.read_bytes() == expected.astype("<f8").tobytes()
     again = load_sample(path)
     assert isinstance(again, PointSample)
     assert np.array_equal(again.points, sample.points)
