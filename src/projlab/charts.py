@@ -3,10 +3,10 @@
 A chart fixes a row index set I and normalizes a basis matrix A of the
 plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  Index sets are
-chosen exhaustively for conditioning: the basis columns maximize the
-smallest singular value (:func:`_good_columns`), the row block maximizes
-|det| (:func:`_good_rows`).  A stack of projections is charted at once
-(:func:`chart_bases`); :func:`to_chart` is its one-projection case.
+chosen for conditioning, scoring only those that a bound lets win: the
+columns maximize the smallest singular value (:func:`_good_columns`), the
+row block |det| (:func:`_good_rows`).  A stack of projections is charted at
+once (:func:`chart_bases`); :func:`to_chart` is its one-projection case.
 """
 
 from __future__ import annotations
@@ -27,20 +27,22 @@ from .grassmann import (_IDEMPOTENCY_TOL, _SYMMETRY_TOL, Subspace, contains,
 
 # A basis whose smallest singular value is at most this is rank deficient.
 _RANK_TOL = 1e-10
-# Submatrices scored per batched eigvalsh/svd/det call (eigvalsh filter,
-# SVD rescoring of the near-maximal blocks, determinant); bounds the stacked
-# submatrices at 1024 x n x k floats whatever binom(n, k) and the number of
-# projections are.
+# Submatrices per batched eigvalsh/svd/det call: memory stays at 1024 x n x k
+# floats whatever binom(n, k) and the number of projections are.
 _SUBSET_BLOCK = 1024
-# Column blocks whose filter eigenvalue lies within this of their
-# projection's best one are rescored by SVD.  For P passed by
-# check_projections, with S = (P + P^T) / 2 and K = (P - P^T) / 2,
-# P[:, I]^T P[:, I] - S[I, I] is the I-block of the symmetric part of
-# -2KP + (P^2 - P), so by Weyl |sigma(P[:, I])^2 - lambda_min(S[I, I])| <=
-# _SYMMETRY_TOL * ||P|| + _IDEMPOTENCY_TOL, about 2e-10, plus rounding.  The
-# SVD winner's eigenvalue is then within twice that of the best one; the
-# factor 4 leaves as much again for ||P|| > 1 and rounding.
+# Column blocks whose eigenvalue lies within this of their projection's best
+# are rescored by SVD.  For P passed by check_projections, S = (P + P^T) / 2
+# and K = (P - P^T) / 2, P[:, I]^T P[:, I] - S[I, I] is the I-block of the
+# symmetric part of -2KP + (P^2 - P), so by Weyl |sigma(P[:, I])^2 -
+# lambda_min(S[I, I])| <= _SYMMETRY_TOL ||P|| + _IDEMPOTENCY_TOL, about 2e-10:
+# the SVD winner is within twice that of the best, and 4 leaves as much again.
 _CANDIDATE_MARGIN = 4 * (_SYMMETRY_TOL + _IDEMPOTENCY_TOL)
+# Hadamard: |det(A_J)| <= the product of A_J's row norms.  LU with partial
+# pivoting gives det(A_J + E), |E| <= gamma_k |L||U|, |L| <= 1, |U| <= 2^(k-1)
+# max|A_J| (Higham 2002, Thms 9.3, 9.7): _good_rows pads each row norm by
+# k^2.5 2^k eps max|A_J| >= |row of E|.  numpy's exp(sum of log pivots) and
+# the bound's rounding add a relative (710 k^2 + n + k) eps, < 1e-9 for k < 20.
+_DET_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,25 +103,29 @@ def _index_subsets(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) in lexicographic order, as a read-only
     (binom(n, k), k) index array."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    subsets = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k)
-    subsets = subsets.reshape(-1, k)
+    subsets = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
     subsets.flags.writeable = False
     return subsets
 
 
-def _score_table(n: int, k: int, count: int, score) -> np.ndarray:
-    """The (count, binom(n, k)) table of every item's score for every
-    k-subset of range(n), in lexicographic subset order, so ``np.argmax``
-    over a row picks the first of tied subsets.  ``score`` maps a slice of
-    the items and a (B, k) block of subsets to the (items, B) scores; no
-    call scores more than ``_SUBSET_BLOCK`` submatrices.
-    """
-    subsets = _index_subsets(n, k)
-    rows = min(count, _SUBSET_BLOCK)
-    step = _SUBSET_BLOCK // rows
-    return np.block([[score(slice(i, i + rows), subsets[j:j + step])
-                      for j in range(0, len(subsets), step)]
-                     for i in range(0, count, rows)])
+def _fill(table: np.ndarray, items: np.ndarray, kept: np.ndarray, subsets, score) -> np.ndarray:
+    """Put score(items, subsets[kept]) at table[items, kept], _SUBSET_BLOCK at a time."""
+    table[items, kept] = np.concatenate([
+        score(items[i:i + _SUBSET_BLOCK], subsets[kept[i:i + _SUBSET_BLOCK]])
+        for i in range(0, len(items), _SUBSET_BLOCK)])
+    return table
+
+
+def _pruned_scores(subsets: np.ndarray, bound: np.ndarray, floor, score) -> np.ndarray:
+    """The (D, binom(n, k)) scores at the sets whose ``bound`` reaches ``floor`` of
+    the score of the item's best-bounded set, else -inf; ties keep subset order."""
+    rows, first = np.arange(len(bound)), np.argmax(bound, axis=1)
+    table = _fill(np.full(bound.shape, -math.inf), rows, first, subsets, score)
+    keep = bound >= floor(table[rows, first])[:, None]
+    keep[rows, first] = False
+    if keep.any():
+        _fill(table, *np.nonzero(keep), subsets, score)
+    return table
 
 
 def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,41 +133,50 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     index sets I maximizing the smallest singular value of P[:, I], those
     (D,) singular values, and the (D, n, k) bases P[:, I].
 
-    An eigvalsh filter scores every principal block P[I, I], whose smallest
-    eigenvalue is sigma(P[:, I])^2 up to the projection tolerances; SVD
-    rescoring of the near-maximal blocks, those within ``_CANDIDATE_MARGIN``
-    of their projection's best eigenvalue, then picks I and sigma exactly as
-    an SVD of every block would.  The best I of a rank-k projection has
-    sigma(P[:, I]) >= binom(n, k)^(-1/2), so a maximum at the rank tolerance
-    raises :class:`DegeneracyError`.
+    lambda_min(S[I, I]), S = (P + P^T) / 2, is sigma(P[:, I])^2 up to the
+    projection tolerances and, by Cauchy interlacing, at most the bound of each
+    2 x 2 block {i, j} of I, (a + c)/2 - hypot((a - c)/2, b).  So a block whose
+    bound is 2 * ``_CANDIDATE_MARGIN`` below a scored eigenvalue (rounding moves
+    each by a few eps) is no candidate, and eigvalsh skips it; SVD rescores the
+    candidates, as an SVD of every block would pick.  A rank-k P has a best
+    sigma >= binom(n, k)^(-1/2); one at the rank tolerance raises DegeneracyError.
     """
     d, n, _ = p.shape
     subsets = _index_subsets(n, k)
     sym = (p + p.swapaxes(-1, -2)) / 2.0
-    lam = _score_table(n, k, d, lambda items, block: np.linalg.eigvalsh(
-        sym[items, block[:, :, None], block[:, None, :]])[..., 0])
-    items, cands = np.nonzero(lam >= lam.max(axis=1, keepdims=True) - _CANDIDATE_MARGIN)
-    # The (m, n, k) column blocks of the m candidates, gathered as rows of P^T.
-    blocks = p.swapaxes(-1, -2)[items[:, None], subsets[cands]].swapaxes(-1, -2)
-    scores = np.full(lam.shape, -math.inf)
-    scores[items, cands] = np.concatenate([
-        np.linalg.svd(blocks[start:start + _SUBSET_BLOCK], compute_uv=False)[..., -1]
-        for start in range(0, len(blocks), _SUBSET_BLOCK)])
+    t = np.diagonal(sym, axis1=1, axis2=2)[:, :, None]
+    pair = (t + t.swapaxes(1, 2) - np.hypot(t - t.swapaxes(1, 2), 2.0 * sym)) / 2.0
+    # A running minimum over the pairs of each I, from S[i, i] of I's first i.
+    bound = functools.reduce(np.minimum, (pair[:, subsets[:, i], subsets[:, j]] for i, j
+                                          in itertools.combinations(range(k), 2)),
+                             t[:, subsets[:, 0], 0])
+    lam = _pruned_scores(subsets, bound, lambda top: top - 2 * _CANDIDATE_MARGIN, lambda i, s: (
+        np.linalg.eigvalsh(sym[i[:, None, None], s[:, :, None], s[:, None]])[..., 0]))
+    cands = np.nonzero(lam >= lam.max(axis=1, keepdims=True) - _CANDIDATE_MARGIN)
+    # The (m, n, k) column blocks of the candidates, gathered as rows of P^T.
+    scores = _fill(np.full(lam.shape, -math.inf), *cands, subsets, lambda i, s: np.linalg.svd(
+        p.swapaxes(-1, -2)[i[:, None], s].swapaxes(-1, -2), compute_uv=False)[..., -1])
     best = np.argmax(scores, axis=1)
     cols, sigma = subsets[best], scores[np.arange(d), best]
     if sigma.min() <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
-    return cols, sigma, np.take_along_axis(p, cols[:, None, :], axis=2)
+    return cols, sigma, p[np.arange(d)[:, None, None], np.arange(n)[:, None], cols[:, None]]
 
 
 def _good_rows(a: np.ndarray) -> np.ndarray:
     """Row selection of each basis of a (D, n, k) stack: the (D, k) index
-    sets I maximizing |det(A_I)|."""
-    d, n, k = a.shape
+    sets I maximizing |det(A_I)|, scoring the blocks whose padded Hadamard
+    bound reaches (1 - ``_DET_SLACK``) |det| of the best-bounded block."""
+    _, n, k = a.shape
+    subsets = _index_subsets(n, k)
+    norms = np.sqrt(np.einsum("dij,dij->di", a, a))
+    norms += k**2.5 * 2.0 ** (k - 52) * norms.max(axis=1, keepdims=True)
+    bound = functools.reduce(np.multiply, (norms[:, s] for s in subsets.T))
     # A subnormal entry can make LU divide by zero yet give a finite det.
     with np.errstate(divide="ignore"):
-        dets = _score_table(n, k, d, lambda items, block: np.abs(np.linalg.det(a[items, block])))
-    return _index_subsets(n, k)[np.argmax(dets, axis=1)]
+        dets = _pruned_scores(subsets, bound, lambda top: top * (1.0 - _DET_SLACK),
+                              lambda i, s: np.abs(np.linalg.det(a[i[:, None], s])))
+    return subsets[np.argmax(dets, axis=1)]
 
 
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
@@ -169,8 +184,8 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
 
     Returns (A, I, report) where the columns of A are P_V e_i for i in I and
     I maximizes the smallest singular value over all binom(n, k) choices
-    (lexicographically first on ties), chosen exhaustively by
-    :func:`_good_columns`.  Always ||A|| <= 1 and sigma(A) > 0.
+    (lexicographically first on ties); :func:`_good_columns` scores only the
+    sets that interlacing lets win.  Always ||A|| <= 1 and sigma(A) > 0.
     """
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, best_idx = a[0], tuple(cols[0].tolist())
@@ -186,9 +201,9 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     """Row index set maximizing |det(A_I)|, with the conditioning guarantee
     ||A_I^{-1}|| <= sqrt(binom(n, m)) * ||A||^{m-1} / sigma(A)^m.
 
-    The choice is exhaustive over all binom(n, m) row blocks, scored by one
-    batched determinant per block of at most 1024 subsets; ties go to the
-    lexicographically first index set.
+    The maximum is over all binom(n, m) row blocks (the lexicographically
+    first on ties); :func:`_good_rows` scores, at most 1024 per batched det,
+    only the blocks that Hadamard's inequality lets win.
     """
     a = mk.as_matrix(a)
     n, m = a.shape
@@ -216,8 +231,8 @@ def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     a = _good_columns(p, k)[2]
     rows = _good_rows(a)
-    a_prime = a @ np.linalg.inv(np.take_along_axis(a, rows[:, :, None], axis=1))
-    np.put_along_axis(a_prime, rows[:, :, None], np.eye(k), axis=1)
+    a_prime = a @ np.linalg.inv(a[np.arange(len(a))[:, None], rows])
+    a_prime[np.arange(len(a))[:, None], rows] = np.eye(k)
     return rows, a_prime
 
 
@@ -228,14 +243,12 @@ def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
     the charts are made without :meth:`Chart.__post_init__`'s checks."""
     d, n, k = bases.shape
     free_rows = np.ones((d, n), dtype=bool)
-    np.put_along_axis(free_rows, rows, False, axis=1)
+    free_rows[np.arange(d)[:, None], rows] = False
     free = bases[free_rows].reshape(d, n - k, k)
-    charts = []
-    for i, f in zip(rows.tolist(), free):
-        chart = object.__new__(Chart)
+    charts = [object.__new__(Chart) for _ in range(d)]
+    for chart, i, f in zip(charts, rows.tolist(), free):
         # A frozen dataclass's fields live in its __dict__.
         chart.__dict__.update(n=n, k=k, I=tuple(i), free=f)
-        charts.append(chart)
     return charts
 
 

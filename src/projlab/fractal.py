@@ -27,6 +27,11 @@ DEGENERATE_SPAN = 1e-12
 # Projected coordinates box-counted together: projected_dimensions stacks
 # B directions of k x N coordinates with B * k * N at most this.
 COUNT_BATCH_POINTS = 1 << 15
+# Byte buffers for the projected rows and cells of a counting batch, handed
+# back after each batch and kept between calls.  Allocated afresh by every
+# batch on pool threads, these arrays landed wherever a thread's malloc arena
+# had room, and the peak RSS of the same sweep differed by a batch's size.
+_SPARE_BUFFERS: list[np.ndarray] = []
 
 # Bit-length "compressors": deterministic byte-in / bits-out estimators.
 Compressor = Callable[[bytes], float]
@@ -395,6 +400,8 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     :class:`InputDomainError`), floored to integer cells, keyed, ordered and
     counted as one (B, k, N) stack, by ``map_batches(fn, batches)`` (``map``
     or a thread pool's ``map``); one :func:`_fit_table` then fits all counts.
+    The rows and cells of a batch live in a buffer of ``_SPARE_BUFFERS``,
+    so a process holds one per batch counted at once, as large as its largest.
     Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
     scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
     :class:`ResourceBudgetError` before anything is projected.  Keys of at
@@ -411,15 +418,31 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     coords = np.ascontiguousarray(points.T)
 
     def run(batch: np.ndarray) -> np.ndarray:
-        # Allocated first: after the projection, small temporaries fragmented the heap.
-        cells = np.empty((len(batch), k, len(points)), dtype=dtype)
-        rows = _unit_box_rows(batch.swapaxes(1, 2) @ coords)
+        rows, cells, buffer = _batch_buffers((len(batch), k, len(points)), dtype)
+        _unit_box_rows(np.matmul(batch.swapaxes(1, 2), coords, out=rows))
         # The rows are non-negative, so the integer cast floors them.
         np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
-        return _box_counts(cells, bits, scale_lo, scale_hi)
+        counts = _box_counts(cells, bits, scale_lo, scale_hi)
+        _SPARE_BUFFERS.append(buffer)
+        return counts
 
     batches = [frames[i:i + size] for i in range(0, len(frames), size)]
     return _fit_table(scales, np.concatenate(list(map_batches(run, batches))))
+
+
+def _batch_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A float64 and a ``dtype`` array of ``shape`` in one byte buffer, a spare
+    one when it is large enough, and that buffer."""
+    size = math.prod(shape)
+    nbytes = size * (8 + np.dtype(dtype).itemsize)
+    try:
+        buffer = _SPARE_BUFFERS.pop()
+    except IndexError:  # every spare buffer is in use
+        buffer = np.empty(0, dtype=np.uint8)
+    if len(buffer) < nbytes:
+        buffer = np.empty(nbytes, dtype=np.uint8)
+    return (buffer[:8 * size].view(np.float64).reshape(shape),
+            buffer[8 * size:nbytes].view(dtype).reshape(shape), buffer)
 
 
 def normalize_unit_box(points) -> np.ndarray:

@@ -5,10 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from projlab import charts
+from projlab import charts, grassmann
 from projlab import (Chart, DegeneracyError, IFSSpec, InputDomainError,
                      Subspace, chart_stability, contains, embed_relative, from_basis,
                      from_chart, good_basis, good_submatrix, metric_rho,
@@ -396,16 +396,18 @@ def test_chart_rejects_bad_shapes():
 
 def test_to_chart_scores_blocks_once(monkeypatch):
     v = sample_uniform(8, 4, np.random.default_rng(53))
-    calls = {"eigvalsh": [], "svd": []}
-    for name, real in [("eigvalsh", np.linalg.eigvalsh), ("svd", np.linalg.svd)]:
+    calls = {"eigvalsh": [], "svd": [], "det": []}
+    for name in calls:
         monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _name=name, _real=real, **kw:
+                            lambda *a, _name=name, _real=getattr(np.linalg, name), **kw:
                             calls[_name].append(np.shape(a[0])) or _real(*a, **kw))
     c = to_chart(v)
-    # One batched eigvalsh filters all 70 principal 4 x 4 blocks; only the
+    # Of the 70 principal 4 x 4 blocks, interlacing leaves only the
+    # best-bounded one, and of the 70 row blocks Hadamard's inequality leaves
+    # only the best-bounded one: one block each for eigvalsh and det.  The
     # near-maximal column block goes to the SVD, whose value the rank check
     # reuses.
-    assert calls == {"eigvalsh": [(1, 70, 4, 4)], "svd": [(1, 8, 4)]}
+    assert calls == {"eigvalsh": [(1, 4, 4)], "svd": [(1, 8, 4)], "det": [(1, 4, 4)]}
     assert metric_rho(from_chart(c), v) <= 1e-9
 
 
@@ -439,10 +441,114 @@ def test_score_table_bounds_submatrices_per_call(monkeypatch):
                             stacks.append(math.prod(np.shape(a)[:-2])) or _real(a, *args, **kw))
     rows, bases = charts.chart_bases(p, 2)
     assert stacks and max(stacks) <= 1024
-    # 2000 x 6 principal blocks and row blocks: at least 12 calls each.
-    assert len(stacks) >= 24
+    # Each projection's best-bounded principal block and row block, 2000 of
+    # each: 2 eigvalsh and 2 det calls.  For k = 2 the interlacing bound is
+    # the eigenvalue, so no other principal block is left for eigvalsh; the
+    # SVD rescores at least the 2000 best blocks (2 calls); Hadamard's
+    # inequality leaves 378 more row blocks (1 det call): 7 calls in all.
+    assert len(stacks) == 7
     assert rows.tobytes() == whole_rows.tobytes()
     assert bases.tobytes() == whole_bases.tobytes()
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (4, 2), (5, 2), (5, 3), (6, 3)])
+def test_pruned_selection_coordinate_planes_match_loop(n, k):
+    # Every principal block is 0 or 1 on its diagonal, so bounds and scores
+    # tie across many index sets.
+    for idx in itertools.combinations(range(n), k):
+        assert_selection_matches_loop(from_basis(np.eye(n)[:, list(idx)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_pruned_selection_half_diagonal_planes_match_loop(k):
+    # span{(e_i + e_{i+k}) / sqrt(2)}: every diagonal entry of P is 1/2, so
+    # every 1 x 1 bound ties, and the 2 x 2 bounds tie in two classes.
+    basis = np.zeros((2 * k, k))
+    basis[np.arange(k), np.arange(k)] = basis[np.arange(k) + k, np.arange(k)] = 1.0
+    v = from_basis(basis / math.sqrt(2.0))
+    assert np.all(np.diag(v.proj) == 0.5)
+    assert_selection_matches_loop(v)
+
+
+@st.composite
+def tolerance_edge_subspaces(draw):
+    """A Haar plane plus a perturbation E of spectral norm up to 3e-11, not
+    symmetric: ||P - P^T|| <= 6e-11 and ||P^2 - P|| <= about 9e-11, both
+    within the check_projections tolerances of 1e-10."""
+    v = draw(subspaces())
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((v.n, v.n))
+    e = draw(st.floats(0.0, 3e-11)) * g / spectral_norm(g)
+    return Subspace(n=v.n, k=v.k, proj=v.proj + e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=tolerance_edge_subspaces())
+def test_pruned_selection_at_tolerance_edge_matches_loop(v):
+    assert_selection_matches_loop(v)
+
+
+@st.composite
+def general_matrices(draw):
+    """Full-rank matrices that are not orthonormal: rows scaled over twelve
+    orders of magnitude, some rows zero, some entries small integers (ties)."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(1, min(n, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.integers(-2, 3, size=(n, m)).astype(float)
+    else:
+        a = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 1))
+    a[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
+    assume(np.linalg.svd(a, compute_uv=False)[-1] > 1e-8)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=general_matrices())
+@example(a=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+@example(a=np.array([[1e-6, 0.0], [0.0, 1e6], [1.0, 1.0], [0.0, 0.0]]))
+def test_pruned_row_selection_on_general_matrices_matches_loop(a):
+    assert good_submatrix(a)[0] == loop_good_submatrix_index(a)
+
+
+def test_pruned_selection_scores_few_blocks(monkeypatch):
+    # 150 Haar planes of G(8, 4), as a sweep-g84 call charts them: 70 column
+    # and 70 row blocks per plane, of which a run measured 4.43 principal
+    # blocks for eigvalsh and 13.78 row blocks for det, counting each plane's
+    # best-bounded block, and one SVD candidate.
+    p = grassmann.haar_projections(np.random.default_rng(61).standard_normal((150, 8, 4)))
+    scored = {"eigvalsh": 0, "det": 0, "svd": 0}
+    for name in scored:
+        def wrapped(a, *args, _name=name, _real=getattr(np.linalg, name), **kw):
+            scored[_name] += math.prod(np.shape(a)[:-2])
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    charts.chart_bases(p, 4)
+    assert scored["eigvalsh"] / 150 <= 6.0
+    assert scored["det"] / 150 <= 18.0
+    assert scored["svd"] / 150 <= 1.1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_batched_linalg_bits_do_not_depend_on_batch(k):
+    # The pruned selection scores a block in a batch with other blocks than
+    # an exhaustive search would (each projection's best-bounded block first,
+    # then the blocks its bound lets through); it makes the same choice only
+    # if each block's eigvalsh, det and svd bits depend on that block alone.
+    rng = np.random.default_rng(67 + k)
+    p = np.stack([sample_uniform(2 * k + 1, k, rng).proj for _ in range(40)])
+    sym = ((p + p.swapaxes(-1, -2)) / 2.0)[:, :k, :k]
+    rows = p[:, :, :k]
+    order = rng.permutation(len(p))
+    for fn, stack in [(lambda b: np.linalg.eigvalsh(b)[..., 0], sym),
+                      (lambda b: np.abs(np.linalg.det(b)), rows[:, :k]),
+                      (lambda b: np.linalg.svd(b, compute_uv=False)[..., -1], rows)]:
+        whole = fn(stack)
+        alone = np.concatenate([fn(stack[i:i + 1]) for i in range(len(stack))])
+        shuffled = np.empty_like(whole)
+        shuffled[order] = fn(stack[order])
+        halves = np.concatenate([fn(stack[:7]), fn(stack[7:])])
+        assert whole.tobytes() == alone.tobytes() == shuffled.tobytes() == halves.tobytes()
 
 
 def test_charts_of_equals_validated_construction():

@@ -281,3 +281,38 @@ def test_check_projections_rejects_any_broken_member():
     for message, bad in cases:
         with pytest.raises(InputDomainError, match=message):
             check_projections(np.stack([good, bad, good]), 1)
+
+
+def tolerance_edge_projections(size):
+    """Two 4 x 4 matrices near the rank-2 coordinate projection whose defect,
+    P - P^T for the first and P^2 - P for the second, has spectral norm about
+    ``size`` and Frobenius norm about 2 * ``size``."""
+    base = np.diag([1.0, 1.0, 0.0, 0.0])
+    skew = np.zeros((4, 4))
+    skew[0, 1] = skew[2, 3] = size
+    return base + (skew - skew.T) / 2.0, base + size * np.eye(4)
+
+
+def test_check_projections_spectral_not_frobenius_norm(monkeypatch):
+    svd_calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: svd_calls.append(a.shape) or real_svd(a, *args, **kw))
+    check_projections(np.stack([sample_uniform(4, 2, np.random.default_rng(5)).proj] * 3), 2)
+    # A stack whose Frobenius norms pass needs no SVD.
+    assert svd_calls == []
+    asymmetric, non_idempotent = tolerance_edge_projections(0.9e-10)
+    for p in (asymmetric, non_idempotent):
+        # Spectral norm 0.9e-10 <= 1e-10 < Frobenius norm 1.8e-10: accepted.
+        check_projections(p[None], 2)
+        Subspace(n=4, k=2, proj=p)
+    assert len(svd_calls) == 4
+    asymmetric, non_idempotent = tolerance_edge_projections(1.1e-10)
+    with pytest.raises(InputDomainError, match="^invariant violated: proj is not symmetric$"):
+        check_projections(asymmetric[None], 2)
+    with pytest.raises(InputDomainError, match="^invariant violated: proj is not idempotent$"):
+        Subspace(n=4, k=2, proj=non_idempotent)
+    # A rank-one defect has equal spectral and Frobenius norms.
+    check_projections(np.diag([1.0 + 0.999e-10, 1.0, 0.0, 0.0])[None], 2)
+    with pytest.raises(InputDomainError, match="^invariant violated: proj is not idempotent$"):
+        check_projections(np.diag([1.0 + 1.001e-10, 1.0, 0.0, 0.0])[None], 2)

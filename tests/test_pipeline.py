@@ -8,6 +8,7 @@ projection, one chart and one Gram-Schmidt frame per direction, then
 bit for bit.
 """
 
+import functools
 import itertools
 import math
 import threading
@@ -292,3 +293,29 @@ def test_projected_dimensions_one_frame_per_estimate():
         assert est == box_dimension(normalize_unit_box(points @ frame), 2, 7)
     with pytest.raises(InputDomainError, match="at least 3 scales"):
         projected_dimensions(points, frames, 2, 3)
+
+
+def test_batch_buffers_are_kept_and_fully_overwritten(monkeypatch):
+    # 729 points on planes: batches of 22 and 8 frames share one buffer on
+    # a serial run.  Each batch writes every byte it reads, so the bytes of
+    # an earlier call, and the tail a smaller batch leaves, never reach a count.
+    points = generate(random_ifs(4, 1), 6).points
+    frames = np.stack([orthonormal_frame(sample_uniform(
+        4, 2, np.random.default_rng(i))) for i in range(30)])
+    spares = []
+    monkeypatch.setattr(fractal, "_SPARE_BUFFERS", spares)
+    fresh = projected_dimensions(points, frames, 2, 7)
+    assert len(spares) == 1
+    buffer = spares[0]
+    buffer.fill(0xFF)  # NaN rows and -1 cells
+    assert projected_dimensions(points, frames, 2, 7) == fresh
+    assert len(spares) == 1 and spares[0] is buffer
+    # A spare too small for a batch is replaced.
+    spares[0] = np.zeros(3, dtype=np.uint8)
+    assert projected_dimensions(points, frames, 2, 7) == fresh
+    assert len(spares) == 1 and len(spares[0]) == len(buffer)
+    # A pool keeps at most one buffer per thread.
+    spares.clear()
+    pool = functools.partial(lab._map_batches, threads=2)
+    assert projected_dimensions(points, frames, 2, 7, pool) == fresh
+    assert 1 <= len(spares) <= 2
