@@ -28,9 +28,10 @@ DEGENERATE_SPAN = 1e-12
 # B directions of k x N coordinates with B * k * N at most this.
 COUNT_BATCH_POINTS = 1 << 15
 # Byte buffers for the projected rows and cells of a counting batch, handed
-# back after each batch and kept between calls.  Allocated afresh by every
-# batch on pool threads, these arrays landed wherever a thread's malloc arena
-# had room, and the peak RSS of the same sweep differed by a batch's size.
+# back after each batch and kept between calls, because a 1 M-point batch
+# counts faster in a reused buffer than in arrays allocated afresh.  Each
+# batch pops its own buffer, so calls made at once from several threads
+# never share one.
 _SPARE_BUFFERS: list[np.ndarray] = []
 
 # Bit-length "compressors": deterministic byte-in / bits-out estimators.
@@ -387,7 +388,7 @@ def box_dimension(sample, scale_lo: int = 2,
 
 
 def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
-                         scale_hi: int, map_batches=map) -> list[DimensionEstimate]:
+                         scale_hi: int) -> list[DimensionEstimate]:
     """Box dimension of an (N, n) point cloud projected onto each frame of
     a (D, n, k) stack.  Each projection is rescaled into the unit box, which
     makes the estimate invariant to the direction-dependent diameter of the
@@ -398,10 +399,11 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
     projected, rescaled in place (a non-finite coordinate raises
     :class:`InputDomainError`), floored to integer cells, keyed, ordered and
-    counted as one (B, k, N) stack, by ``map_batches(fn, batches)`` (``map``
-    or a thread pool's ``map``); one :func:`_fit_table` then fits all counts.
-    The rows and cells of a batch live in a buffer of ``_SPARE_BUFFERS``,
-    so a process holds one per batch counted at once, as large as its largest.
+    counted as one (B, k, N) stack, one batch after another; one
+    :func:`_fit_table` then fits all counts.  The rows and cells of a batch
+    live in a buffer taken from ``_SPARE_BUFFERS`` and handed back after it,
+    so a process keeps one per call running at once, as large as its
+    largest batch.
     Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
     scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
     :class:`ResourceBudgetError` before anything is projected.  Keys of at
@@ -417,17 +419,15 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(points.T)
 
-    def run(batch: np.ndarray) -> np.ndarray:
+    counts = []
+    for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
         rows, cells, buffer = _batch_buffers((len(batch), k, len(points)), dtype)
         _unit_box_rows(np.matmul(batch.swapaxes(1, 2), coords, out=rows))
         # The rows are non-negative, so the integer cast floors them.
         np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
-        counts = _box_counts(cells, bits, scale_lo, scale_hi)
+        counts.append(_box_counts(cells, bits, scale_lo, scale_hi))
         _SPARE_BUFFERS.append(buffer)
-        return counts
-
-    batches = [frames[i:i + size] for i in range(0, len(frames), size)]
-    return _fit_table(scales, np.concatenate(list(map_batches(run, batches))))
+    return _fit_table(scales, np.concatenate(counts))
 
 
 def _batch_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,19 +3,15 @@ exceptional-direction scans against the Kaufman-type bound.
 
 Both build a stack of projection matrices, one per direction, and hand it
 to one pipeline: batched chart selection, then batched projection and box
-counting (:func:`projlab.fractal.projected_dimensions`).  Per-direction RNG
-streams are split from the master seed by counter, and batches of
-directions are counted independently, so parallel and serial runs produce
-identical results.
+counting (:func:`projlab.fractal.projected_dimensions`), which counts the
+batches of directions one after another.  Per-direction RNG streams are
+split from the master seed by counter, so a seed fixes every result.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -28,8 +24,6 @@ from .errors import ConfigError, InputDomainError, integer, read_fields
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
                       box_dimension, generate, projected_dimensions)
 from .grassmann import basis_projections, haar_projections
-
-THREADS_ENV = "PROJLAB_THREADS"
 
 
 def kaufman_bound(n: int, k: int, s: float) -> float:
@@ -59,6 +53,8 @@ class ExperimentConfig:
             raise ConfigError(f"field k: need 0 < k < n, got k={self.k}, n={self.n}")
         if not (0.0 < self.threshold_s <= self.k):
             raise ConfigError(f"field threshold_s: need a value in (0, k], got {self.threshold_s}")
+        if self.seed < 0:
+            raise ConfigError(f"field seed: need >= 0, got {self.seed}")
         if self.num_directions < 1:
             raise ConfigError(f"field num_directions: need >= 1, got {self.num_directions}")
         if self.depth < 1:
@@ -122,27 +118,14 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"field {THREADS_ENV}: not an integer: {raw!r}")
-    if threads < 1:
-        raise ConfigError(f"field {THREADS_ENV}: must be at least 1, got {raw!r}")
-    return threads
-
-
 def _run(config: ExperimentConfig, projections: np.ndarray,
          params: list[tuple]) -> SweepResult:
     """The direction pipeline: charts, frames and one dimension estimate
     for each projection of a (D, n, n) stack, whose rows carry ``params``."""
-    map_batches = functools.partial(_map_batches, threads=_thread_count())
     sample = generate(config.ifs, config.depth)
     index_sets, bases = chart_bases(projections, config.k)
     estimates = projected_dimensions(sample.points, orthonormal_frames(bases),
-                                     config.scale_lo, config.scale_hi,
-                                     map_batches)
+                                     config.scale_lo, config.scale_hi)
     rows = tuple(DirectionRow(index=i, chart=c, estimate=est,
                               exceptional=est.value < config.threshold_s,
                               params=p)
@@ -207,15 +190,6 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
         "flagged-set dimension is measured in grid parameter coordinates, "
         "not in the invariant metric on the Grassmannian")
     return result
-
-
-def _map_batches(fn, batches, threads: int) -> list:
-    """``fn`` of each counting batch, in order: serially, or on a pool of
-    ``threads`` threads."""
-    if threads == 1:
-        return list(map(fn, batches))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, batches))
 
 
 def _summarize(rows, config: ExperimentConfig) -> dict:

@@ -7,7 +7,6 @@ from projlab import (Chart, IFSSpec, InputDomainError, PointSample, cantor_dust,
                      cantor_on_axis, export_sample, from_basis, generate)
 from projlab import lab
 from projlab.cli import run_cli
-from projlab.lab import THREADS_ENV
 
 
 def config_document(**overrides):
@@ -145,25 +144,24 @@ def nonfinite_dust(value):
     return ifs
 
 
-@pytest.mark.parametrize("overrides, threads, field", [
-    (dict(scale_hi=62), "1", "field scale_hi: box keys need scale_hi <= 61"),
-    (dict(scale_hi=70), "1", "field scale_hi: box keys need scale_hi <= 61"),
-    ({}, "abc", f"field {THREADS_ENV}: not an integer"),
-    ({}, "0", f"field {THREADS_ENV}: must be at least 1"),
-    ({}, "-2", f"field {THREADS_ENV}: must be at least 1"),
-    (dict(ifs=nonfinite_dust(float("nan"))), "1",
+@pytest.mark.parametrize("overrides, extra, field", [
+    (dict(scale_hi=62), [], "field scale_hi: box keys need scale_hi <= 61"),
+    (dict(scale_hi=70), [], "field scale_hi: box keys need scale_hi <= 61"),
+    (dict(seed=-1), [], "field seed: need >= 0, got -1"),
+    ({}, ["--seed", "-4"], "field seed: need >= 0, got -4"),
+    (dict(ifs=nonfinite_dust(float("nan"))), [],
      "config field ifs: translation must be finite"),
-    (dict(ifs=nonfinite_dust(float("inf"))), "1",
+    (dict(ifs=nonfinite_dust(float("inf"))), [],
      "config field ifs: translation must be finite"),
-], ids=["scale_hi-62", "scale_hi-70", "threads", "threads-0", "threads-negative",
+], ids=["scale_hi-62", "scale_hi-70", "seed-negative", "seed-override-negative",
         "translation-nan", "translation-inf"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
-                                      threads, field):
+                                      extra, field):
     calls = []
     monkeypatch.setattr(lab, "generate", lambda *args: calls.append(args))
-    monkeypatch.setenv(THREADS_ENV, threads)
     cfg = write_config(tmp_path / "cfg.json", **overrides)
-    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]
+                   + extra) == 2
     assert field in capsys.readouterr().err
     assert calls == []
 

@@ -7,7 +7,6 @@ from projlab import lab
 from projlab import (ConfigError, ExperimentConfig, IFSSpec, InputDomainError,
                      cantor_dust, cantor_on_axis, exceptional_scan,
                      kaufman_bound, marstrand_sweep, result_csv)
-from projlab.lab import THREADS_ENV
 
 
 def test_kaufman_bound_examples():
@@ -131,14 +130,6 @@ def test_sweep_deterministic_under_seed():
     assert result_csv(c) != result_csv(a)
 
 
-def test_sweep_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "1")
-    serial = result_csv(marstrand_sweep(sweep_config()))
-    monkeypatch.setenv(THREADS_ENV, "4")
-    parallel = result_csv(marstrand_sweep(sweep_config()))
-    assert serial == parallel
-
-
 def test_sweep_full_square_estimates_one():
     # Projections of a full square onto any line have dimension 1.
     from projlab.fractal import IFSSpec, Similarity
@@ -223,17 +214,3 @@ def test_result_csv_schema():
         assert cells[0] == str(i)
         float(cells[1]), float(cells[2]), float(cells[3])
         assert cells[4] in ("true", "false")
-
-
-def test_invalid_thread_env(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(ConfigError, match=THREADS_ENV):
-        marstrand_sweep(sweep_config())
-
-
-@pytest.mark.parametrize("threads", ["0", "-2"])
-def test_thread_env_below_one(monkeypatch, threads):
-    # A count below 1 once ran one thread silently.
-    monkeypatch.setenv(THREADS_ENV, threads)
-    with pytest.raises(ConfigError, match=f"field {THREADS_ENV}: must be at least 1"):
-        marstrand_sweep(sweep_config())

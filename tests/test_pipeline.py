@@ -8,10 +8,10 @@ projection, one chart and one Gram-Schmidt frame per direction, then
 bit for bit.
 """
 
-import functools
 import itertools
 import math
 import threading
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -23,9 +23,9 @@ from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
                      cantor_on_axis, exceptional_scan, generate,
                      marstrand_sweep, normalize_unit_box, orthonormal_frame,
                      result_csv, sample_uniform)
-from projlab import fractal, lab
+from projlab import fractal
 from projlab.fractal import _box_counts, projected_dimensions
-from projlab.lab import THREADS_ENV, _scan_cells_per_axis
+from projlab.lab import _scan_cells_per_axis
 
 
 def random_ifs(n, seed):
@@ -124,37 +124,23 @@ def oracle_rows(cfg):
 
 def capture_batches(monkeypatch):
     """Keep a copy of each counting batch of projected points, (B, k, N),
-    before it is rescaled into the unit box.  Returns the copies in batch
-    order, which on a thread pool is not the order the batches run in."""
-    copies = {}
-    local = threading.local()
-    real_map, real_rows = lab._map_batches, fractal._unit_box_rows
-
-    def indexed_map(fn, batches, threads):
-        def run(item):
-            local.index, batch = item
-            return fn(batch)
-        return real_map(run, list(enumerate(batches)), threads)
+    before it is rescaled into the unit box, in the order the batches run."""
+    copies = []
+    real_rows = fractal._unit_box_rows
 
     def capture(rows):
-        copies[local.index] = rows.copy()
+        copies.append(rows.copy())
         return real_rows(rows)
 
-    monkeypatch.setattr(lab, "_map_batches", indexed_map)
     monkeypatch.setattr(fractal, "_unit_box_rows", capture)
     return copies
 
 
-def in_order(copies):
-    return [copies[i] for i in range(len(copies))]
-
-
 def run_matches_oracle(cfg, monkeypatch):
     run = exceptional_scan if cfg.mode == "scan" else marstrand_sweep
-    batches = capture_batches(monkeypatch)
+    clouds = capture_batches(monkeypatch)
     result = run(cfg)
     monkeypatch.undo()
-    clouds = in_order(batches)
     expected = oracle_rows(cfg)
     assert len(result.rows) == len(expected)
     for row, cloud, (c, coords, est) in zip(result.rows, np.concatenate(clouds),
@@ -189,8 +175,7 @@ def test_scan_matches_per_direction_loop(n, k, cells, monkeypatch):
                                  config(3, 2, mode="scan", num_directions=64)],
                          ids=["sweep", "scan"])
 @pytest.mark.parametrize("per_batch", [1, 3, None])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_batching_and_threads_keep_results_csv(monkeypatch, cfg, per_batch, threads):
+def test_batching_keeps_results_csv(monkeypatch, cfg, per_batch):
     run = exceptional_scan if cfg.mode == "scan" else marstrand_sweep
     reference = result_csv(run(cfg))
     directions = 64 if cfg.mode == "scan" else 8
@@ -201,10 +186,9 @@ def test_batching_and_threads_keep_results_csv(monkeypatch, cfg, per_batch, thre
         points = len(generate(cfg.ifs, cfg.depth).points)
         monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS",
                             per_batch * points * cfg.k)
-    monkeypatch.setenv(THREADS_ENV, threads)
     batches = capture_batches(monkeypatch)
     result = run(cfg)
-    assert [len(b) for b in in_order(batches)] == [
+    assert [len(b) for b in batches] == [
         min(per_batch, directions - i) for i in range(0, directions, per_batch)]
     assert result_csv(result) == reference
 
@@ -314,8 +298,22 @@ def test_batch_buffers_are_kept_and_fully_overwritten(monkeypatch):
     spares[0] = np.zeros(3, dtype=np.uint8)
     assert projected_dimensions(points, frames, 2, 7) == fresh
     assert len(spares) == 1 and len(spares[0]) == len(buffer)
-    # A pool keeps at most one buffer per thread.
+    # Two calls at once: the first to reach a batch holds its buffer there
+    # until the other call has run to the end, so each needs its own.
     spares.clear()
-    pool = functools.partial(lab._map_batches, threads=2)
-    assert projected_dimensions(points, frames, 2, 7, pool) == fresh
-    assert 1 <= len(spares) <= 2
+    release, arrivals = threading.Event(), itertools.count()
+    real_rows = fractal._unit_box_rows
+
+    def held_rows(rows):
+        if next(arrivals) == 0:
+            release.wait(timeout=60)
+        return real_rows(rows)
+
+    monkeypatch.setattr(fractal, "_unit_box_rows", held_rows)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        calls = [pool.submit(projected_dimensions, points, frames, 2, 7)
+                 for _ in range(2)]
+        wait(calls, timeout=60, return_when=FIRST_COMPLETED)
+        release.set()
+        assert [call.result() for call in calls] == [fresh, fresh]
+    assert len(spares) == 2
