@@ -98,14 +98,11 @@ class ConditionReport:
     inv_norm_bound: float
 
 
-@functools.lru_cache(maxsize=16)
 def _index_subsets(n: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n) in lexicographic order, as a read-only
+    """All k-subsets of range(n) in lexicographic order, as a
     (binom(n, k), k) index array."""
     flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    subsets = np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
-    subsets.flags.writeable = False
-    return subsets
+    return np.fromiter(flat, dtype=np.intp, count=math.comb(n, k) * k).reshape(-1, k)
 
 
 def _fill(table: np.ndarray, items: np.ndarray, kept: np.ndarray, subsets, score) -> np.ndarray:

@@ -27,12 +27,6 @@ DEGENERATE_SPAN = 1e-12
 # Projected coordinates box-counted together: projected_dimensions stacks
 # B directions of k x N coordinates with B * k * N at most this.
 COUNT_BATCH_POINTS = 1 << 15
-# Byte buffers for the projected rows and cells of a counting batch, handed
-# back after each batch and kept between calls, because a 1 M-point batch
-# counts faster in a reused buffer than in arrays allocated afresh.  Each
-# batch pops its own buffer, so calls made at once from several threads
-# never share one.
-_SPARE_BUFFERS: list[np.ndarray] = []
 
 # Bit-length "compressors": deterministic byte-in / bits-out estimators.
 Compressor = Callable[[bytes], float]
@@ -400,10 +394,10 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     projected, rescaled in place (a non-finite coordinate raises
     :class:`InputDomainError`), floored to integer cells, keyed, ordered and
     counted as one (B, k, N) stack, one batch after another; one
-    :func:`_fit_table` then fits all counts.  The rows and cells of a batch
-    live in a buffer taken from ``_SPARE_BUFFERS`` and handed back after it,
-    so a process keeps one per call running at once, as large as its
-    largest batch.
+    :func:`_fit_table` then fits all counts.  Each call allocates one
+    workspace of float64 rows and integer cells, as large as its largest
+    batch, and every batch projects and counts in a prefix of it; nothing is
+    kept between calls.
     Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
     scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
     :class:`ResourceBudgetError` before anything is projected.  Keys of at
@@ -419,30 +413,19 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(points.T)
 
+    # Reused by every batch, which writes each row and cell of its prefix
+    # before reading it: allocating each 1 M-point batch afresh counts slower.
+    shape = (min(size, len(frames)), k, len(points))
+    all_rows, all_cells = np.empty(shape), np.empty(shape, dtype=dtype)
+
     counts = []
     for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
-        rows, cells, buffer = _batch_buffers((len(batch), k, len(points)), dtype)
+        rows, cells = all_rows[:len(batch)], all_cells[:len(batch)]
         _unit_box_rows(np.matmul(batch.swapaxes(1, 2), coords, out=rows))
         # The rows are non-negative, so the integer cast floors them.
         np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
         counts.append(_box_counts(cells, bits, scale_lo, scale_hi))
-        _SPARE_BUFFERS.append(buffer)
     return _fit_table(scales, np.concatenate(counts))
-
-
-def _batch_buffers(shape: tuple, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A float64 and a ``dtype`` array of ``shape`` in one byte buffer, a spare
-    one when it is large enough, and that buffer."""
-    size = math.prod(shape)
-    nbytes = size * (8 + np.dtype(dtype).itemsize)
-    try:
-        buffer = _SPARE_BUFFERS.pop()
-    except IndexError:  # every spare buffer is in use
-        buffer = np.empty(0, dtype=np.uint8)
-    if len(buffer) < nbytes:
-        buffer = np.empty(nbytes, dtype=np.uint8)
-    return (buffer[:8 * size].view(np.float64).reshape(shape),
-            buffer[8 * size:nbytes].view(dtype).reshape(shape), buffer)
 
 
 def normalize_unit_box(points) -> np.ndarray:
@@ -552,6 +535,9 @@ def load_sample(path) -> PointSample:
                          f"sample {path}: sidecar")
     count, n, depth = read_fields(sidecar, dict.fromkeys(("count", "n", "depth"), integer),
                                   ConfigError, f"sample {path} sidecar")
+    for name, value in (("count", count), ("n", n)):
+        if value < 1:
+            raise ConfigError(f"sample {path} sidecar field {name}: need >= 1, got {value}")
     raw = path.read_bytes()
     if len(raw) != 8 * count * n:
         raise ConfigError(

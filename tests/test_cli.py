@@ -253,6 +253,10 @@ def test_dims_incomplete_sidecar_is_config_error(tmp_path, capsys, field):
     ('{"count": "x", "n": 2, "depth": 3}', "field count: invalid literal for int()"),
     ('{"count": 64, "n": null, "depth": 3}', "field n: int() argument must be"),
     ("[64, 2, 3]", "field count: missing from sample"),
+    # 8 x (-64) x (-2) bytes: the file's true size.
+    ('{"count": -64, "n": -2, "depth": 0}', "field count: need >= 1, got -64"),
+    ('{"count": 0, "n": 2, "depth": 3}', "field count: need >= 1, got 0"),
+    ('{"count": 64, "n": 0, "depth": 3}', "field n: need >= 1, got 0"),
 ])
 def test_dims_malformed_sidecar_is_config_error(tmp_path, capsys, text, message):
     path = tmp_path / "dust.bin"

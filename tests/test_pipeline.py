@@ -11,6 +11,7 @@ bit for bit.
 import itertools
 import math
 import threading
+import tracemalloc
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
@@ -279,28 +280,29 @@ def test_projected_dimensions_one_frame_per_estimate():
         projected_dimensions(points, frames, 2, 3)
 
 
-def test_batch_buffers_are_kept_and_fully_overwritten(monkeypatch):
-    # 729 points on planes: batches of 22 and 8 frames share one buffer on
-    # a serial run.  Each batch writes every byte it reads, so the bytes of
-    # an earlier call, and the tail a smaller batch leaves, never reach a count.
+def test_batch_workspace_is_fully_overwritten(monkeypatch):
+    # 729 points on planes: batches of 22 and 8 frames share one workspace.
+    # Each batch writes every row and cell it reads, so neither the bytes
+    # the workspace starts with nor the tail a smaller batch leaves reach a
+    # count.
     points = generate(random_ifs(4, 1), 6).points
     frames = np.stack([orthonormal_frame(sample_uniform(
         4, 2, np.random.default_rng(i))) for i in range(30)])
-    spares = []
-    monkeypatch.setattr(fractal, "_SPARE_BUFFERS", spares)
     fresh = projected_dimensions(points, frames, 2, 7)
-    assert len(spares) == 1
-    buffer = spares[0]
-    buffer.fill(0xFF)  # NaN rows and -1 cells
-    assert projected_dimensions(points, frames, 2, 7) == fresh
-    assert len(spares) == 1 and spares[0] is buffer
-    # A spare too small for a batch is replaced.
-    spares[0] = np.zeros(3, dtype=np.uint8)
-    assert projected_dimensions(points, frames, 2, 7) == fresh
-    assert len(spares) == 1 and len(spares[0]) == len(buffer)
-    # Two calls at once: the first to reach a batch holds its buffer there
-    # until the other call has run to the end, so each needs its own.
-    spares.clear()
+    real_empty, shapes = np.empty, []
+
+    def filled_empty(*args, **kwargs):
+        out = real_empty(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)  # NaN rows and -1 cells
+        shapes.append(out.shape)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", filled_empty)
+        assert projected_dimensions(points, frames, 2, 7) == fresh
+    assert shapes.count((22, 2, 729)) == 2
+    # Two calls at once: the first to reach a batch is held there until the
+    # other call has run to the end, so each needs its own workspace.
     release, arrivals = threading.Event(), itertools.count()
     real_rows = fractal._unit_box_rows
 
@@ -316,4 +318,21 @@ def test_batch_buffers_are_kept_and_fully_overwritten(monkeypatch):
         wait(calls, timeout=60, return_when=FIRST_COMPLETED)
         release.set()
         assert [call.result() for call in calls] == [fresh, fresh]
-    assert len(spares) == 2
+
+
+def test_projected_dimensions_keeps_nothing_after_the_call():
+    # Numpy reports its data buffers to tracemalloc.  One line per batch on
+    # 2^16 points: a workspace of N float64 rows and N int32 cells.
+    points = generate(cantor_dust(), 8).points
+    angles = np.linspace(0.0, math.pi, 5, endpoint=False)
+    frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
+    workspace = len(points) * (8 + 4)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        projected_dimensions(points, frames, 2, 11)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept - start < 16 * 1024
+    assert workspace <= peak - start < 1.25 * workspace
