@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
@@ -13,8 +14,8 @@ from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      null_compressor, sample_uniform, similarity_dimension)
 from projlab import fractal
 from projlab.fractal import (IFSSpec, PointSample, Similarity, _bit_lengths,
-                             _box_counts, _fit_table, _truncate_bits,
-                             default_scale_hi, projected_dimensions)
+                             _box_counts, _fit_table, default_scale_hi,
+                             projected_dimensions)
 
 
 def unit_interval_ifs():
@@ -624,6 +625,26 @@ def test_complexity_profile_rejects_r_below_one(r_max):
         complexity_profile(np.zeros(1), r_max)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: complexity_profile(np.zeros((0, 2)), 8),
+    lambda: complexity_profile(np.zeros(0), 8),
+    lambda: complexity_profile(np.zeros((2, 3, 4)), 8),
+    lambda: complexity_profile(np.zeros(1), 12.0),
+    lambda: complexity_profile(np.zeros(1), 5.5),
+    lambda: normalize_unit_box(np.zeros((0, 2))),
+], ids=["empty-cloud", "empty-vector", "3-d", "float-r_max", "fractional-r_max",
+        "normalize-empty-cloud"])
+def test_profile_input_out_of_domain(call):
+    # Each once ended in a raw ValueError or TypeError, and the empty vector
+    # in a silent all-zero profile.
+    with pytest.raises(InputDomainError):
+        call()
+
+
+def test_complexity_profile_accepts_numpy_integer_r_max():
+    assert complexity_profile(np.zeros(1), np.int64(12)) == complexity_profile(np.zeros(1), 12)
+
+
 def test_complexity_profile_fraction_rounded_to_one():
     # -1e-20 - floor(-1e-20) rounds to 1.0.  At r = 64 its level 2^64 once
     # overflowed the uint64 cast with a warning and came out as zero digits.
@@ -669,12 +690,36 @@ def test_kt_compressor_empty_input():
     assert kt_compressor(b"") == 0.0 == kt_sequential(b"")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=600))
+def test_kt_compressor_is_the_closed_form_exactly(data):
+    n = 8 * len(data)
+    a = int(np.unpackbits(np.frombuffer(data, dtype=np.uint8)).sum())
+    expected = 0.0 if not data else (
+        (math.lgamma(n + 1) + math.log(math.pi) - math.lgamma(a + 0.5)
+         - math.lgamma(n - a + 0.5)) / math.log(2.0))
+    assert kt_compressor(data) == expected
+
+
 def truncate_bits_loop(points, r):
-    """Reference truncation: one Python loop step per coordinate value."""
-    levels = np.minimum(np.floor(points * float(2**r)).astype(np.uint64), 2**r - 1)
-    bit_rows = [[(int(v) >> (r - 1 - b)) & 1 for b in range(r)]
-                for c in range(points.shape[1]) for v in levels[:, c]]
-    return np.packbits(np.asarray(bit_rows, dtype=np.uint8).ravel()).tobytes()
+    """Reference truncation: one Python loop step per coordinate value, in
+    Python integers; a value whose level reaches 2^r (a fractional part
+    that rounded to 1.0) takes the top level, all r digits one."""
+    levels = [min(math.floor(v * 2.0**r), 2**r - 1) for v in points.T.ravel().tolist()]
+    bits = [(level >> (r - 1 - b)) & 1 for level in levels for b in range(r)]
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+
+
+def profile_inputs(x, r_max):
+    """The bytes that complexity_profile hands its compressor, one per r."""
+    inputs = []
+    complexity_profile(x, r_max, compressor=lambda data: inputs.append(data) or 0.0)
+    return inputs
+
+
+def unit_cloud(points):
+    """The points of a point list that complexity_profile truncates."""
+    return np.clip(normalize_unit_box(points), 0.0, np.nextafter(1.0, 0.0))
 
 
 @pytest.mark.parametrize("r", [1, 7, 12, 33, 64])
@@ -682,9 +727,43 @@ def test_truncate_bits_matches_loop(r):
     rng = np.random.default_rng(r)
     pts = np.vstack([rng.random((37, 3)),
                      [[0.0, 0.5, np.nextafter(1.0, 0.0)]]])
-    assert _truncate_bits(pts, r) == truncate_bits_loop(pts, r)
+    assert profile_inputs(pts, r)[r - 1] == truncate_bits_loop(unit_cloud(pts), r)
     # A single vector is one row of coordinates.
-    assert _truncate_bits(pts[:1], r) == truncate_bits_loop(pts[:1], r)
+    assert profile_inputs(pts[0], r)[r - 1] == truncate_bits_loop(pts[:1], r)
+
+
+clouds = st.tuples(st.integers(1, 50), st.integers(1, 4)).flatmap(
+    lambda shape: st.lists(st.floats(-1e6, 1e6), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1]).map(
+        lambda values: np.reshape(values, shape)))
+vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50).map(np.array)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.one_of(clouds, vectors), r_max=st.integers(1, 64))
+# The widths of 1, 2, 4 and 8 bytes that hold the digits change at these r_max.
+@example(x=np.array([[0.1, 0.7], [0.3, 0.2], [0.9, 0.4]]), r_max=8)
+@example(x=np.array([[0.1, 0.7], [0.3, 0.2], [0.9, 0.4]]), r_max=9)
+@example(x=np.array([0.1, -1e-20, 0.5]), r_max=16)
+@example(x=np.array([0.1, -1e-20, 0.5]), r_max=17)
+@example(x=np.array([[0.25], [1.0], [0.0]]), r_max=32)
+@example(x=np.array([[0.25], [1.0], [0.0]]), r_max=33)
+@example(x=np.array([-1e-20, 0.5, 0.75]), r_max=64)
+def test_profile_inputs_are_the_truncations(x, r_max):
+    # Every level r is read off the digits extracted once at r_max; each must
+    # be the r-digit truncation on its own.
+    pts = (x - np.floor(x))[None, :] if x.ndim == 1 else unit_cloud(x)
+    assert profile_inputs(x, r_max) == [truncate_bits_loop(pts, r)
+                                        for r in range(1, r_max + 1)]
+
+
+def test_dust_profile_is_pinned():
+    # The input of the profile-dust benchmark.  Any change to a digit the
+    # compressor gets or to the KT code length changes this hash.
+    pts = generate(cantor_dust(), 6).points
+    pts = pts[np.random.default_rng(7).permutation(len(pts))]
+    digest = hashlib.sha256(json.dumps(complexity_profile(pts, 12)).encode()).hexdigest()
+    assert digest == "60295ba76a0d780238c0030e7a721241f563752b04d2e053316bf90641676160"
 
 
 def test_sample_export_round_trip(tmp_path):

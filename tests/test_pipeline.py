@@ -280,6 +280,17 @@ def test_projected_dimensions_one_frame_per_estimate():
         projected_dimensions(points, frames, 2, 3)
 
 
+@pytest.mark.parametrize("points, frames", [
+    (np.random.default_rng(0).random((10, 3)), np.zeros((0, 3, 2))),
+    (np.zeros((0, 3)), np.eye(3)[None, :, :2]),
+], ids=["no-frames", "empty-cloud"])
+def test_projected_dimensions_rejects_empty_input(points, frames):
+    # These once died in np.concatenate with a raw ValueError and in the
+    # batch size with a raw ZeroDivisionError.
+    with pytest.raises(InputDomainError, match="empty|nonempty"):
+        projected_dimensions(points, frames, 2, 8)
+
+
 def test_batch_workspace_is_fully_overwritten(monkeypatch):
     # 729 points on planes: batches of 22 and 8 frames share one workspace.
     # Each batch writes every row and cell it reads, so neither the bytes
