@@ -128,8 +128,12 @@ class PointSample:
 
 
 def _as_points(points) -> np.ndarray:
-    """A float array of points, one per row; a 1-d array is one column."""
+    """A float array of points, one per row; a 1-d array is one column.
+    Any other rank than 1 or 2 raises :class:`InputDomainError`."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise InputDomainError(
+            f"need a vector or an (N, k) point array, got shape {pts.shape}")
     return pts[:, None] if pts.ndim == 1 else pts
 
 
@@ -225,33 +229,71 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 
+def _morton_keys(cells: np.ndarray, bits: int) -> np.ndarray:
+    """The (B, M) keys of a (B, k, M) stack of cells below 2^bits: the cell
+    for k = 1, the Morton (Z-order) interleave of the k coordinates for
+    k >= 2, built in place in ``cells``."""
+    k = cells.shape[1]
+    if k == 1:
+        return cells[:, 0]
+    _spread_bits(cells, bits, k)
+    cells <<= np.arange(k, dtype=cells.dtype)[:, None]
+    return np.bitwise_or.reduce(cells, axis=1)
+
+
 def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
                 scale_hi: int) -> np.ndarray:
     """(B, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi of a
     (B, k, N) stack of cells at ``scale_hi`` (see :func:`box_dimension`),
     which the caller keeps in [0, 2^bits) in the dtype of
-    :func:`_key_dtype`.  Checks nothing; in place."""
+    :func:`_key_dtype`.  Counted by occupancy when the key space holds no
+    more cells than N, by sorting the keys otherwise.  Checks nothing; in
+    place."""
     k, size = cells.shape[1:]
-    if k == 1:
-        keys = cells[:, 0]
-    else:
-        _spread_bits(cells, bits, k)
-        cells <<= np.arange(k, dtype=cells.dtype)[:, None]
-        keys = np.bitwise_or.reduce(cells, axis=1)
-    space = 1 << (k * bits)
-    if space <= size:
-        jumps = [row[1:] ^ row[:-1] for row in _occupied_keys(keys, space)]
-        cloud = np.repeat(np.arange(len(keys)), [len(row) for row in jumps])
-        jumps = np.concatenate(jumps)
-    else:
-        keys.sort(axis=1)
-        jumps = keys[:, 1:] ^ keys[:, :-1]
-        cloud = np.arange(len(keys))[:, None]
+    if 1 << (k * bits) <= size:
+        return _occupancy_counts([cells], len(cells), k, bits, scale_lo, scale_hi)
+    keys = _morton_keys(cells, bits)
+    keys.sort(axis=1)
+    return _jump_counts(keys[:, 1:] ^ keys[:, :-1], np.arange(len(keys))[:, None],
+                        len(keys), k, scale_lo, scale_hi)
+
+
+def _occupancy_counts(tiles, clouds: int, k: int, bits: int, scale_lo: int,
+                      scale_hi: int) -> np.ndarray:
+    """(clouds, scales) box counts, as :func:`_box_counts`, of a (clouds, k,
+    N) stack of cells below 2^bits whose key space holds no more cells than
+    N, given as tiles: (clouds, k, M) slices of its points, each keyed in
+    place.  The marked cells of the occupancy array are each cloud's sorted
+    distinct keys; repeated keys would only have added zero jumps."""
+    distinct = _occupied_keys((_morton_keys(tile, bits) for tile in tiles),
+                              clouds, 1 << (k * bits))
+    jumps = [row[1:] ^ row[:-1] for row in distinct]
+    cloud = np.repeat(np.arange(clouds), [len(row) for row in jumps])
+    return _jump_counts(np.concatenate(jumps), cloud, clouds, k, scale_lo, scale_hi)
+
+
+def _occupied_keys(tiles, clouds: int, space: int) -> list[np.ndarray]:
+    """The sorted distinct keys of each of ``clouds`` clouds of keys below
+    ``space``, which come in (clouds, M) tiles, read off a boolean occupancy
+    array of the key space that each tile marks in turn."""
+    occupied = np.zeros((clouds, space), dtype=bool)
+    for keys in tiles:
+        for cells, row in zip(occupied, keys):
+            cells[row] = True
+    return [np.flatnonzero(cells) for cells in occupied]
+
+
+def _jump_counts(jumps: np.ndarray, cloud: np.ndarray, clouds: int, k: int,
+                 scale_lo: int, scale_hi: int) -> np.ndarray:
+    """(clouds, scales) box counts from the jumps, the XORs of neighbouring
+    ordered keys, of k-axis clouds; ``cloud`` is each jump's cloud index, or
+    broadcasts to it.  A scale of key shift s counts 1 + the jumps longer
+    than s bits."""
     # 65 bins per cloud for bit lengths 0..64 (none reaches 64, as k * bits <= 63);
     # longer[:, t] counts the jumps longer than t bits, for t = 0..63.
     lengths = _bit_lengths(jumps)
     lengths += 65 * cloud
-    hist = np.bincount(lengths.ravel(), minlength=65 * len(keys))
+    hist = np.bincount(lengths.ravel(), minlength=65 * clouds)
     longer = hist.reshape(-1, 65)[:, :0:-1].cumsum(axis=1)[:, ::-1]
     return 1 + longer[:, np.minimum(np.arange(k * (scale_hi - scale_lo), -1, -k), 63)]
 
@@ -270,17 +312,6 @@ def _bit_lengths(x: np.ndarray) -> np.ndarray:
     if x.dtype == np.int64 and np.max(x, initial=0) >= 1 << 53:
         e -= x.view(np.uint64) < np.ldexp(1.0, e - 1).astype(np.uint64)
     return e
-
-
-def _occupied_keys(keys: np.ndarray, space: int) -> list[np.ndarray]:
-    """The sorted distinct keys of each row of a (B, N) array of keys below
-    ``space``, read off a boolean occupancy array of the key space."""
-    distinct = []
-    for row in keys:
-        occupied = np.zeros(space, dtype=bool)
-        occupied[row] = True
-        distinct.append(np.flatnonzero(occupied))
-    return distinct
 
 
 def _scales(scale_lo: int, scale_hi: int) -> list[int]:
@@ -348,12 +379,15 @@ def box_dimension(sample, scale_lo: int = 2,
     boolean occupancy array, whose marked cells are the sorted distinct
     keys (repeated keys would only add zero jumps); otherwise the N keys
     are sorted.  Both give the same counts, and :func:`_fit_table` fits them.
+    The Morton keying, the occupancy marker and the jump histogram are the
+    ones :func:`projected_dimensions` counts with.
 
     This is the one entry that counts outside points, so it checks them
-    for the counter it shares with :func:`projected_dimensions`: a
-    non-finite point raises :class:`InputDomainError`, and cells beyond
-    2^62 boxes from the origin or keys over 63 bits (k x the bit length of
-    the shifted cells) raise :class:`ResourceBudgetError`.
+    for the counter it shares with :func:`projected_dimensions`: an input
+    of another rank than 1 or 2 or a non-finite point raises
+    :class:`InputDomainError`, and cells beyond 2^62 boxes from the origin
+    or keys over 63 bits (k x the bit length of the shifted cells) raise
+    :class:`ResourceBudgetError`.
     """
     if scale_hi is None:
         scale_hi = default_scale_hi(sample, scale_lo)
@@ -391,46 +425,74 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
 
     Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
     Frames are taken in batches of B with B * k * N at most
-    ``COUNT_BATCH_POINTS`` (at least one frame per batch), and each batch is
-    projected, rescaled in place (a non-finite coordinate raises
-    :class:`InputDomainError`), floored to integer cells, keyed, ordered and
-    counted as one (B, k, N) stack, one batch after another; one
-    :func:`_fit_table` then fits all counts.  Each call allocates one
-    workspace of float64 rows and integer cells, as large as its largest
-    batch, and every batch projects and counts in a prefix of it; nothing is
-    kept between calls.
-    Unit-box cells lie in [0, 2^scale_hi] by construction, so the keys need
-    scale_hi + 1 bits per axis and no offset; k * (scale_hi + 1) > 63 raises
-    :class:`ResourceBudgetError` before anything is projected.  Keys of at
-    most 31 bits, k * (scale_hi + 1) <= 31 (a scan of lines at scale_hi 17
-    has 18), are counted as int32 and wider ones as int64; bit lengths come
-    from the float64 exponent field, as in :func:`box_dimension`.  An empty
-    cloud or frame stack raises :class:`InputDomainError`.
+    ``COUNT_BATCH_POINTS`` (at least one frame per batch); each batch is
+    projected into float64 rows, floored to integer cells, keyed, ordered
+    and counted, one batch after another, and one :func:`_fit_table` fits
+    all counts.  A row is floored with one division, less its minimum, by
+    span * 2^-scale_hi (inf where the span is at most ``DEGENERATE_SPAN``,
+    giving cells 0): scaling by a power of two is exact and the division
+    correctly rounded, so the quotient is the rescaled coordinate times
+    2^scale_hi, bit for bit.  A non-finite coordinate raises
+    :class:`InputDomainError`.
+
+    Unit-box cells lie in [0, 2^scale_hi], so the keys need scale_hi + 1
+    bits per axis and no offset; k * (scale_hi + 1) > 63 raises
+    :class:`ResourceBudgetError` before anything is projected.  When the
+    key space holds no more cells than N, a batch is floored, keyed and
+    marked for occupancy one tile of at most ``COUNT_BATCH_POINTS``
+    coordinates at a time (the whole batch, or a point slice of its one
+    frame) in one intp buffer; otherwise it is floored into a stack of
+    :func:`_key_dtype` cells and sorted.  That buffer or stack and the rows
+    are allocated once per call, as large as the largest batch, and nothing
+    is kept between calls.  Points that are not an (N, n) array, frames
+    that are not a (D, n, k) stack, and an empty cloud or frame stack raise
+    :class:`InputDomainError`.
     """
-    if len(points) == 0:
+    points, frames = np.asarray(points, dtype=float), np.asarray(frames, dtype=float)
+    if points.ndim != 2 or frames.ndim != 3 or frames.shape[1] != points.shape[1]:
+        raise InputDomainError(
+            f"need (N, n) points and a (D, n, k) frame stack, got shapes "
+            f"{points.shape} and {frames.shape}")
+    if points.size == 0:
         raise InputDomainError("cannot box-count an empty point set")
     if frames.size == 0:
         raise InputDomainError(f"need a nonempty (D, n, k) frame stack, got shape {frames.shape}")
     scales = _scales(scale_lo, scale_hi)
-    k, bits = frames.shape[2], scale_hi + 1
+    count, k, bits = len(points), frames.shape[2], scale_hi + 1
     dtype = _key_dtype(k, bits, scale_hi)
-    size = max(1, COUNT_BATCH_POINTS // (len(points) * k))
+    size = max(1, COUNT_BATCH_POINTS // (count * k))
     # One contiguous (n, N) operand for every batch's product; the transpose
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(points.T)
 
-    # Reused by every batch, which writes each row and cell of its prefix
+    # Reused by every batch, which writes each row, cell and tile entry
     # before reading it: allocating each 1 M-point batch afresh counts slower.
-    shape = (min(size, len(frames)), k, len(points))
-    all_rows, all_cells = np.empty(shape), np.empty(shape, dtype=dtype)
+    shape = (min(size, len(frames)), k, count)
+    all_rows = np.empty(shape)
+    occupancy = 1 << (k * bits) <= count
+    # Points per tile: all N when the largest batch holds several frames.
+    per_tile = max(1, COUNT_BATCH_POINTS // (shape[0] * k))
+    if occupancy:
+        tile = np.empty((*shape[:2], min(per_tile, count)), dtype=np.intp)
+    else:
+        all_cells = np.empty(shape, dtype=dtype)
 
     counts = []
     for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
-        rows, cells = all_rows[:len(batch)], all_cells[:len(batch)]
-        _unit_box_rows(np.matmul(batch.swapaxes(1, 2), coords, out=rows))
-        # The rows are non-negative, so the integer cast floors them.
-        np.multiply(rows, 2.0**scale_hi, out=cells, casting="unsafe")
-        counts.append(_box_counts(cells, bits, scale_lo, scale_hi))
+        rows = all_rows[:len(batch)]
+        lo, width = _unit_box_grid(np.matmul(batch.swapaxes(1, 2), coords, out=rows),
+                                   scale_hi)
+        # The rows are now non-negative, so the integer cast floors them.
+        rows -= lo
+        if occupancy:
+            tiles = (np.divide(rows[..., j:j + per_tile], width, casting="unsafe",
+                               out=tile[:len(batch), :, :min(per_tile, count - j)])
+                     for j in range(0, count, per_tile))
+            counts.append(_occupancy_counts(tiles, len(batch), k, bits, scale_lo, scale_hi))
+        else:
+            cells = all_cells[:len(batch)]
+            np.divide(rows, width, out=cells, casting="unsafe")
+            counts.append(_box_counts(cells, bits, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
 
 
@@ -444,26 +506,29 @@ def normalize_unit_box(points) -> np.ndarray:
     coordinate: numpy reduces a narrow (N, k) array along axis 0 slowly.
     """
     pts = _as_points(points)
-    if pts.ndim != 2 or pts.size == 0:
+    if pts.size == 0:
         raise InputDomainError(
             f"can rescale a nonempty (N, k) point array, got shape {pts.shape}")
-    return _unit_box_rows(np.array(pts.T, order="C")).T
+    rows = np.array(pts.T, order="C")
+    lo, width = _unit_box_grid(rows, 0)
+    rows -= lo
+    rows /= width
+    return rows.T
 
 
-def _unit_box_rows(rows: np.ndarray) -> np.ndarray:
-    """Rescale each length-N row of a (..., N) array into [0, 1], in place;
-    rows whose range is at most ``DEGENERATE_SPAN`` become 0."""
+def _unit_box_grid(rows: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid of 2^scale cells on the unit-box rescale of each length-N
+    row of a (..., N) array: the row's minimum lo and its cell width,
+    span * 2^-scale, or inf where the span is at most ``DEGENERATE_SPAN``.
+    So (x - lo) / width is the rescaled coordinate times 2^scale, and 0 on
+    a degenerate row."""
     lo = rows.min(axis=-1, keepdims=True)
     span = rows.max(axis=-1, keepdims=True) - lo
     # A NaN or infinite coordinate gives a NaN or infinite span, which must
     # not read as a degenerate row.
     if not np.isfinite(span).all():
         raise InputDomainError("cannot rescale non-finite points into the unit box")
-    live = span > DEGENERATE_SPAN
-    rows -= lo
-    rows /= np.where(live, span, 1.0)
-    rows[~live[..., 0]] = 0.0
-    return rows
+    return lo, np.where(span > DEGENERATE_SPAN, span * 2.0**-scale, np.inf)
 
 
 def null_compressor(data: bytes) -> float:

@@ -111,7 +111,13 @@ def test_ifs_validation():
 @pytest.mark.parametrize("call, message", [
     (lambda: PointSample(points=np.empty((0, 2)), depth=1), "must be nonempty"),
     (lambda: IFSSpec(n=2, maps=((0.5, [0.0]), (0.5, [1.0]))), r"translation shape \(1,\)"),
-], ids=["empty-sample", "translation-shape"])
+    # These once stored a 3-d sample, and died in the box counter with a
+    # raw ValueError or in a reduction with a raw AxisError.
+    (lambda: PointSample(points=np.zeros((2, 3, 4)), depth=1), r"got shape \(2, 3, 4\)"),
+    (lambda: box_dimension(np.zeros((2, 3, 4)), 2, 8), r"got shape \(2, 3, 4\)"),
+    (lambda: box_dimension(np.float64(0.5), 2, 8), r"got shape \(\)"),
+], ids=["empty-sample", "translation-shape", "3-d-sample", "3-d-box-count",
+        "scalar-box-count"])
 def test_sample_and_ifs_reject_bad_shapes(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()
@@ -227,8 +233,8 @@ def record_occupancy(monkeypatch):
     """The key-space size of each occupancy count."""
     spaces = []
     real = fractal._occupied_keys
-    monkeypatch.setattr(fractal, "_occupied_keys",
-                        lambda keys, space: spaces.append(space) or real(keys, space))
+    monkeypatch.setattr(fractal, "_occupied_keys", lambda tiles, clouds, space:
+                        spaces.append(space) or real(tiles, clouds, space))
     return spaces
 
 
@@ -293,6 +299,48 @@ def test_dust_projection_counts_by_occupancy(monkeypatch):
         assert est.counts == per_scale_counts(line, range(2, 14))
         assert est == box_dimension(line, 2, 13)
     assert spaces == [1 << 14] * (2 * len(frames))
+
+
+def record_tiles(monkeypatch):
+    """The shape of each stack of cells keyed, tile or whole."""
+    shapes = []
+    real = fractal._morton_keys
+    monkeypatch.setattr(fractal, "_morton_keys",
+                        lambda cells, bits: shapes.append(cells.shape) or real(cells, bits))
+    return shapes
+
+
+@pytest.mark.parametrize("k, budget, batches, tiles", [
+    # An odd budget: each of the 4 frames spans several tiles, the last one
+    # partial.
+    (1, 1001, 4, 4 * ([(1, 1, 1001)] * 4 + [(1, 1, 92)])),
+    (2, 1001, 4, 4 * ([(1, 2, 500)] * 8 + [(1, 2, 96)])),
+    # Three whole frames per batch and tile.
+    (1, 3 * 4096 + 1, 2, [(3, 1, 4096), (1, 1, 4096)]),
+    (2, 3 * 2 * 4096 + 1, 2, [(3, 2, 4096), (1, 2, 4096)]),
+], ids=["lines-sliced", "planes-sliced", "lines-batched", "planes-batched"])
+def test_occupancy_tiles_count_like_each_frame(monkeypatch, k, budget, batches, tiles):
+    # 4^6 dust points; 2^(k (scale_hi + 1)) = 4096 cells, so the pipeline
+    # counts by occupancy.  The frames have no negative entries, so the last
+    # point, the dust's corner, lands in cell 2^scale_hi of every live axis,
+    # in the last tile.  The third frame has a constant axis.
+    points = generate(cantor_dust(), 6).points
+    hi = 12 // k - 1
+    frames = {1: [[[0.6], [0.8]], [[0.28], [0.96]], [[0.0], [0.0]], [[1.0], [0.0]]],
+              2: [[[1.0, 0.3], [0.2, 1.0]], [[0.6, 0.8], [0.8, 0.6]],
+                  [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}[k]
+    frames = np.array(frames)
+    monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+    occupied, shapes = record_occupancy(monkeypatch), record_tiles(monkeypatch)
+    ests = projected_dimensions(points, frames, 2, hi)
+    monkeypatch.undo()
+    assert occupied == [4096] * batches
+    assert shapes == tiles
+    for frame, est in zip(frames, ests):
+        cloud = normalize_unit_box(points @ frame)
+        assert np.all((cloud[-1] == 1.0) | (cloud.max(axis=0) == 0.0))
+        assert est.counts == per_scale_counts(cloud, range(2, hi + 1))
+        assert est == box_dimension(cloud, 2, hi)
 
 
 def test_bit_lengths_are_exact():

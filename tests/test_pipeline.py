@@ -127,13 +127,13 @@ def capture_batches(monkeypatch):
     """Keep a copy of each counting batch of projected points, (B, k, N),
     before it is rescaled into the unit box, in the order the batches run."""
     copies = []
-    real_rows = fractal._unit_box_rows
+    real_grid = fractal._unit_box_grid
 
-    def capture(rows):
+    def capture(rows, scale):
         copies.append(rows.copy())
-        return real_rows(rows)
+        return real_grid(rows, scale)
 
-    monkeypatch.setattr(fractal, "_unit_box_rows", capture)
+    monkeypatch.setattr(fractal, "_unit_box_grid", capture)
     return copies
 
 
@@ -144,6 +144,8 @@ def run_matches_oracle(cfg, monkeypatch):
     monkeypatch.undo()
     expected = oracle_rows(cfg)
     assert len(result.rows) == len(expected)
+    # zip stops at the shortest input: every row must have its batch.
+    assert sum(map(len, clouds)) == len(result.rows)
     for row, cloud, (c, coords, est) in zip(result.rows, np.concatenate(clouds),
                                             expected):
         assert row.chart.I == c.I
@@ -315,14 +317,14 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
     # Two calls at once: the first to reach a batch is held there until the
     # other call has run to the end, so each needs its own workspace.
     release, arrivals = threading.Event(), itertools.count()
-    real_rows = fractal._unit_box_rows
+    real_grid = fractal._unit_box_grid
 
-    def held_rows(rows):
+    def held_rows(rows, scale):
         if next(arrivals) == 0:
             release.wait(timeout=60)
-        return real_rows(rows)
+        return real_grid(rows, scale)
 
-    monkeypatch.setattr(fractal, "_unit_box_rows", held_rows)
+    monkeypatch.setattr(fractal, "_unit_box_grid", held_rows)
     with ThreadPoolExecutor(max_workers=2) as pool:
         calls = [pool.submit(projected_dimensions, points, frames, 2, 7)
                  for _ in range(2)]
@@ -333,17 +335,36 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
 
 def test_projected_dimensions_keeps_nothing_after_the_call():
     # Numpy reports its data buffers to tracemalloc.  One line per batch on
-    # 2^16 points: a workspace of N float64 rows and N int32 cells.
-    points = generate(cantor_dust(), 8).points
+    # 4^depth points, counted by occupancy (2^12 cells at scale 11): a
+    # workspace of N float64 rows and one intp tile of COUNT_BATCH_POINTS
+    # coordinates, and no N-sized integer array.
     angles = np.linspace(0.0, math.pi, 5, endpoint=False)
     frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
-    workspace = len(points) * (8 + 4)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        projected_dimensions(points, frames, 2, 11)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert kept - start < 16 * 1024
-    assert workspace <= peak - start < 1.25 * workspace
+    for depth in (8, 9):
+        points = generate(cantor_dust(), depth).points
+        workspace = len(points) * 8 + fractal.COUNT_BATCH_POINTS * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            projected_dimensions(points, frames, 2, 11)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept - start < 16 * 1024
+        assert workspace <= peak - start < 1.25 * workspace
+    # 2^18 points: below the float64 rows and int32 cells that the
+    # occupancy path once allocated.
+    assert peak - start < len(points) * (8 + 4)
+
+
+@pytest.mark.parametrize("points, frames", [
+    (np.zeros((50, 3)), np.zeros((2, 4, 1))),
+    (np.zeros((50, 3)), np.zeros((3, 2))),
+    (np.zeros((50, 3, 1)), np.zeros((1, 3, 2))),
+    (np.zeros(50), np.zeros((1, 1, 1))),
+], ids=["mismatched-n", "2-d-frames", "3-d-points", "1-d-points"])
+def test_projected_dimensions_rejects_bad_shapes(points, frames):
+    # These once died in the matmul with a raw ValueError, in the frame
+    # shape with a raw IndexError, or broadcast into an estimate.
+    with pytest.raises(InputDomainError, match=r"\(N, n\) points and a \(D, n, k\)"):
+        projected_dimensions(points, frames, 2, 8)
