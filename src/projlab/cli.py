@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -28,7 +29,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` does not change it."""
     parser = argparse.ArgumentParser(prog="projlab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -71,6 +74,8 @@ def _write_outputs(result, out_dir: str) -> None:
 
 
 def run_cli(argv=None) -> int:
+    """Run one subcommand and return its exit code.  Every call reuses the
+    process's one parser; an argparse error raises ``SystemExit(2)``."""
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "bound":

@@ -220,12 +220,15 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
 
     Halving shifts: the step of width s moves every bit whose index has the
     s bit set by s*(k - 1) places, and the mask keeps each bit only where
-    the steps so far have put it, i + (k - 1) * (i & ~(s - 1)).
+    the steps so far have put it, i + (k - 1) * (i & ~(s - 1)).  Every step
+    shifts into one buffer the size of ``x``, allocated once per call.
     """
     s = 1 << max(bits - 1, 0).bit_length()
+    shifted = np.empty_like(x)
     while s > 1:
         s >>= 1
-        x |= x << (s * (k - 1))
+        np.left_shift(x, s * (k - 1), out=shifted)
+        x |= shifted
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 

@@ -4,8 +4,10 @@ exceptional-direction scans against the Kaufman-type bound.
 Both build a stack of projection matrices, one per direction, and hand it
 to one pipeline: batched chart selection, then batched projection and box
 counting (:func:`projlab.fractal.projected_dimensions`), which counts the
-batches of directions one after another.  Per-direction RNG streams are
-split from the master seed by counter, so a seed fixes every result.
+batches of directions one after another.  A sweep draws direction i from
+numpy's stream ``default_rng(SeedSequence(seed, spawn_key=(1, i)))``, so a
+seed fixes every result; :func:`_direction_draws` splits all the streams in
+one vectorized seed-sequence hash.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"field depth: {len(self.ifs.maps)}^{self.depth} sample points "
                 f"exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
+        # A unit-box scale 2^-j with j < 0 holds the whole sample in one box.
+        if self.scale_lo < 0:
+            raise ConfigError(f"field scale_lo: need >= 0, got {self.scale_lo}")
         if self.scale_hi - self.scale_lo < 2:
             raise ConfigError(
                 f"field scale_hi: need scale_hi >= scale_lo + 2 (at least 3 scales), "
@@ -78,6 +83,10 @@ class ExperimentConfig:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
         if self.mode not in ("sweep", "scan"):
             raise ConfigError(f"field mode: unknown mode '{self.mode}'")
+        if self.mode == "sweep" and self.num_directions > 1 << 32:
+            # Direction i seeds its stream with the 32-bit spawn word i.
+            raise ConfigError(
+                f"field num_directions: need <= 2^32 for a sweep, got {self.num_directions}")
         if self.mode == "scan":
             cells = _scan_cells_per_axis(self.n, self.k, self.num_directions)
             if cells < 8:
@@ -138,11 +147,91 @@ def marstrand_sweep(config: ExperimentConfig) -> SweepResult:
     """Estimate projected dimension over uniformly sampled directions."""
     if config.mode != "sweep":
         raise ConfigError(f"field mode: expected 'sweep', got '{config.mode}'")
-    draws = np.stack([
-        np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, i)))
-        .standard_normal((config.n, config.k))
-        for i in range(config.num_directions)])
+    draws = _direction_draws(config.seed, config.num_directions, (config.n, config.k))
     return _run(config, haar_projections(draws), [()] * config.num_directions)
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq mixer, pool of 4 uint32
+# words) and the 128-bit multiplier of PCG64's LCG.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_consts(init: int, mult: int):
+    """The endless pairs (h, h * mult) of a seed-sequence hash constant h
+    that each hash step multiplies by ``mult``."""
+    while True:
+        step = init * mult & _MASK32
+        yield init, step
+        init = step
+
+
+def _hash(value, consts):
+    """One seed-sequence hash step of a uint32 Python int or array."""
+    h, step = next(consts)
+    value = (value ^ h) * step & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """The seed-sequence mix of pool word ``x`` with hashed word ``y``."""
+    value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _spawned_states(seed: int, count: int) -> np.ndarray:
+    """The (count, 4) uint64 words ``SeedSequence(seed, spawn_key=(1, i))
+    .generate_state(4, np.uint64)`` for i < count <= 2^32, all at once.
+
+    The seed sequence hashes its entropy words (the seed's little-endian
+    32-bit words, padded with zeros to the pool size 4, then 1 and i) into a
+    pool of 4 words and hashes the pool out into the state, all in uint32
+    arithmetic.  The words before i are mixed once, as Python ints, and the
+    steps from i on run on uint32 arrays over every i.
+    """
+    entropy = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy)) + [1, np.arange(count, dtype=np.uint32)]
+    consts = _hash_consts(_HASH_INIT_A, _HASH_MULT_A)
+    # uint32 products wrap by design; numpy would warn of that on scalars.
+    with np.errstate(over="ignore"):
+        pool = [_hash(word, consts) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], _hash(word, consts))
+        consts = _hash_consts(_HASH_INIT_B, _HASH_MULT_B)
+        words = np.stack([_hash(pool[j % 4], consts) for j in range(8)], axis=1)
+    # Pairs of 32-bit words read as little-endian uint64, as numpy reads them.
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _direction_draws(seed: int, count: int, shape: tuple) -> np.ndarray:
+    """(count, *shape) standard normals whose row i is, bit for bit,
+    ``default_rng(SeedSequence(seed, spawn_key=(1, i))).standard_normal(shape)``.
+
+    One reused ``PCG64`` takes each row's seeded state: PCG's setseq
+    seeding of the state words (s1, s0, i1, i0), read as the 128-bit
+    s = s1 s0 and i = i1 i0, is ``inc = (i << 1) | 1`` and
+    ``state = (inc + s) * mult + inc`` mod 2^128.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    draws = np.empty((count, *shape))
+    for out, (s1, s0, i1, i0) in zip(draws, _spawned_states(seed, count).tolist()):
+        inc = (i1 << 65 | i0 << 1 | 1) & _MASK128
+        state["state"] = {"state": ((s1 << 64 | s0) + inc) * _PCG64_MULT + inc & _MASK128,
+                          "inc": inc}
+        bit_generator.state = state
+        generator.standard_normal(out=out)
+    return draws
 
 
 def _scan_cells_per_axis(n: int, k: int, num_directions: int) -> int:

@@ -147,14 +147,15 @@ def nonfinite_dust(value):
 @pytest.mark.parametrize("overrides, extra, field", [
     (dict(scale_hi=62), [], "field scale_hi: box keys need scale_hi <= 61"),
     (dict(scale_hi=70), [], "field scale_hi: box keys need scale_hi <= 61"),
+    (dict(scale_lo=-5, scale_hi=4), [], "field scale_lo: need >= 0"),
     (dict(seed=-1), [], "field seed: need >= 0, got -1"),
     ({}, ["--seed", "-4"], "field seed: need >= 0, got -4"),
     (dict(ifs=nonfinite_dust(float("nan"))), [],
      "config field ifs: translation must be finite"),
     (dict(ifs=nonfinite_dust(float("inf"))), [],
      "config field ifs: translation must be finite"),
-], ids=["scale_hi-62", "scale_hi-70", "seed-negative", "seed-override-negative",
-        "translation-nan", "translation-inf"])
+], ids=["scale_hi-62", "scale_hi-70", "scale_lo-negative", "seed-negative",
+        "seed-override-negative", "translation-nan", "translation-inf"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
                                       extra, field):
     calls = []
@@ -164,6 +165,42 @@ def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
                    + extra) == 2
     assert field in capsys.readouterr().err
     assert calls == []
+
+
+def test_scan_negative_scale_lo_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", ifs=json.loads(cantor_on_axis().to_json()),
+                       num_directions=16, threshold_s=0.5, mode="scan", scale_lo=-1)
+    assert run_cli(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "field scale_lo: need >= 0, got -1" in capsys.readouterr().err
+
+
+def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
+    sweep = write_config(tmp_path / "sweep.json")
+    scan = write_config(tmp_path / "scan.json", ifs=json.loads(cantor_on_axis().to_json()),
+                        num_directions=16, threshold_s=0.5, mode="scan")
+
+    def outputs(label):
+        """What bound prints and what sweep (with and without --seed) and
+        scan write."""
+        assert run_cli(["bound", "--n", "3", "--k", "2", "--s", "1"]) == 0
+        found = [capsys.readouterr().out]
+        for name, command, extra in [("sweep", "sweep", []),
+                                     ("seeded", "sweep", ["--seed", "5"]),
+                                     ("scan", "scan", [])]:
+            out = tmp_path / label / name
+            config = scan if command == "scan" else sweep
+            assert run_cli([command, "--config", str(config), "--out", str(out)]
+                           + extra) == 0
+            found += [(out / f).read_bytes() for f in ("results.csv", "summary.json")]
+        return found
+
+    first = outputs("first")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sweep"])  # --config is required
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert outputs("again") == first
+    assert first[1] != first[3]  # --seed reached the second sweep only
 
 
 def test_scan_coarse_grid_is_config_error(tmp_path, capsys):

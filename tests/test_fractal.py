@@ -397,6 +397,48 @@ def test_box_counts_of_31_and_32_bit_keys_on_both_dtypes(window):
         assert [tuple(row.tolist()) for row in counts] == expected
 
 
+def spread_reference(value: int, bits: int, k: int) -> int:
+    """Bit i of ``value`` moved to bit k*i, one bit at a time."""
+    return sum((value >> i & 1) << (k * i) for i in range(bits))
+
+
+def check_spread(values, dtype, bits, k):
+    # A strided view, as a tile of a batch's cells can be.
+    x = np.zeros((len(values), 2), dtype=dtype)[:, 0]
+    x[:] = values
+    fractal._spread_bits(x, bits, k)
+    assert x.dtype == dtype
+    assert x.tolist() == [spread_reference(v, bits, k) for v in values]
+
+
+@st.composite
+def spread_inputs(draw):
+    """Cells below 2^bits, with the all-ones cell among them, for k = 2..8
+    on int32 (k * bits <= 32) or int64 (k * bits <= 63)."""
+    k = draw(st.integers(2, 8))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    bits = draw(st.integers(1, (32 if dtype is np.int32 else 63) // k))
+    values = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=40))
+    return values + [(1 << bits) - 1], dtype, bits, k
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=spread_inputs())
+def test_spread_bits_matches_per_bit_reference(case):
+    check_spread(*case)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("dtype, width", [(np.int32, 31), (np.int32, 32), (np.int64, 63)])
+def test_spread_bits_at_the_widest_keys(k, dtype, width):
+    # The widest cells of k * bits <= width, 31 being the int32 key limit of
+    # _key_dtype; all-ones cells shift the most bits past the dtype's top.
+    bits = width // k
+    rng = np.random.default_rng(k * width)
+    values = [(1 << bits) - 1, 1 << (bits - 1), 0] + rng.integers(0, 1 << bits, 20).tolist()
+    check_spread(values, dtype, bits, k)
+
+
 def record_key_dtypes(monkeypatch):
     """The dtype of the cells of each counting batch."""
     dtypes = []

@@ -64,6 +64,13 @@ def test_config_validation_names_fields():
         sweep_config(scale_lo=9, scale_hi=4)
     with pytest.raises(ConfigError, match="field scale_hi"):
         sweep_config(scale_lo=2, scale_hi=3)
+    # Scales 2^-j with j < 0 hold the whole sample in one box: a dust sweep
+    # at scales -5..4 read about 0.46, against about 0.95 at scales 2..8.
+    with pytest.raises(ConfigError, match="field scale_lo: need >= 0, got -5"):
+        sweep_config(scale_lo=-5, scale_hi=4)
+    sweep_config(scale_lo=0, scale_hi=8)
+    with pytest.raises(ConfigError, match="field num_directions: need <= 2\\^32"):
+        sweep_config(num_directions=(1 << 32) + 1)
     with pytest.raises(ConfigError, match="field num_directions.*4 cells"):
         sweep_config(mode="scan", num_directions=4)
     with pytest.raises(ConfigError, match="7 cells per chart axis"):
@@ -128,6 +135,40 @@ def test_sweep_deterministic_under_seed():
     assert result_csv(a) == result_csv(b)
     c = marstrand_sweep(sweep_config(seed=43))
     assert result_csv(c) != result_csv(a)
+
+
+def numpy_draws(seed, count, shape):
+    """The per-direction streams that a sweep draws, one numpy Generator each."""
+    return np.stack([np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, i)))
+                     .standard_normal(shape) for i in range(count)])
+
+
+# One to seven 32-bit seed words: below, at and above each word boundary.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128, 2**200 + 12345]
+
+
+@pytest.mark.parametrize("count", [1, 3, 150])
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_direction_draws_are_numpys_streams(seed, count):
+    states = lab._spawned_states(seed, count)
+    assert states.dtype == np.uint64 and states.shape == (count, 4)
+    for i in (0, count // 2, count - 1):
+        expected = np.random.SeedSequence(seed, spawn_key=(1, i)).generate_state(4, np.uint64)
+        assert states[i].tolist() == expected.tolist()
+    shape = (8, 4)
+    draws = lab._direction_draws(seed, count, shape)
+    assert draws.tobytes() == numpy_draws(seed, count, shape).tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 150])
+def test_direction_draws_extend_by_prefix(count):
+    for seed in (7, 2**200 + 12345):
+        longer = lab._direction_draws(seed, count + 7, (3, 2))
+        assert longer[:count].tobytes() == lab._direction_draws(seed, count, (3, 2)).tobytes()
+    planes = dict(ifs=line_3d(), n=3, k=2, threshold_s=0.5, depth=5)
+    rows = result_csv(marstrand_sweep(sweep_config(**planes, num_directions=count)))
+    more = result_csv(marstrand_sweep(sweep_config(**planes, num_directions=count + 7)))
+    assert more.splitlines()[:count + 1] == rows.splitlines()
 
 
 def test_sweep_full_square_estimates_one():
