@@ -92,6 +92,11 @@ def run_cli(argv=None) -> int:
             doc = parse_json(path.read_text(), ConfigError, "subspace file")
             print(to_chart(Subspace.from_json(doc)).to_json())
         elif args.command == "dims":
+            if args.scale_lo < 0:
+                raise ConfigError(f"--scale-lo: need >= 0, got {args.scale_lo}")
+            if args.scale_hi < args.scale_lo + 2:
+                raise ConfigError(f"--scale-hi: need >= --scale-lo + 2 (at least 3 scales), "
+                                  f"got --scale-lo {args.scale_lo}, --scale-hi {args.scale_hi}")
             path = Path(args.sample)
             if not path.exists() or not path.with_suffix(".json").exists():
                 raise ConfigError(f"sample file or sidecar not found: {path}")

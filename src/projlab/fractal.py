@@ -244,35 +244,45 @@ def _morton_keys(cells: np.ndarray, bits: int) -> np.ndarray:
     return np.bitwise_or.reduce(cells, axis=1)
 
 
-def _box_counts(cells: np.ndarray, bits: int, scale_lo: int,
+def _box_counts(tiles, clouds: int, k: int, bits: int, size: int, scale_lo: int,
                 scale_hi: int) -> np.ndarray:
-    """(B, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi of a
-    (B, k, N) stack of cells at ``scale_hi`` (see :func:`box_dimension`),
-    which the caller keeps in [0, 2^bits) in the dtype of
-    :func:`_key_dtype`.  Counted by occupancy when the key space holds no
-    more cells than N, by sorting the keys otherwise.  Checks nothing; in
-    place."""
-    k, size = cells.shape[1:]
-    if 1 << (k * bits) <= size:
-        return _occupancy_counts([cells], len(cells), k, bits, scale_lo, scale_hi)
-    keys = _morton_keys(cells, bits)
+    """(clouds, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi
+    of a (clouds, k, size) stack of cells at ``scale_hi``, which the caller
+    keeps in [0, 2^bits), given as tiles: (clouds, k, M) slices of its
+    points, each keyed in place.
+
+    All scales are counted from one ordered list of the occupied cells at
+    ``scale_hi`` (Liebovitch & Toth, Phys. Lett. A 141, 1989).  Dyadic grids
+    nest: scaling by 2^j is exact in float64, so floor(x 2^j) ==
+    floor(x 2^scale_hi) >> (scale_hi - j).  Each point gets one integer key
+    at ``scale_hi``: its cell for k = 1, or the Morton (Z-order) interleave
+    of its k cell coordinates, so that the key of the enclosing box at scale
+    j is key >> k(scale_hi - j).  In the ordered keys, two neighbours lie in
+    different boxes at scale j exactly when their XOR reaches
+    2^(k(scale_hi - j)), so one histogram of the XORs' bit lengths gives the
+    count at every scale.  A bit length is read off the exponent field of
+    the XOR's float64 cast, which is exact for every int32 and corrected
+    where an int64 XOR of 2^53 or more rounds up.
+
+    When the key space, 2^(k x bits) cells, holds no more cells than
+    ``size``, each tile's keys mark their cells in a boolean occupancy
+    array, whose marked cells are each cloud's sorted distinct keys
+    (repeated keys would only have added zero jumps), and the tiles may be
+    of any integer dtype and any number of points.  Otherwise the one tile,
+    which must hold all ``size`` points, is sorted.  Both give the same
+    counts.  Checks nothing.
+    """
+    space = 1 << (k * bits)
+    keys = (_morton_keys(tile, bits) for tile in tiles)
+    if space <= size:
+        distinct = _occupied_keys(keys, clouds, space)
+        jumps = [row[1:] ^ row[:-1] for row in distinct]
+        cloud = np.repeat(np.arange(clouds), [len(row) for row in jumps])
+        return _jump_counts(np.concatenate(jumps), cloud, clouds, k, scale_lo, scale_hi)
+    [keys] = keys
     keys.sort(axis=1)
-    return _jump_counts(keys[:, 1:] ^ keys[:, :-1], np.arange(len(keys))[:, None],
-                        len(keys), k, scale_lo, scale_hi)
-
-
-def _occupancy_counts(tiles, clouds: int, k: int, bits: int, scale_lo: int,
-                      scale_hi: int) -> np.ndarray:
-    """(clouds, scales) box counts, as :func:`_box_counts`, of a (clouds, k,
-    N) stack of cells below 2^bits whose key space holds no more cells than
-    N, given as tiles: (clouds, k, M) slices of its points, each keyed in
-    place.  The marked cells of the occupancy array are each cloud's sorted
-    distinct keys; repeated keys would only have added zero jumps."""
-    distinct = _occupied_keys((_morton_keys(tile, bits) for tile in tiles),
-                              clouds, 1 << (k * bits))
-    jumps = [row[1:] ^ row[:-1] for row in distinct]
-    cloud = np.repeat(np.arange(clouds), [len(row) for row in jumps])
-    return _jump_counts(np.concatenate(jumps), cloud, clouds, k, scale_lo, scale_hi)
+    return _jump_counts(keys[:, 1:] ^ keys[:, :-1], np.arange(clouds)[:, None],
+                        clouds, k, scale_lo, scale_hi)
 
 
 def _occupied_keys(tiles, clouds: int, space: int) -> list[np.ndarray]:
@@ -318,6 +328,17 @@ def _bit_lengths(x: np.ndarray) -> np.ndarray:
 
 
 def _scales(scale_lo: int, scale_hi: int) -> list[int]:
+    """The scale exponents scale_lo..scale_hi of a box count: at least 3
+    integers from 0 up, or :class:`InputDomainError`.  Each scale below 0
+    counts one box for a sample in the unit box, and so reads a silently
+    low dimension."""
+    for name, value in (("scale_lo", scale_lo), ("scale_hi", scale_hi)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InputDomainError(f"{name} must be an integer, got {value!r}") from None
+    if scale_lo < 0:
+        raise InputDomainError(f"scale_lo must be >= 0, got {scale_lo}")
     scales = list(range(scale_lo, scale_hi + 1))
     if len(scales) < 3:
         raise InputDomainError("need at least 3 scales")
@@ -359,31 +380,11 @@ def box_dimension(sample, scale_lo: int = 2,
 
     Boxes are anchored at the origin; a point on a box boundary belongs to
     the box whose lower edge it lies on, so counts are deterministic.
-    ``scale_hi`` defaults to :func:`default_scale_hi` of the sample.
-
-    All scales are counted from one ordered list of the occupied cells at
-    ``scale_hi`` (Liebovitch & Toth, Phys. Lett. A 141, 1989).  Dyadic grids
-    nest: scaling by 2^j is exact in float64, so floor(x 2^j) ==
-    floor(x 2^scale_hi) >> (scale_hi - j).  Each point gets one integer key
-    at ``scale_hi``: its cell for k = 1, or the Morton (Z-order) interleave
-    of its k cell coordinates, so that the key of the enclosing box at scale
-    j is key >> k(scale_hi - j).  Cells are first shifted by a per-axis
-    offset that is a multiple of 2^(scale_hi - scale_lo), which keeps every
-    coarser box whole.  In the ordered keys, two neighbours lie in different
-    boxes at scale j exactly when their XOR reaches 2^(k(scale_hi - j)), so
-    one histogram of the XORs' bit lengths gives the count at every scale.
-    Keys of at most 31 bits (k x the bit length of the shifted cells) are
-    counted as int32, wider ones as int64.  A bit length is read off the
-    exponent field of the XOR's float64 cast, which is exact for every int32
-    and corrected where an int64 XOR of 2^53 or more rounds up.
-
-    When the key space, 2^(k x bit length of the shifted cells), holds no
-    more cells than the cloud has points, each key marks its cell in a
-    boolean occupancy array, whose marked cells are the sorted distinct
-    keys (repeated keys would only add zero jumps); otherwise the N keys
-    are sorted.  Both give the same counts, and :func:`_fit_table` fits them.
-    The Morton keying, the occupancy marker and the jump histogram are the
-    ones :func:`projected_dimensions` counts with.
+    ``scale_hi`` defaults to :func:`default_scale_hi` of the sample.  The
+    cloud's cells at ``scale_hi``, shifted by a per-axis offset that is a
+    multiple of 2^(scale_hi - scale_lo) (which keeps every coarser box
+    whole), go to :func:`_box_counts` as one tile of :func:`_key_dtype`
+    cells, and :func:`_fit_table` fits the counts.
 
     This is the one entry that counts outside points, so it checks them
     for the counter it shares with :func:`projected_dimensions`: an input
@@ -416,7 +417,8 @@ def box_dimension(sample, scale_lo: int = 2,
     cells = cells.astype(np.int64)
     cells -= offset[:, None]
     cells = cells.astype(dtype, copy=False)
-    return _fit_table(scales, _box_counts(cells[None], bits, scale_lo, scale_hi))[0]
+    return _fit_table(scales, _box_counts([cells[None]], 1, len(cells), bits, len(pts),
+                                          scale_lo, scale_hi))[0]
 
 
 def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
@@ -428,28 +430,25 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
 
     Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
     Frames are taken in batches of B with B * k * N at most
-    ``COUNT_BATCH_POINTS`` (at least one frame per batch); each batch is
-    projected into float64 rows, floored to integer cells, keyed, ordered
-    and counted, one batch after another, and one :func:`_fit_table` fits
-    all counts.  A row is floored with one division, less its minimum, by
-    span * 2^-scale_hi (inf where the span is at most ``DEGENERATE_SPAN``,
-    giving cells 0): scaling by a power of two is exact and the division
-    correctly rounded, so the quotient is the rescaled coordinate times
-    2^scale_hi, bit for bit.  A non-finite coordinate raises
-    :class:`InputDomainError`.
+    ``COUNT_BATCH_POINTS`` (at least one frame per batch).  Each batch is
+    projected into float64 rows and floored into cell tiles, which
+    :func:`_box_counts` keys and counts, and one :func:`_fit_table` fits all
+    counts.  A row is floored with one division, less its minimum, by span *
+    2^-scale_hi (inf where the span is at most ``DEGENERATE_SPAN``, giving
+    cells 0): scaling by a power of two is exact and the division correctly
+    rounded, so the quotient is the rescaled coordinate times 2^scale_hi,
+    bit for bit.  Unit-box cells lie in [0, 2^scale_hi], so the keys need
+    scale_hi + 1 bits per axis and no offset.  When the key space holds no
+    more cells than N, a tile is an intp slice of at most
+    ``COUNT_BATCH_POINTS`` coordinates (the whole batch, or a point slice of
+    its one frame); otherwise it is the whole batch in :func:`_key_dtype`
+    cells.  The rows and the tile are allocated once per call, as large as
+    the largest batch, and nothing is kept between calls.
 
-    Unit-box cells lie in [0, 2^scale_hi], so the keys need scale_hi + 1
-    bits per axis and no offset; k * (scale_hi + 1) > 63 raises
-    :class:`ResourceBudgetError` before anything is projected.  When the
-    key space holds no more cells than N, a batch is floored, keyed and
-    marked for occupancy one tile of at most ``COUNT_BATCH_POINTS``
-    coordinates at a time (the whole batch, or a point slice of its one
-    frame) in one intp buffer; otherwise it is floored into a stack of
-    :func:`_key_dtype` cells and sorted.  That buffer or stack and the rows
-    are allocated once per call, as large as the largest batch, and nothing
-    is kept between calls.  Points that are not an (N, n) array, frames
-    that are not a (D, n, k) stack, and an empty cloud or frame stack raise
-    :class:`InputDomainError`.
+    k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
+    anything is projected.  A non-finite coordinate, points that are not an
+    (N, n) array, frames that are not a (D, n, k) stack, and an empty cloud
+    or frame stack raise :class:`InputDomainError`.
     """
     points, frames = np.asarray(points, dtype=float), np.asarray(frames, dtype=float)
     if points.ndim != 2 or frames.ndim != 3 or frames.shape[1] != points.shape[1]:
@@ -468,17 +467,17 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(points.T)
 
-    # Reused by every batch, which writes each row, cell and tile entry
-    # before reading it: allocating each 1 M-point batch afresh counts slower.
+    # Reused by every batch, which writes each row and tile entry before
+    # reading it: allocating each 1 M-point batch afresh counts slower.
     shape = (min(size, len(frames)), k, count)
     all_rows = np.empty(shape)
-    occupancy = 1 << (k * bits) <= count
-    # Points per tile: all N when the largest batch holds several frames.
-    per_tile = max(1, COUNT_BATCH_POINTS // (shape[0] * k))
-    if occupancy:
-        tile = np.empty((*shape[:2], min(per_tile, count)), dtype=np.intp)
+    # Points per tile: all N on the sort path, and when the largest batch
+    # holds several frames.
+    if 1 << (k * bits) <= count:
+        per_tile = min(count, max(1, COUNT_BATCH_POINTS // (shape[0] * k)))
+        tile = np.empty((*shape[:2], per_tile), dtype=np.intp)
     else:
-        all_cells = np.empty(shape, dtype=dtype)
+        per_tile, tile = count, np.empty(shape, dtype=dtype)
 
     counts = []
     for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
@@ -487,15 +486,10 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
                                    scale_hi)
         # The rows are now non-negative, so the integer cast floors them.
         rows -= lo
-        if occupancy:
-            tiles = (np.divide(rows[..., j:j + per_tile], width, casting="unsafe",
-                               out=tile[:len(batch), :, :min(per_tile, count - j)])
-                     for j in range(0, count, per_tile))
-            counts.append(_occupancy_counts(tiles, len(batch), k, bits, scale_lo, scale_hi))
-        else:
-            cells = all_cells[:len(batch)]
-            np.divide(rows, width, out=cells, casting="unsafe")
-            counts.append(_box_counts(cells, bits, scale_lo, scale_hi))
+        tiles = (np.divide(rows[..., j:j + per_tile], width, casting="unsafe",
+                           out=tile[:len(batch), :, :min(per_tile, count - j)])
+                 for j in range(0, count, per_tile))
+        counts.append(_box_counts(tiles, len(batch), k, bits, count, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
 
 

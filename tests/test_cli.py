@@ -258,6 +258,25 @@ def test_dims_subcommand(tmp_path, capsys):
     assert len(report["counts"]) == 7
 
 
+@pytest.mark.parametrize("window, message", [
+    (["--scale-lo", "-1"], "--scale-lo: need >= 0, got -1"),
+    (["--scale-lo", "5", "--scale-hi", "4"], "--scale-hi: need >= --scale-lo + 2"),
+    (["--scale-lo", "2", "--scale-hi", "3"], "--scale-hi: need >= --scale-lo + 2"),
+], ids=["scale-lo-negative", "scale-hi-below-scale-lo", "two-scales"])
+def test_dims_window_is_config_error(tmp_path, capsys, window, message):
+    # A negative --scale-lo once exited 0 with 0.739 on this sample, and
+    # --scale-lo 5 --scale-hi 4 exited 3 as a numeric failure.
+    path = tmp_path / "dust.bin"
+    export_sample(generate(cantor_dust(), 8), path)
+    assert run_cli(["dims", "--sample", str(path), *window]) == 2
+    assert message in capsys.readouterr().err
+    # Checked before the sample is read: a missing sample reports the flag.
+    assert run_cli(["dims", "--sample", str(tmp_path / "none.bin"), *window]) == 2
+    assert message in capsys.readouterr().err
+    assert run_cli(["dims", "--sample", str(path), "--scale-lo", "0", "--scale-hi", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["scales"] == [0, 1, 2]
+
+
 def test_dims_missing_sidecar(tmp_path, capsys):
     path = tmp_path / "lonely.bin"
     path.write_bytes(b"\x00" * 16)

@@ -229,6 +229,13 @@ def test_box_counts_invariant_under_coarse_dyadic_shift(window, steps):
     assert box_dimension(pts + shift, lo, hi).counts == box_dimension(pts, lo, hi).counts
 
 
+def count_cells(cells, bits, scale_lo, scale_hi):
+    """Box counts of a (B, k, N) stack of cells below 2^bits, given to the
+    counter as one tile, keyed in place."""
+    return _box_counts([cells], len(cells), cells.shape[1], bits, cells.shape[2],
+                       scale_lo, scale_hi)
+
+
 def record_occupancy(monkeypatch):
     """The key-space size of each occupancy count."""
     spaces = []
@@ -274,7 +281,7 @@ def test_occupancy_and_sort_paths_match_per_scale_reference(window):
     cells, bits, space, lo, hi = window
     with pytest.MonkeyPatch.context() as mp:
         occupied = record_occupancy(mp)
-        counts = _box_counts(cells.copy(), bits, lo, hi)
+        counts = count_cells(cells.copy(), bits, lo, hi)
     # Occupancy exactly when the key space holds no more cells than N.
     if space <= cells.shape[2]:
         assert occupied == [space]
@@ -343,6 +350,57 @@ def test_occupancy_tiles_count_like_each_frame(monkeypatch, k, budget, batches, 
         assert est == box_dimension(cloud, 2, hi)
 
 
+# Frames and scale_hi for 4^5 dust points counted through each path: lines
+# at scale_hi 8 have 2^9 cells, no more than N, so occupancy marks their
+# keys; planes at scale_hi 6 have 2^14 cells, more than N, so the keys are
+# sorted.  One frame of each has a constant axis.
+BUDGET_PATHS = {
+    "occupancy": (np.array([[[0.6], [0.8]], [[0.28], [0.96]], [[0.0], [0.0]], [[1.0], [0.0]]]), 8),
+    "sort": (np.array([[[1.0, 0.3], [0.2, 1.0]], [[0.6, 0.8], [0.8, 0.6]],
+                       [[1.0, 0.0], [0.5, 0.0]]]), 6),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(sorted(BUDGET_PATHS)), data=st.data())
+def test_batch_budget_keeps_estimates_and_sorts_whole_batches(path, data):
+    points = generate(cantor_dust(), 5).points
+    frames, hi = BUDGET_PATHS[path]
+    k = frames.shape[2]
+    budget = data.draw(st.integers(1, 3 * k * len(points)), label="budget")
+    expected = projected_dimensions(points, frames, 2, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+        occupied, shapes = record_occupancy(mp), record_tiles(mp)
+        dtypes = record_key_dtypes(mp)
+        assert projected_dimensions(points, frames, 2, hi) == expected
+    assert bool(occupied) == (path == "occupancy")
+    if path == "sort":
+        # One tile per batch, holding every point of every frame in it.
+        assert {shape[2] for shape in shapes} == {len(points)}
+        assert sum(shape[0] for shape in shapes) == len(frames)
+    else:
+        assert set(dtypes) == {np.dtype(np.intp)}
+
+
+@pytest.mark.parametrize("window, message", [
+    ((-5, 4), "scale_lo must be >= 0, got -5"),
+    ((-1, 8), "scale_lo must be >= 0, got -1"),
+    ((2.5, 8), "scale_lo must be an integer, got 2.5"),
+    ((2, 7.5), "scale_hi must be an integer, got 7.5"),
+    ((2, "8"), "scale_hi must be an integer, got '8'"),
+])
+def test_scale_window_is_typed(window, message):
+    # On the depth-8 dust, scales -5..4 once read 0.739 against 1.374 at
+    # 2..8, and a float scale ended in a raw TypeError from range().
+    dust = generate(cantor_dust(), 8)
+    with pytest.raises(InputDomainError, match=message):
+        box_dimension(dust, *window)
+    with pytest.raises(InputDomainError, match=message):
+        projected_dimensions(dust.points, np.array([[[0.6], [0.8]]]), *window)
+    assert box_dimension(dust, 0, 2).scales == (0, 1, 2)
+
+
 def test_bit_lengths_are_exact():
     # Above 2^53 the float cast rounds 2^m - 1 up to 2^m.
     values = [0] + [v for m in range(63) for v in (2**m - 1, 2**m, 2**m + 1)]
@@ -393,7 +451,7 @@ def test_box_counts_of_31_and_32_bit_keys_on_both_dtypes(window):
     # the cells shifted right by scale_hi - j.
     expected = [per_scale_counts(cloud.T / 2.0**hi, range(lo, hi + 1)) for cloud in cells]
     for dtype in dtypes:
-        counts = _box_counts(cells.astype(dtype), bits, lo, hi)
+        counts = count_cells(cells.astype(dtype), bits, lo, hi)
         assert [tuple(row.tolist()) for row in counts] == expected
 
 
@@ -440,11 +498,11 @@ def test_spread_bits_at_the_widest_keys(k, dtype, width):
 
 
 def record_key_dtypes(monkeypatch):
-    """The dtype of the cells of each counting batch."""
+    """The dtype of each tile of cells keyed."""
     dtypes = []
-    real = fractal._box_counts
-    monkeypatch.setattr(fractal, "_box_counts",
-                        lambda cells, *args: dtypes.append(cells.dtype) or real(cells, *args))
+    real = fractal._morton_keys
+    monkeypatch.setattr(fractal, "_morton_keys",
+                        lambda cells, bits: dtypes.append(cells.dtype) or real(cells, bits))
     return dtypes
 
 
@@ -479,7 +537,7 @@ def test_box_counts_of_63_bit_keys():
     cells[:, :, 0] = 0
     cells[:, :, 1] = (1 << bits) - 1
     cells[-1, :, 2:] = (1 << 19) - 1
-    counts = _box_counts(cells.copy(), bits, lo, hi)
+    counts = count_cells(cells.copy(), bits, lo, hi)
     for cloud, row in zip(cells, counts):
         oracle = [len(np.unique(cloud.T >> (hi - j), axis=0)) for j in range(lo, hi + 1)]
         assert row.tolist() == oracle

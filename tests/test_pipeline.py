@@ -25,8 +25,9 @@ from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
                      marstrand_sweep, normalize_unit_box, orthonormal_frame,
                      result_csv, sample_uniform)
 from projlab import fractal
-from projlab.fractal import _box_counts, projected_dimensions
+from projlab.fractal import projected_dimensions
 from projlab.lab import _scan_cells_per_axis
+from test_fractal import count_cells
 
 
 def random_ifs(n, seed):
@@ -242,7 +243,7 @@ def test_batched_counts_equal_per_cloud_box_dimension(window):
     # cells at scale_hi lie in [0, 2^scale_hi] and need hi + 1 bits.
     clouds = [normalize_unit_box(cloud) for cloud in clouds]
     cells = np.floor(np.stack([c.T for c in clouds]) * 2.0**hi).astype(np.int64)
-    counts = _box_counts(cells, hi + 1, lo, hi)
+    counts = count_cells(cells, hi + 1, lo, hi)
     for cloud, row in zip(clouds, counts):
         assert tuple(row.tolist()) == box_dimension(cloud, lo, hi).counts
         for j, count in zip(range(lo, hi + 1), row):
