@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the JSON parser, field
-reader and integer cast that raise them."""
+reader and integer casts that raise them."""
 
 import json
+import operator
 
 
 class ProjlabError(Exception):
@@ -81,3 +82,12 @@ def integer(value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def integer_argument(name: str, value) -> int:
+    """``operator.index(value)``: an integer argument, refusing floats,
+    strings and None with :class:`InputDomainError` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputDomainError(f"{name} must be an integer, got {value!r}") from None

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -20,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, InputDomainError, ResourceBudgetError,
-                     integer, parse_json, read_fields)
+                     integer, integer_argument, parse_json, read_fields)
 
 EXHAUSTIVE_BUDGET = 10**7
 # normalize_unit_box collapses a coordinate whose range is at most this to 0.
@@ -166,8 +165,10 @@ def generate(spec: IFSSpec, depth: int) -> PointSample:
     one of two preallocated buffers, used in turn: map i of the m maps fills
     the i-th column block of the next level with ``ratio * pts +
     translation``, which adds one scalar to each contiguous coordinate row.
+    A ``depth`` that is not an integer >= 0 raises :class:`InputDomainError`.
     """
     m = len(spec.maps)
+    depth = integer_argument("depth", depth)
     if depth < 0:
         raise InputDomainError(f"depth must be >= 0, got {depth}")
     if m**depth > EXHAUSTIVE_BUDGET:
@@ -206,8 +207,10 @@ def default_scale_hi(sample, scale_lo: int = 2) -> int:
 
     For IFS samples the resolution is r_max^depth, so scales up to
     depth*log2(1/r_max) - 2 avoid saturation, capped at 18.  Bare point
-    lists keep the conservative 8.
+    lists keep the conservative 8.  A ``scale_lo`` that is not an integer
+    raises :class:`InputDomainError`.
     """
+    scale_lo = integer_argument("scale_lo", scale_lo)
     if isinstance(sample, PointSample) and sample.source is not None:
         r_max = max(m.ratio for m in sample.source.maps)
         hi = math.floor(sample.depth * math.log2(1.0 / r_max)) - 2
@@ -332,11 +335,8 @@ def _scales(scale_lo: int, scale_hi: int) -> list[int]:
     integers from 0 up, or :class:`InputDomainError`.  Each scale below 0
     counts one box for a sample in the unit box, and so reads a silently
     low dimension."""
-    for name, value in (("scale_lo", scale_lo), ("scale_hi", scale_hi)):
-        try:
-            operator.index(value)
-        except TypeError:
-            raise InputDomainError(f"{name} must be an integer, got {value!r}") from None
+    scale_lo = integer_argument("scale_lo", scale_lo)
+    scale_hi = integer_argument("scale_hi", scale_hi)
     if scale_lo < 0:
         raise InputDomainError(f"scale_lo must be >= 0, got {scale_lo}")
     scales = list(range(scale_lo, scale_hi + 1))
@@ -591,10 +591,7 @@ def complexity_profile(x, r_max: int,
     (N, n) point list, or an r_max that is not an integer in 1..64, raises
     :class:`InputDomainError`.
     """
-    try:
-        r_max = operator.index(r_max)
-    except TypeError:
-        raise InputDomainError(f"r_max must be an integer, got {r_max!r}") from None
+    r_max = integer_argument("r_max", r_max)
     if not 1 <= r_max <= 64:
         raise InputDomainError(f"r_max must lie in 1..64, got {r_max}")
     pts = np.asarray(x, dtype=float)

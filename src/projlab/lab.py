@@ -22,14 +22,16 @@ import numpy as np
 # perfbench/spans.py looks it up.
 from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
                      to_chart)
-from .errors import ConfigError, InputDomainError, integer, read_fields
+from .errors import ConfigError, InputDomainError, integer, integer_argument, read_fields
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
                       box_dimension, generate, projected_dimensions)
 from .grassmann import basis_projections, haar_projections
 
 
 def kaufman_bound(n: int, k: int, s: float) -> float:
-    """Exceptional-set dimension bound k(n-k) + s - k."""
+    """Exceptional-set dimension bound k(n-k) + s - k, for integers
+    0 < k < n."""
+    n, k = integer_argument("n", n), integer_argument("k", k)
     if not (0 < k < n):
         raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
     if not (0.0 < s <= k):

@@ -116,8 +116,11 @@ def test_ifs_validation():
     (lambda: PointSample(points=np.zeros((2, 3, 4)), depth=1), r"got shape \(2, 3, 4\)"),
     (lambda: box_dimension(np.zeros((2, 3, 4)), 2, 8), r"got shape \(2, 3, 4\)"),
     (lambda: box_dimension(np.float64(0.5), 2, 8), r"got shape \(\)"),
+    # These once ended in a raw TypeError from np.empty or from `<`.
+    (lambda: generate(cantor_dust(), 2.5), "depth must be an integer, got 2.5"),
+    (lambda: generate(cantor_dust(), None), "depth must be an integer, got None"),
 ], ids=["empty-sample", "translation-shape", "3-d-sample", "3-d-box-count",
-        "scalar-box-count"])
+        "scalar-box-count", "fractional-depth", "none-depth"])
 def test_sample_and_ifs_reject_bad_shapes(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()
@@ -389,10 +392,14 @@ def test_batch_budget_keeps_estimates_and_sorts_whole_batches(path, data):
     ((2.5, 8), "scale_lo must be an integer, got 2.5"),
     ((2, 7.5), "scale_hi must be an integer, got 7.5"),
     ((2, "8"), "scale_hi must be an integer, got '8'"),
+    (("2", None), "scale_lo must be an integer, got '2'"),
+    ((None, None), "scale_lo must be an integer, got None"),
 ])
 def test_scale_window_is_typed(window, message):
     # On the depth-8 dust, scales -5..4 once read 0.739 against 1.374 at
-    # 2..8, and a float scale ended in a raw TypeError from range().
+    # 2..8, and a float scale ended in a raw TypeError from range().  With
+    # scale_hi left at None, box_dimension once passed the untyped scale_lo
+    # to default_scale_hi, which ended in a raw TypeError.
     dust = generate(cantor_dust(), 8)
     with pytest.raises(InputDomainError, match=message):
         box_dimension(dust, *window)

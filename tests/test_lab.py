@@ -1,7 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projlab import lab
 from projlab import (ConfigError, ExperimentConfig, IFSSpec, InputDomainError,
@@ -32,6 +35,11 @@ def test_kaufman_bound_rejects_bad_arguments():
         kaufman_bound(3, 1, 1.5)
     with pytest.raises(InputDomainError):
         kaufman_bound(3, 1, 0.0)
+    # No 1.5-plane exists; this once returned 1.75.
+    with pytest.raises(InputDomainError, match="k must be an integer, got 1.5"):
+        kaufman_bound(3, 1.5, 1.0)
+    with pytest.raises(InputDomainError, match="n must be an integer, got 3.0"):
+        kaufman_bound(3.0, 1, 1.0)
 
 
 def sweep_config(**overrides):
@@ -160,15 +168,28 @@ def test_direction_draws_are_numpys_streams(seed, count):
     assert draws.tobytes() == numpy_draws(seed, count, shape).tobytes()
 
 
+# The bytes of the first three G(8, 4) draws: a numpy whose SeedSequence or
+# PCG64 streams differ would change every sweep's results.csv.
+@pytest.mark.parametrize("seed, digest", [
+    (0, "c1b8e44351c92aca53715d45c287f421cf90f934f6212aca1eb96d9ad4051727"),
+    (7, "bc29097af14d6d99e3887ca3f0e310f1fb67d9bddb03365ddcf90ec86cde532a"),
+    (2**200 + 12345, "595b9add4ea7e36cf5ad6becf81c78052feb5ea48e1a47d30253d0352d05bdb0"),
+])
+def test_direction_draws_digest(seed, digest):
+    draws = lab._direction_draws(seed, 3, (8, 4))
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("count", [1, 3, 150])
-def test_direction_draws_extend_by_prefix(count):
-    for seed in (7, 2**200 + 12345):
-        longer = lab._direction_draws(seed, count + 7, (3, 2))
-        assert longer[:count].tobytes() == lab._direction_draws(seed, count, (3, 2)).tobytes()
-    planes = dict(ifs=line_3d(), n=3, k=2, threshold_s=0.5, depth=5)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**200), more=st.integers(0, 64))
+def test_direction_draws_extend_by_prefix(count, seed, more):
+    longer = lab._direction_draws(seed, count + more, (3, 2))
+    assert longer[:count].tobytes() == lab._direction_draws(seed, count, (3, 2)).tobytes()
+    planes = dict(ifs=line_3d(), n=3, k=2, threshold_s=0.5, depth=5, seed=seed)
     rows = result_csv(marstrand_sweep(sweep_config(**planes, num_directions=count)))
-    more = result_csv(marstrand_sweep(sweep_config(**planes, num_directions=count + 7)))
-    assert more.splitlines()[:count + 1] == rows.splitlines()
+    extended = result_csv(marstrand_sweep(sweep_config(**planes, num_directions=count + more)))
+    assert extended.splitlines()[:count + 1] == rows.splitlines()
 
 
 def test_sweep_full_square_estimates_one():
