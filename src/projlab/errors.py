@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the JSON parser, field
-reader and integer casts that raise them."""
+reader and number casts that raise them."""
 
 import json
 import operator
@@ -78,10 +78,26 @@ def parse_json(text, error: type, what: str):
 
 
 def integer(value) -> int:
-    """``int(value)``, refusing the fractional floats that ``int`` truncates."""
+    """``int(value)`` of a JSON number, refusing the fractional floats that
+    ``int`` truncates and the strings and booleans that it reads as
+    numbers."""
+    if isinstance(value, str):
+        raise ValueError(f"invalid literal for int(): JSON string {value!r}")
+    if isinstance(value, bool):
+        raise TypeError(f"int() argument must be a number, not JSON {json.dumps(value)}")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"not an integer: {value!r}")
     return int(value)
+
+
+def real(value) -> float:
+    """``float(value)`` of a JSON number, refusing the strings and booleans
+    that ``float`` reads as numbers."""
+    if isinstance(value, str):
+        raise ValueError(f"could not convert string to float: JSON string {value!r}")
+    if isinstance(value, bool):
+        raise TypeError(f"float() argument must be a number, not JSON {json.dumps(value)}")
+    return float(value)
 
 
 def integer_argument(name: str, value) -> int:

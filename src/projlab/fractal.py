@@ -4,8 +4,10 @@ Attractors come from iterated function systems of pure contractions
 (ratio * x + translation, no rotations).  Dimension is estimated by counting
 occupied dyadic boxes on grids anchored at the origin, for one cloud
 (:func:`box_dimension`) or for the projections of one cloud onto a stack of
-frames, counted in batches (:func:`projected_dimensions`); the similarity
-dimension from the Moran equation serves as the ground-truth oracle.
+frames, counted in batches (:func:`projected_dimensions`), where the cloud
+may be an attractor sample given as the similarity images of one base tile
+(:func:`tiled_sample`); the similarity dimension from the Moran equation
+serves as the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +21,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, InputDomainError, ResourceBudgetError,
-                     integer, integer_argument, parse_json, read_fields)
+                     integer, integer_argument, parse_json, read_fields, real)
 
+# The most points generate() makes, and the most that a sweep or scan counts.
+# A sweep or scan never holds them: it counts their word images of one base
+# tile (tiled_sample), so for them the budget bounds work, not memory.
 EXHAUSTIVE_BUDGET = 10**7
 # normalize_unit_box collapses a coordinate whose range is at most this to 0.
 DEGENERATE_SPAN = 1e-12
 # Projected coordinates box-counted together: projected_dimensions stacks
-# B directions of k x N coordinates with B * k * N at most this.
+# B directions of k x N coordinates with B * k * N at most this, where N
+# is the base tile's points when the counter marks occupancy.
+# tiled_sample cuts a larger sample into base tiles that fit it.
 COUNT_BATCH_POINTS = 1 << 15
 
 # Bit-length "compressors": deterministic byte-in / bits-out estimators.
@@ -71,6 +78,14 @@ class IFSSpec:
             if m.translation.shape != (self.n,):
                 raise InputDomainError(
                     f"translation shape {m.translation.shape} does not match n={self.n}")
+        # Twice the attractor's radius about the origin, which bounds every
+        # span of the sample, of its projections and of its word offsets.
+        # math.hypot does not overflow where the Euclidean norm fits.
+        shift = max(math.hypot(*m.translation) for m in maps)
+        if not math.isfinite(2.0 * shift / (1.0 - max(m.ratio for m in maps))):
+            raise InputDomainError(
+                f"translations up to {shift:.3g} in norm give an attractor "
+                "wider than float64 holds")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -85,7 +100,7 @@ class IFSSpec:
         """The IFS of a JSON text or of its parsed object."""
         obj = parse_json(text, InputDomainError, "IFS JSON")
         n, maps = read_fields(obj, {"n": integer, "maps": list}, InputDomainError, "IFS JSON")
-        casts = {"ratio": float, "translation": lambda t: np.asarray(t, dtype=float)}
+        casts = {"ratio": real, "translation": lambda t: np.array([real(x) for x in t])}
         maps = [Similarity(*read_fields(m, casts, InputDomainError, f"IFS JSON map {i}"))
                 for i, m in enumerate(maps)]
         return cls(n=n, maps=maps, label=obj.get("label"))
@@ -167,13 +182,7 @@ def generate(spec: IFSSpec, depth: int) -> PointSample:
     translation``, which adds one scalar to each contiguous coordinate row.
     A ``depth`` that is not an integer >= 0 raises :class:`InputDomainError`.
     """
-    m = len(spec.maps)
-    depth = integer_argument("depth", depth)
-    if depth < 0:
-        raise InputDomainError(f"depth must be >= 0, got {depth}")
-    if m**depth > EXHAUSTIVE_BUDGET:
-        raise ResourceBudgetError(
-            f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
+    m, depth = len(spec.maps), _sample_depth(spec, depth)
     # Level j lives in buffers[j % 2]; the last level fills `final`.
     final = np.empty((spec.n, m**depth))
     spare = np.empty((spec.n, m**max(depth - 1, 0)))
@@ -189,6 +198,58 @@ def generate(spec: IFSSpec, depth: int) -> PointSample:
             block += sim.translation[:, None]
         pts = out
     return PointSample(points=pts.T, depth=depth, source=spec)
+
+
+def _sample_depth(spec: IFSSpec, depth) -> int:
+    """``depth`` as an integer, checked for a sample of ``spec``: one that
+    is not an integer >= 0 raises :class:`InputDomainError`, and one whose
+    m^depth points exceed ``EXHAUSTIVE_BUDGET`` :class:`ResourceBudgetError`."""
+    m, depth = len(spec.maps), integer_argument("depth", depth)
+    if depth < 0:
+        raise InputDomainError(f"depth must be >= 0, got {depth}")
+    if m**depth > EXHAUSTIVE_BUDGET:
+        raise ResourceBudgetError(
+            f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
+    return depth
+
+
+@dataclass(frozen=True)
+class TiledSample:
+    """A point cloud given as the images of one (N0, n) base tile under W
+    similarities x -> ratios[w] * x + offsets[w] (the words), in word
+    order: W * N0 points, which nothing materializes.  Every ratio must be
+    >= 0.  A plain cloud is the one word of ratio 1 and offset 0."""
+
+    base: np.ndarray
+    ratios: np.ndarray
+    offsets: np.ndarray
+
+
+def tiled_sample(spec: IFSSpec, depth: int, k: int) -> TiledSample:
+    """The sample ``generate(spec, depth)`` as the images of the base tile
+    ``generate(spec, depth - p)`` under the m^p words T_w = T_w1 o ... o
+    T_wp of length p, for the least p with k * m^(depth - p) at most
+    ``COUNT_BATCH_POINTS`` (p = 0, one identity word, when the whole sample
+    fits), so that :func:`projected_dimensions` counts k-plane projections
+    tile by tile.
+
+    A self-similar sample is the union of the images of its base under the
+    words (Hutchinson, Indiana Univ. Math. J. 30, 1981), and generate's
+    levels put word w's block at w * N0, with w1 the most significant digit.
+    Word images agree with ``generate``'s points to a few ulps, not bit for
+    bit: generate applies the maps one at a time.  The words are generate's
+    recursion run on (ratio, offset) from the identity (1, 0).  A depth that
+    :func:`generate` refuses is refused alike.
+    """
+    depth = _sample_depth(spec, depth)
+    m, p = len(spec.maps), 0
+    while p < depth and k * m ** (depth - p) > COUNT_BATCH_POINTS:
+        p += 1
+    ratios, offsets = np.ones(1), np.zeros((1, spec.n))
+    for _ in range(p):
+        ratios = np.concatenate([sim.ratio * ratios for sim in spec.maps])
+        offsets = np.concatenate([sim.ratio * offsets + sim.translation for sim in spec.maps])
+    return TiledSample(generate(spec, depth - p).points, ratios, offsets)
 
 
 @dataclass(frozen=True)
@@ -348,12 +409,14 @@ def _scales(scale_lo: int, scale_hi: int) -> list[int]:
 def _fit_table(scales: list[int], counts: np.ndarray) -> list[DimensionEstimate]:
     """Closed-form least-squares slope of log2(counts) against the scales,
     per row of a (D, scales) count table.  Only elementwise operations and
-    row sums touch the table, so a row's bits do not depend on other rows."""
+    row sums touch the table, so a row's bits do not depend on other rows.
+    The sums run on a C-ordered copy: numpy sums the rows of a
+    Fortran-ordered table, as the box counter can return, in another order."""
     xc = np.asarray(scales, dtype=float)
     # Integer scales: the centred scales and sxx are exact.
     xc -= xc.mean()
     sxx = float(np.sum(xc * xc))
-    y = np.log2(counts.astype(float))
+    y = np.log2(counts.astype(float, order="C"))
     # Shifted by the first value, a constant row fits 0.0 and 0.0 exactly.
     y -= y[:, :1]
     slope = (y * xc).sum(axis=1) / sxx
@@ -421,35 +484,50 @@ def box_dimension(sample, scale_lo: int = 2,
                                           scale_lo, scale_hi))[0]
 
 
-def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
+def projected_dimensions(points, frames: np.ndarray, scale_lo: int,
                          scale_hi: int) -> list[DimensionEstimate]:
-    """Box dimension of an (N, n) point cloud projected onto each frame of
-    a (D, n, k) stack.  Each projection is rescaled into the unit box, which
+    """Box dimension of a point cloud projected onto each frame of a
+    (D, n, k) stack.  The cloud is an (N, n) array, or a
+    :class:`TiledSample` of N = W * N0 points, which is counted one word
+    image at a time.  Each projection is rescaled into the unit box, which
     makes the estimate invariant to the direction-dependent diameter of the
     projected set.
 
-    Per frame this is ``box_dimension(normalize_unit_box(points @ frame))``.
-    Frames are taken in batches of B with B * k * N at most
-    ``COUNT_BATCH_POINTS`` (at least one frame per batch).  Each batch is
-    projected into float64 rows and floored into cell tiles, which
-    :func:`_box_counts` keys and counts, and one :func:`_fit_table` fits all
-    counts.  A row is floored with one division, less its minimum, by span *
-    2^-scale_hi (inf where the span is at most ``DEGENERATE_SPAN``, giving
-    cells 0): scaling by a power of two is exact and the division correctly
-    rounded, so the quotient is the rescaled coordinate times 2^scale_hi,
-    bit for bit.  Unit-box cells lie in [0, 2^scale_hi], so the keys need
-    scale_hi + 1 bits per axis and no offset.  When the key space holds no
-    more cells than N, a tile is an intp slice of at most
-    ``COUNT_BATCH_POINTS`` coordinates (the whole batch, or a point slice of
-    its one frame); otherwise it is the whole batch in :func:`_key_dtype`
-    cells.  The rows and the tile are allocated once per call, as large as
-    the largest batch, and nothing is kept between calls.
+    Per frame this is ``box_dimension(normalize_unit_box(cloud @ frame))``,
+    where the projection of a tiled cloud is taken before the words: word
+    w's block of it is fl(fl(r_w * (base @ frame)) + offsets[w] @ frame).
+    Frames are taken in batches of B, at least one, with B * k * N0 at most
+    ``COUNT_BATCH_POINTS`` when the key space, 2^(k (scale_hi + 1)) cells,
+    holds no more cells than N (the occupancy path) and B * k * N
+    otherwise (the sort path); a plain cloud has N0 = N.  Each batch
+    projects the base into float64 rows and the word offsets into shifts.
+    A row's bounds lo and hi are those of the union of its word images:
+    rounding is monotone and every ratio is >= 0, so the bounds of an
+    image are the images of the row's bounds, bit for bit.  Each image is
+    floored into cells with one division, less lo, by span * 2^-scale_hi
+    (inf where the span is at most ``DEGENERATE_SPAN``, giving cells 0):
+    scaling by a power of two is exact and the division correctly rounded,
+    so the quotient is the rescaled coordinate times 2^scale_hi, bit for
+    bit.  The row maximum maps to 2^scale_hi, so the keys need scale_hi + 1
+    bits per axis and no offset.  On the occupancy path, each tile that
+    :func:`_box_counts` marks is an intp slice of one word image of at most
+    ``COUNT_BATCH_POINTS`` coordinates (the whole batch's image, or a point
+    slice of its one frame); on the sort path, every image is written into
+    its block of one tile of the whole batch in :func:`_key_dtype` cells,
+    whose keys are sorted.  The one identity word of a plain cloud (or of a
+    tiled sample that fits the budget whole) skips the multiply-add.  One
+    :func:`_fit_table` fits all counts.  The rows, the images and the tile
+    are allocated once per call, as large as the largest batch, and nothing
+    is kept between calls.
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
     anything is projected.  A non-finite coordinate, points that are not an
     (N, n) array, frames that are not a (D, n, k) stack, and an empty cloud
     or frame stack raise :class:`InputDomainError`.
     """
+    ratios = offsets = None
+    if isinstance(points, TiledSample):
+        points, ratios, offsets = points.base, points.ratios, points.offsets
     points, frames = np.asarray(points, dtype=float), np.asarray(frames, dtype=float)
     if points.ndim != 2 or frames.ndim != 3 or frames.shape[1] != points.shape[1]:
         raise InputDomainError(
@@ -459,38 +537,63 @@ def projected_dimensions(points: np.ndarray, frames: np.ndarray, scale_lo: int,
         raise InputDomainError("cannot box-count an empty point set")
     if frames.size == 0:
         raise InputDomainError(f"need a nonempty (D, n, k) frame stack, got shape {frames.shape}")
+    if ratios is None or (ratios.tolist() == [1.0] and not offsets.any()):
+        ratios, offsets = np.ones(1), None
     scales = _scales(scale_lo, scale_hi)
-    count, k, bits = len(points), frames.shape[2], scale_hi + 1
+    base_count, k, bits = len(points), frames.shape[2], scale_hi + 1
+    count = len(ratios) * base_count
     dtype = _key_dtype(k, bits, scale_hi)
-    size = max(1, COUNT_BATCH_POINTS // (count * k))
-    # One contiguous (n, N) operand for every batch's product; the transpose
+    occupancy = 1 << (k * bits) <= count
+    size = max(1, COUNT_BATCH_POINTS // (k * (base_count if occupancy else count)))
+    # One contiguous (n, N0) operand for every batch's product; the transpose
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(points.T)
 
     # Reused by every batch, which writes each row and tile entry before
-    # reading it: allocating each 1 M-point batch afresh counts slower.
-    shape = (min(size, len(frames)), k, count)
+    # reading it: allocating each batch afresh counts slower.
+    shape = (min(size, len(frames)), k, base_count)
     all_rows = np.empty(shape)
-    # Points per tile: all N on the sort path, and when the largest batch
-    # holds several frames.
-    if 1 << (k * bits) <= count:
-        per_tile = min(count, max(1, COUNT_BATCH_POINTS // (shape[0] * k)))
+    # Base points per image: all N0 on the sort path, and when the largest
+    # batch holds several frames.
+    if occupancy:
+        per_tile = min(base_count, max(1, COUNT_BATCH_POINTS // (shape[0] * k)))
         tile = np.empty((*shape[:2], per_tile), dtype=np.intp)
     else:
-        per_tile, tile = count, np.empty(shape, dtype=dtype)
+        per_tile, tile = base_count, np.empty((*shape[:2], count), dtype=dtype)
+    images = None if offsets is None else np.empty((*shape[:2], per_tile))
 
     counts = []
     for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
-        rows = all_rows[:len(batch)]
-        lo, width = _unit_box_grid(np.matmul(batch.swapaxes(1, 2), coords, out=rows),
-                                   scale_hi)
-        # The rows are now non-negative, so the integer cast floors them.
-        rows -= lo
-        tiles = (np.divide(rows[..., j:j + per_tile], width, casting="unsafe",
-                           out=tile[:len(batch), :, :min(per_tile, count - j)])
-                 for j in range(0, count, per_tile))
+        rows = np.matmul(batch.swapaxes(1, 2), coords, out=all_rows[:len(batch)])
+        shifts = None if offsets is None else np.matmul(batch.swapaxes(1, 2), offsets.T)
+        lo, width = _unit_box_grid(rows, scale_hi, ratios, shifts)
+        # The images less lo are non-negative, so the integer cast floors them.
+        parts = _word_images(rows, ratios, shifts, lo, per_tile, images)
+        keys = tile[:len(batch)]
+        if occupancy:
+            tiles = (np.divide(part, width, casting="unsafe", out=keys[..., :part.shape[-1]])
+                     for part in parts)
+        else:
+            for j, part in zip(range(0, count, base_count), parts):
+                np.divide(part, width, casting="unsafe", out=keys[..., j:j + base_count])
+            tiles = [keys]
         counts.append(_box_counts(tiles, len(batch), k, bits, count, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
+
+
+def _word_images(rows, ratios, shifts, lo, step: int, images):
+    """Each word's image of each run of ``step`` points of a (B, k, N0)
+    stack of projected rows, less ``lo``, in word order: fl(fl(r_w x) +
+    shifts[..., w]) - lo, computed in the ``images`` workspace; or, without
+    shifts (the one identity word), x - lo, in place in the rows."""
+    for w, ratio in enumerate(ratios.tolist()):
+        for j in range(0, rows.shape[-1], step):
+            part = rows[..., j:j + step]
+            if shifts is not None:
+                part = np.multiply(part, ratio, out=images[:len(rows), :, :part.shape[-1]])
+                part += shifts[..., w:w + 1]
+            part -= lo
+            yield part
 
 
 def normalize_unit_box(points) -> np.ndarray:
@@ -513,14 +616,21 @@ def normalize_unit_box(points) -> np.ndarray:
     return rows.T
 
 
-def _unit_box_grid(rows: np.ndarray, scale: int) -> tuple[np.ndarray, np.ndarray]:
+def _unit_box_grid(rows: np.ndarray, scale: int, ratios: Optional[np.ndarray] = None,
+                   shifts: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
     """The grid of 2^scale cells on the unit-box rescale of each length-N
     row of a (..., N) array: the row's minimum lo and its cell width,
     span * 2^-scale, or inf where the span is at most ``DEGENERATE_SPAN``.
     So (x - lo) / width is the rescaled coordinate times 2^scale, and 0 on
-    a degenerate row."""
+    a degenerate row.  With (W,) ``ratios`` >= 0 and (..., W) ``shifts``,
+    the grid is that of the union of the row's W word images fl(fl(r_w x)
+    + shifts[..., w]), whose bounds are the images of the row's bounds."""
     lo = rows.min(axis=-1, keepdims=True)
-    span = rows.max(axis=-1, keepdims=True) - lo
+    hi = rows.max(axis=-1, keepdims=True)
+    if shifts is not None:
+        lo = (ratios * lo + shifts).min(axis=-1, keepdims=True)
+        hi = (ratios * hi + shifts).max(axis=-1, keepdims=True)
+    span = hi - lo
     # A NaN or infinite coordinate gives a NaN or infinite span, which must
     # not read as a degenerate row.
     if not np.isfinite(span).all():

@@ -4,10 +4,14 @@ exceptional-direction scans against the Kaufman-type bound.
 Both build a stack of projection matrices, one per direction, and hand it
 to one pipeline: batched chart selection, then batched projection and box
 counting (:func:`projlab.fractal.projected_dimensions`), which counts the
-batches of directions one after another.  A sweep draws direction i from
-numpy's stream ``default_rng(SeedSequence(seed, spawn_key=(1, i)))``, so a
-seed fixes every result; :func:`_direction_draws` splits all the streams in
-one vectorized seed-sequence hash.
+batches of directions one after another.  The sample is never
+materialized: :func:`projlab.fractal.tiled_sample` gives it as the
+similarity images of one base tile small enough for a counting batch, and
+the counter projects the base once per batch and streams the images.  A
+sweep draws direction i from numpy's stream
+``default_rng(SeedSequence(seed, spawn_key=(1, i)))``, so a seed fixes every
+result; :func:`_direction_draws` splits all the streams in one vectorized
+seed-sequence hash.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ import numpy as np
 # perfbench/spans.py looks it up.
 from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
                      to_chart)
-from .errors import ConfigError, InputDomainError, integer, integer_argument, read_fields
+from .errors import (ConfigError, InputDomainError, integer, integer_argument, read_fields,
+                     real)
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
-                      box_dimension, generate, projected_dimensions)
+                      box_dimension, projected_dimensions, tiled_sample)
 from .grassmann import basis_projections, haar_projections
 
 
@@ -110,7 +115,7 @@ class ExperimentConfig:
 
 
 # How ExperimentConfig.from_dict reads a JSON value, by field annotation.
-_FIELD_CASTS = {"int": integer, "float": float, "str": str,
+_FIELD_CASTS = {"int": integer, "float": real, "str": str,
                 "IFSSpec": IFSSpec.from_json}
 
 
@@ -133,9 +138,9 @@ def _run(config: ExperimentConfig, projections: np.ndarray,
          params: list[tuple]) -> SweepResult:
     """The direction pipeline: charts, frames and one dimension estimate
     for each projection of a (D, n, n) stack, whose rows carry ``params``."""
-    sample = generate(config.ifs, config.depth)
+    sample = tiled_sample(config.ifs, config.depth, config.k)
     index_sets, bases = chart_bases(projections, config.k)
-    estimates = projected_dimensions(sample.points, orthonormal_frames(bases),
+    estimates = projected_dimensions(sample, orthonormal_frames(bases),
                                      config.scale_lo, config.scale_hi)
     rows = tuple(DirectionRow(index=i, chart=c, estimate=est,
                               exceptional=est.value < config.threshold_s,

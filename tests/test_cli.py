@@ -5,7 +5,7 @@ import pytest
 
 from projlab import (Chart, IFSSpec, InputDomainError, PointSample, cantor_dust,
                      cantor_on_axis, export_sample, from_basis, generate)
-from projlab import lab
+from projlab import fractal, lab
 from projlab.cli import run_cli
 
 
@@ -117,13 +117,31 @@ def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     assert field in capsys.readouterr().err
 
 
+def dust_with_map(**change):
+    ifs = json.loads(cantor_dust().to_json())
+    ifs["maps"][1].update(change)
+    return ifs
+
+
 @pytest.mark.parametrize("overrides, field", [
     (dict(num_directions=8.9), "field num_directions: not an integer: 8.9"),
     (dict(depth=6.7), "field depth: not an integer: 6.7"),
     (dict(seed=4.2), "field seed: not an integer: 4.2"),
+    (dict(depth="5"), "field depth: invalid literal for int(): JSON string '5'"),
+    (dict(depth=True), "field depth: int() argument must be a number, not JSON true"),
+    (dict(seed=False), "field seed: int() argument must be a number, not JSON false"),
+    (dict(threshold_s="0.9"),
+     "field threshold_s: could not convert string to float: JSON string '0.9'"),
+    (dict(threshold_s=True), "field threshold_s: float() argument must be a number, not JSON true"),
+    (dict(ifs=dust_with_map(ratio="0.5")),
+     "field ifs: IFS JSON map 1 field ratio: could not convert string to float"),
+    (dict(ifs=dust_with_map(translation=[True, 0.0])),
+     "field ifs: IFS JSON map 1 field translation: float() argument must be a number"),
 ])
 def test_fractional_integer_field_is_config_error(tmp_path, capsys, overrides, field):
-    # int() would truncate these and run 8 directions at depth 6 with seed 4.
+    # int() would truncate the fractional floats and run 8 directions at
+    # depth 6 with seed 4; int() and float() would read the strings and
+    # booleans as numbers, a boolean depth as depth 1.
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
@@ -154,12 +172,17 @@ def nonfinite_dust(value):
      "config field ifs: translation must be finite"),
     (dict(ifs=nonfinite_dust(float("inf"))), [],
      "config field ifs: translation must be finite"),
+    # Finite, but its attractor's coordinates once overflowed float64 in
+    # generate and in the projection, with numpy warnings, and exited 3.
+    (dict(ifs={"n": 2, "maps": [{"ratio": 0.5, "translation": [0.0, 0.0]},
+                                {"ratio": 0.5, "translation": [1e308, 1e308]}]}), [],
+     "config field ifs: translations up to 1.41e+308 in norm give an attractor wider"),
 ], ids=["scale_hi-62", "scale_hi-70", "scale_lo-negative", "seed-negative",
-        "seed-override-negative", "translation-nan", "translation-inf"])
+        "seed-override-negative", "translation-nan", "translation-inf", "translation-huge"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
                                       extra, field):
     calls = []
-    monkeypatch.setattr(lab, "generate", lambda *args: calls.append(args))
+    monkeypatch.setattr(fractal, "generate", lambda *args: calls.append(args))
     cfg = write_config(tmp_path / "cfg.json", **overrides)
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path)]
                    + extra) == 2

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -88,6 +89,41 @@ def test_generate_matches_concatenated_levels():
         coords = points.T
         assert coords.flags.c_contiguous
         assert np.ascontiguousarray(coords) is coords
+
+
+def loop_words(spec, p):
+    """Reference: the (ratio, offset) of each word T_w1 o ... o T_wp, in
+    lexicographic order of (w1, ..., wp), composed one map at a time."""
+    words = []
+    for word in itertools.product(spec.maps, repeat=p):
+        ratio, offset = 1.0, np.zeros(spec.n)
+        for sim in reversed(word):
+            ratio, offset = sim.ratio * ratio, sim.ratio * offset + sim.translation
+        words.append((ratio, offset))
+    return words
+
+
+@pytest.mark.parametrize("k, depth, budget, p", [
+    (1, 8, 4**7, 1), (1, 8, 4**5, 3), (2, 8, 4**6, 3), (1, 8, 4**8, 0), (1, 5, 1, 5)])
+def test_word_images_reproduce_generate(monkeypatch, k, depth, budget, p):
+    rng = np.random.default_rng(9)
+    uneven = IFSSpec(n=3, maps=tuple((r, rng.uniform(-1.0, 1.0, 3))
+                                     for r in (0.3, 0.45, 0.2, 0.6)))
+    monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+    for spec in (cantor_dust(), uneven):
+        points = generate(spec, depth).points
+        sample = fractal.tiled_sample(spec, depth, k)
+        # The least p whose base tile of k x 4^(depth - p) coordinates fits.
+        assert sample.base.tobytes() == generate(spec, depth - p).points.tobytes()
+        words = loop_words(spec, p)
+        assert sample.ratios.tolist() == [ratio for ratio, _ in words]
+        assert sample.offsets.tobytes() == np.array([t for _, t in words]).tobytes()
+        # Block w of generate's sample is word w's image of the base, to a
+        # few ulps of the attractor's size: generate maps one map at a time.
+        images = np.concatenate([r * sample.base + t for r, t in words])
+        assert images.shape == points.shape
+        ulp = np.spacing(np.abs(points).max())
+        assert np.abs(images - points).max() <= 4 * ulp
 
 
 def test_generate_budget_error_names_the_budget():
@@ -568,11 +604,13 @@ def test_fit_table_rows_independent_of_table():
     rng = np.random.default_rng(41)
     scales = list(range(2, 18))
     table = random_count_table(rng, 360, len(scales))
-    together = _fit_table(scales, table)
-    for i, est in enumerate(together):
-        alone = _fit_table(scales, table[i:i + 1])[0]
-        assert (alone.value, alone.slope_stderr) == (est.value, est.slope_stderr)
-        assert alone.counts == tuple(table[i].tolist())
+    # The box counter can return a Fortran-ordered table, whose row sums
+    # numpy once ran in another order, off by an ulp from the row alone.
+    for together in (_fit_table(scales, table), _fit_table(scales, np.asfortranarray(table))):
+        for i, est in enumerate(together):
+            alone = _fit_table(scales, table[i:i + 1])[0]
+            assert (alone.value, alone.slope_stderr) == (est.value, est.slope_stderr)
+            assert alone.counts == tuple(table[i].tolist())
 
 
 def test_fit_table_matches_polyfit():

@@ -27,7 +27,7 @@ from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
 from projlab import fractal
 from projlab.fractal import projected_dimensions
 from projlab.lab import _scan_cells_per_axis
-from test_fractal import count_cells
+from test_fractal import count_cells, record_occupancy
 
 
 def random_ifs(n, seed):
@@ -130,9 +130,9 @@ def capture_batches(monkeypatch):
     copies = []
     real_grid = fractal._unit_box_grid
 
-    def capture(rows, scale):
+    def capture(rows, scale, *words):
         copies.append(rows.copy())
-        return real_grid(rows, scale)
+        return real_grid(rows, scale, *words)
 
     monkeypatch.setattr(fractal, "_unit_box_grid", capture)
     return copies
@@ -197,12 +197,122 @@ def test_batching_keeps_results_csv(monkeypatch, cfg, per_batch):
     assert result_csv(result) == reference
 
 
-def test_large_sample_counts_one_direction_per_batch(monkeypatch):
-    # 4^8 dust points exceed the budget of k x N coordinates.
+def record_grids(monkeypatch):
+    """Keep each counting batch's base rows and word shifts, and the unit-box
+    grid (lo, width) found for them, in the order the batches run."""
+    grids = []
+    real_grid = fractal._unit_box_grid
+
+    def record(rows, scale, *words):
+        grid = real_grid(rows, scale, *words)
+        grids.append((rows.copy(), words[-1].copy(), *grid))
+        return grid
+
+    monkeypatch.setattr(fractal, "_unit_box_grid", record)
+    return grids
+
+
+def word_cloud(sample, frame):
+    """Reference: the projection of a tiled sample onto one frame, taken
+    before the words, materialized word by word, (N, k)."""
+    return np.concatenate([ratio * (sample.base @ frame) + shift for ratio, shift
+                           in zip(sample.ratios.tolist(), sample.offsets @ frame)])
+
+
+def test_large_sample_counts_as_word_images(monkeypatch):
+    # 4^8 dust points exceed the budget of k x N coordinates: the sweep
+    # counts the 4 word images of a 4^7-point base tile, two lines a batch.
     cfg = config(2, 1, depth=8, scale_hi=11, num_directions=4)
-    assert len(generate(cfg.ifs, cfg.depth).points) > fractal.COUNT_BATCH_POINTS
-    _, sizes = run_matches_oracle(cfg, monkeypatch)
-    assert sizes == [1, 1, 1, 1]
+    points = generate(cfg.ifs, cfg.depth).points
+    assert len(points) > fractal.COUNT_BATCH_POINTS
+    sample = fractal.tiled_sample(cfg.ifs, cfg.depth, cfg.k)
+    assert len(sample.base) == 4**7 and len(sample.ratios) == 4
+    grids = record_grids(monkeypatch)
+    result = marstrand_sweep(cfg)
+    monkeypatch.undo()
+    assert [len(rows) for rows, *_ in grids] == [2, 2]
+    expected = oracle_rows(cfg)
+    assert len(result.rows) == len(expected)
+    base_rows = np.concatenate([rows for rows, *_ in grids])
+    shifts = np.concatenate([shift for _, shift, *_ in grids])
+    for row, rows, shift, (c, coords, est) in zip(result.rows, base_rows, shifts, expected):
+        assert row.chart.I == c.I
+        assert row.chart.free.tobytes() == c.free.tobytes()
+        frame = loop_frame(c)
+        assert rows.tobytes() == (sample.base @ frame).T.tobytes()
+        assert shift.tobytes() == (sample.offsets @ frame).T.tobytes()
+        # The factored projection is the projection of generate's sample to
+        # a few ulps, and counts like it on the materialized per-frame loop.
+        cloud = word_cloud(sample, frame)
+        assert np.abs(cloud - coords.T).max() <= 8 * np.spacing(np.abs(coords).max())
+        assert row.estimate.value.hex() == est.value.hex()
+        assert row.estimate.slope_stderr.hex() == est.slope_stderr.hex()
+        assert row.estimate.counts == est.counts
+        assert row.exceptional == (est.value < cfg.threshold_s)
+
+
+@st.composite
+def tiled_samples(draw):
+    """A random IFS of 2-4 maps with unequal ratios in R^2 or R^3, sampled
+    at 729-2048 points; a budget that splits it into m^p words, p = 1 or
+    2; k-frames; and a scale window on the occupancy or the sort path."""
+    m, n = draw(st.integers(2, 4), label="maps"), draw(st.sampled_from([2, 3]), label="n")
+    k = draw(st.integers(1, n - 1), label="k")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    spec = IFSSpec(n=n, maps=tuple((r, rng.uniform(-1.0, 1.0, n))
+                                   for r in rng.uniform(0.15, 0.6, m)))
+    depth = {2: 11, 3: 6, 4: 5}[m]
+    p = draw(st.integers(1, 2), label="p")
+    budget = draw(st.integers(k * m**(depth - p), k * m**(depth - p + 1) - 1), label="budget")
+    frames = np.stack([orthonormal_frame(sample_uniform(n, k, rng))
+                       for _ in range(draw(st.integers(1, 4), label="frames"))])
+    # The finest scale whose 2^(k (hi + 1)) cells are no more than the points.
+    fill = int(math.log2(m**depth)) // k - 1
+    path = draw(st.sampled_from(["occupancy", "sort"]), label="path")
+    hi = fill if path == "occupancy" else fill + draw(st.integers(1, 3), label="over")
+    lo = draw(st.integers(0, hi - 2), label="scale_lo")
+    return spec, depth, k, budget, p, frames, path, lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tiled_samples())
+def test_word_images_count_like_their_materialized_cloud(case):
+    spec, depth, k, budget, p, frames, path, lo, hi = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+        sample = fractal.tiled_sample(spec, depth, k)
+        occupied, grids = record_occupancy(mp), record_grids(mp)
+        ests = projected_dimensions(sample, frames, lo, hi)
+    assert len(sample.ratios) == len(spec.maps)**p
+    assert bool(occupied) == (path == "occupancy")
+    row_lo = np.concatenate([grid_lo for *_, grid_lo, _ in grids])
+    widths = np.concatenate([width for *_, width in grids])
+    for frame, est, lo_row, width in zip(frames, ests, row_lo, widths, strict=True):
+        cloud = word_cloud(sample, frame)
+        # Each row's bounds are the minimum and maximum over all word images.
+        span = cloud.max(axis=0) - cloud.min(axis=0)
+        assert lo_row.ravel().tobytes() == cloud.min(axis=0).tobytes()
+        assert width.ravel().tobytes() == np.where(
+            span > fractal.DEGENERATE_SPAN, span * 2.0**-hi, np.inf).tobytes()
+        reference = box_dimension(normalize_unit_box(cloud), lo, hi)
+        assert est.counts == reference.counts
+        assert est == reference
+
+
+def test_dust_sweep_holds_no_sample_sized_array():
+    # Numpy reports its data buffers to tracemalloc.  The sweep-dust run of
+    # the benchmark: 4^10 dust points on 6 lines.  Its float64 coordinates
+    # alone would take 8 MiB; the sweep counts the 64 word images of a
+    # 4^7-point base tile instead.
+    cfg = config(2, 1, depth=10, scale_hi=13, num_directions=6, threshold_s=0.9, seed=7)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        marstrand_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20 < 4**10 * np.dtype(float).itemsize
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 2), (6, 3), (8, 4)])
@@ -320,10 +430,10 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
     release, arrivals = threading.Event(), itertools.count()
     real_grid = fractal._unit_box_grid
 
-    def held_rows(rows, scale):
+    def held_rows(rows, scale, *words):
         if next(arrivals) == 0:
             release.wait(timeout=60)
-        return real_grid(rows, scale)
+        return real_grid(rows, scale, *words)
 
     monkeypatch.setattr(fractal, "_unit_box_grid", held_rows)
     with ThreadPoolExecutor(max_workers=2) as pool:
