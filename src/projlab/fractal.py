@@ -3,11 +3,11 @@
 Attractors come from iterated function systems of pure contractions
 (ratio * x + translation, no rotations).  Dimension is estimated by counting
 occupied dyadic boxes on grids anchored at the origin, for one cloud
-(:func:`box_dimension`) or for the projections of one cloud onto a stack of
-frames, counted in batches (:func:`projected_dimensions`), where the cloud
-may be an attractor sample given as the similarity images of one base tile
-(:func:`tiled_sample`); the similarity dimension from the Moran equation
-serves as the ground-truth oracle.
+(:func:`box_dimension`) or for the projections onto a stack of frames of a
+:class:`TiledSample`, a cloud given as the similarity images of one base
+tile (:func:`tiled_sample`), counted in batches
+(:func:`projected_dimensions`); the similarity dimension from the Moran
+equation serves as the ground-truth oracle.
 """
 
 from __future__ import annotations
@@ -86,6 +86,8 @@ class IFSSpec:
             raise InputDomainError(
                 f"translations up to {shift:.3g} in norm give an attractor "
                 "wider than float64 holds")
+        if not isinstance(self.label, (str, type(None))):
+            raise InputDomainError(f"label must be a string or null, got {self.label!r}")
 
     def to_json(self) -> str:
         return json.dumps({
@@ -217,12 +219,30 @@ def _sample_depth(spec: IFSSpec, depth) -> int:
 class TiledSample:
     """A point cloud given as the images of one (N0, n) base tile under W
     similarities x -> ratios[w] * x + offsets[w] (the words), in word
-    order: W * N0 points, which nothing materializes.  Every ratio must be
-    >= 0.  A plain cloud is the one word of ratio 1 and offset 0."""
+    order: W * N0 points, which nothing materializes.  A plain cloud is the
+    one identity word, of ratio 1 and offset 0.
+
+    A base that is not a nonempty (N0, n) array, ratios that are not a
+    (W,) array with W >= 1, offsets that are not (W, n), or a ratio below 0
+    raise :class:`InputDomainError`: the counter takes each image's bounds
+    from the base's, which holds only for ratios >= 0.  Non-finite values
+    are left to the counter, which refuses them."""
 
     base: np.ndarray
     ratios: np.ndarray
     offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("base", "ratios", "offsets"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        base, ratios, offsets = self.base, self.ratios, self.offsets
+        if (base.ndim != 2 or base.size == 0 or ratios.ndim != 1 or ratios.size == 0
+                or offsets.shape != (len(ratios), base.shape[1])):
+            raise InputDomainError(
+                f"need a nonempty (N0, n) base tile, (W,) ratios and (W, n) "
+                f"offsets, got shapes {base.shape}, {ratios.shape} and {offsets.shape}")
+        if (ratios < 0.0).any():
+            raise InputDomainError(f"word ratios must be >= 0, got {float(ratios.min())}")
 
 
 def tiled_sample(spec: IFSSpec, depth: int, k: int) -> TiledSample:
@@ -484,116 +504,96 @@ def box_dimension(sample, scale_lo: int = 2,
                                           scale_lo, scale_hi))[0]
 
 
-def projected_dimensions(points, frames: np.ndarray, scale_lo: int,
+def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
                          scale_hi: int) -> list[DimensionEstimate]:
-    """Box dimension of a point cloud projected onto each frame of a
-    (D, n, k) stack.  The cloud is an (N, n) array, or a
-    :class:`TiledSample` of N = W * N0 points, which is counted one word
-    image at a time.  Each projection is rescaled into the unit box, which
-    makes the estimate invariant to the direction-dependent diameter of the
-    projected set.
+    """Box dimension of a tiled sample of N = W * N0 points projected onto
+    each frame of a (D, n, k) stack, counted one word image at a time.  Each
+    projection is rescaled into the unit box, which makes the estimate
+    invariant to the direction-dependent diameter of the projected set.
 
-    Per frame this is ``box_dimension(normalize_unit_box(cloud @ frame))``,
-    where the projection of a tiled cloud is taken before the words: word
-    w's block of it is fl(fl(r_w * (base @ frame)) + offsets[w] @ frame).
-    Frames are taken in batches of B, at least one, with B * k * N0 at most
+    Per frame this is ``box_dimension(normalize_unit_box(cloud @ frame))``
+    with the projection taken before the words: word w's block of it is
+    fl(fl(r_w * (base @ frame)) + offsets[w] @ frame).  Frames are taken in
+    batches of B, at least one, with B * k * N0 at most
     ``COUNT_BATCH_POINTS`` when the key space, 2^(k (scale_hi + 1)) cells,
-    holds no more cells than N (the occupancy path) and B * k * N
-    otherwise (the sort path); a plain cloud has N0 = N.  Each batch
-    projects the base into float64 rows and the word offsets into shifts.
-    A row's bounds lo and hi are those of the union of its word images:
-    rounding is monotone and every ratio is >= 0, so the bounds of an
-    image are the images of the row's bounds, bit for bit.  Each image is
-    floored into cells with one division, less lo, by span * 2^-scale_hi
-    (inf where the span is at most ``DEGENERATE_SPAN``, giving cells 0):
-    scaling by a power of two is exact and the division correctly rounded,
-    so the quotient is the rescaled coordinate times 2^scale_hi, bit for
-    bit.  The row maximum maps to 2^scale_hi, so the keys need scale_hi + 1
-    bits per axis and no offset.  On the occupancy path, each tile that
-    :func:`_box_counts` marks is an intp slice of one word image of at most
-    ``COUNT_BATCH_POINTS`` coordinates (the whole batch's image, or a point
-    slice of its one frame); on the sort path, every image is written into
-    its block of one tile of the whole batch in :func:`_key_dtype` cells,
-    whose keys are sorted.  The one identity word of a plain cloud (or of a
-    tiled sample that fits the budget whole) skips the multiply-add.  One
+    holds no more cells than N (the occupancy path) and B * k * N otherwise
+    (the sort path).  Each batch projects the base into float64 rows and
+    the word offsets into shifts.  A row's bounds lo and hi are those of
+    the union of its word images: rounding is monotone and every ratio is
+    >= 0, so the bounds of an image are the images of the row's bounds, bit
+    for bit.  Each image is floored into cells with one division, less lo,
+    by span * 2^-scale_hi (inf where the span is at most
+    ``DEGENERATE_SPAN``, giving cells 0): scaling by a power of two is exact
+    and the division correctly rounded, so the quotient is the rescaled
+    coordinate times 2^scale_hi, bit for bit.  The row maximum maps to
+    2^scale_hi, so the keys need scale_hi + 1 bits per axis and no offset.
+    :func:`_box_counts` marks each word image as one (B, k, N0) intp tile
+    on the occupancy path; on the sort path it sorts one (B, k, W * N0)
+    tile of :func:`_key_dtype` cells that holds every image.  The one
+    identity word (a plain cloud) skips the multiply-add.  One
     :func:`_fit_table` fits all counts.  The rows, the images and the tile
     are allocated once per call, as large as the largest batch, and nothing
     is kept between calls.
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
-    anything is projected.  A non-finite coordinate, points that are not an
-    (N, n) array, frames that are not a (D, n, k) stack, and an empty cloud
-    or frame stack raise :class:`InputDomainError`.
+    anything is projected.  A non-finite coordinate and frames that are not
+    a nonempty (D, n, k) stack raise :class:`InputDomainError`.
     """
-    ratios = offsets = None
-    if isinstance(points, TiledSample):
-        points, ratios, offsets = points.base, points.ratios, points.offsets
-    points, frames = np.asarray(points, dtype=float), np.asarray(frames, dtype=float)
-    if points.ndim != 2 or frames.ndim != 3 or frames.shape[1] != points.shape[1]:
+    base, ratios, offsets = sample.base, sample.ratios, sample.offsets
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[1] != base.shape[1] or frames.size == 0:
         raise InputDomainError(
-            f"need (N, n) points and a (D, n, k) frame stack, got shapes "
-            f"{points.shape} and {frames.shape}")
-    if points.size == 0:
-        raise InputDomainError("cannot box-count an empty point set")
-    if frames.size == 0:
-        raise InputDomainError(f"need a nonempty (D, n, k) frame stack, got shape {frames.shape}")
-    if ratios is None or (ratios.tolist() == [1.0] and not offsets.any()):
-        ratios, offsets = np.ones(1), None
+            f"need a nonempty (D, n, k) frame stack for n={base.shape[1]}, got shape "
+            f"{frames.shape}")
+    identity = ratios.tolist() == [1.0] and not offsets.any()
     scales = _scales(scale_lo, scale_hi)
-    base_count, k, bits = len(points), frames.shape[2], scale_hi + 1
+    base_count, k, bits = len(base), frames.shape[2], scale_hi + 1
     count = len(ratios) * base_count
     dtype = _key_dtype(k, bits, scale_hi)
     occupancy = 1 << (k * bits) <= count
     size = max(1, COUNT_BATCH_POINTS // (k * (base_count if occupancy else count)))
     # One contiguous (n, N0) operand for every batch's product; the transpose
     # of a generate() sample already is one.
-    coords = np.ascontiguousarray(points.T)
+    coords = np.ascontiguousarray(base.T)
 
     # Reused by every batch, which writes each row and tile entry before
     # reading it: allocating each batch afresh counts slower.
     shape = (min(size, len(frames)), k, base_count)
     all_rows = np.empty(shape)
-    # Base points per image: all N0 on the sort path, and when the largest
-    # batch holds several frames.
-    if occupancy:
-        per_tile = min(base_count, max(1, COUNT_BATCH_POINTS // (shape[0] * k)))
-        tile = np.empty((*shape[:2], per_tile), dtype=np.intp)
-    else:
-        per_tile, tile = base_count, np.empty((*shape[:2], count), dtype=dtype)
-    images = None if offsets is None else np.empty((*shape[:2], per_tile))
+    images = None if identity else np.empty(shape)
+    tile = (np.empty(shape, dtype=np.intp) if occupancy
+            else np.empty((*shape[:2], count), dtype=dtype))
 
     counts = []
     for batch in (frames[i:i + size] for i in range(0, len(frames), size)):
         rows = np.matmul(batch.swapaxes(1, 2), coords, out=all_rows[:len(batch)])
-        shifts = None if offsets is None else np.matmul(batch.swapaxes(1, 2), offsets.T)
+        shifts = None if identity else np.matmul(batch.swapaxes(1, 2), offsets.T)
         lo, width = _unit_box_grid(rows, scale_hi, ratios, shifts)
         # The images less lo are non-negative, so the integer cast floors them.
-        parts = _word_images(rows, ratios, shifts, lo, per_tile, images)
+        words = _word_images(rows, ratios, shifts, lo, images)
         keys = tile[:len(batch)]
         if occupancy:
-            tiles = (np.divide(part, width, casting="unsafe", out=keys[..., :part.shape[-1]])
-                     for part in parts)
+            tiles = (np.divide(image, width, casting="unsafe", out=keys) for image in words)
         else:
-            for j, part in zip(range(0, count, base_count), parts):
-                np.divide(part, width, casting="unsafe", out=keys[..., j:j + base_count])
+            for j, image in zip(range(0, count, base_count), words):
+                np.divide(image, width, casting="unsafe", out=keys[..., j:j + base_count])
             tiles = [keys]
         counts.append(_box_counts(tiles, len(batch), k, bits, count, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
 
 
-def _word_images(rows, ratios, shifts, lo, step: int, images):
-    """Each word's image of each run of ``step`` points of a (B, k, N0)
-    stack of projected rows, less ``lo``, in word order: fl(fl(r_w x) +
-    shifts[..., w]) - lo, computed in the ``images`` workspace; or, without
-    shifts (the one identity word), x - lo, in place in the rows."""
+def _word_images(rows, ratios, shifts, lo, images):
+    """Each word's image of a (B, k, N0) stack of projected rows, less
+    ``lo``, in word order: fl(fl(r_w x) + shifts[..., w]) - lo, computed in
+    the ``images`` workspace; or, without shifts (the one identity word),
+    x - lo, in place in the rows."""
     for w, ratio in enumerate(ratios.tolist()):
-        for j in range(0, rows.shape[-1], step):
-            part = rows[..., j:j + step]
-            if shifts is not None:
-                part = np.multiply(part, ratio, out=images[:len(rows), :, :part.shape[-1]])
-                part += shifts[..., w:w + 1]
-            part -= lo
-            yield part
+        image = rows
+        if shifts is not None:
+            image = np.multiply(rows, ratio, out=images[:len(rows)])
+            image += shifts[..., w:w + 1]
+        image -= lo
+        yield image
 
 
 def normalize_unit_box(points) -> np.ndarray:

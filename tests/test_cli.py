@@ -177,8 +177,12 @@ def nonfinite_dust(value):
     (dict(ifs={"n": 2, "maps": [{"ratio": 0.5, "translation": [0.0, 0.0]},
                                 {"ratio": 0.5, "translation": [1e308, 1e308]}]}), [],
      "config field ifs: translations up to 1.41e+308 in norm give an attractor wider"),
+    # Any JSON value was once taken as the label and echoed into summary.json.
+    (dict(ifs={**json.loads(cantor_dust().to_json()), "label": ["dust"]}), [],
+     "config field ifs: label must be a string or null, got ['dust']"),
 ], ids=["scale_hi-62", "scale_hi-70", "scale_lo-negative", "seed-negative",
-        "seed-override-negative", "translation-nan", "translation-inf", "translation-huge"])
+        "seed-override-negative", "translation-nan", "translation-inf", "translation-huge",
+        "label-list"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
                                       extra, field):
     calls = []

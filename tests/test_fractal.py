@@ -14,9 +14,15 @@ from projlab import (InputDomainError, ResourceBudgetError, box_dimension,
                      kt_compressor, load_sample, normalize_unit_box,
                      null_compressor, sample_uniform, similarity_dimension)
 from projlab import fractal
-from projlab.fractal import (IFSSpec, PointSample, Similarity, _bit_lengths,
-                             _box_counts, _fit_table, default_scale_hi,
-                             projected_dimensions)
+from projlab.fractal import (IFSSpec, PointSample, Similarity, TiledSample,
+                             _bit_lengths, _box_counts, _fit_table,
+                             default_scale_hi, projected_dimensions)
+
+
+def plain_cloud(points):
+    """An (N, n) cloud as the tiled sample of one identity word."""
+    points = np.asarray(points, dtype=float)
+    return TiledSample(points, np.ones(1), np.zeros((1, points.shape[-1])))
 
 
 def unit_interval_ifs():
@@ -126,6 +132,41 @@ def test_word_images_reproduce_generate(monkeypatch, k, depth, budget, p):
         assert np.abs(images - points).max() <= 4 * ulp
 
 
+DUST_TILE = generate(cantor_dust(), 5).points
+
+
+@pytest.mark.parametrize("base, ratios, offsets, message", [
+    # On frame (0.6, 0.8) at scales 2..8 these once counted (6, 10, 18, 34,
+    # 66, 130, 257) and (2, 4, 8, ..., 128), where the materialized clouds
+    # read (5, 7, 13, 23, 45, 87, 173) and (5, 9, 17, ..., 257): a negative
+    # ratio maps the row's bounds out of order, and one ratio with two
+    # offsets counted one word image.
+    (DUST_TILE, [-0.5, 0.5], [[0.0, 0.0], [0.5, 0.5]], "word ratios must be >= 0, got -0.5"),
+    (DUST_TILE, [0.5], [[0.0, 0.0], [0.5, 0.5]], r"\(1024, 2\), \(1,\) and \(2, 2\)"),
+    (DUST_TILE, [0.5, 0.5], [[0.0] * 3, [0.5] * 3], r"\(1024, 2\), \(2,\) and \(2, 3\)"),
+    (DUST_TILE, [], np.zeros((0, 2)), r"\(1024, 2\), \(0,\) and \(0, 2\)"),
+    (DUST_TILE, [[0.5]], [[0.0, 0.0]], r"\(1024, 2\), \(1, 1\) and \(1, 2\)"),
+    (np.zeros((0, 2)), [1.0], [[0.0, 0.0]], r"nonempty \(N0, n\) base tile.*\(0, 2\), \(1,\)"),
+    (np.zeros(5), [1.0], [[0.0, 0.0]], r"\(5,\), \(1,\) and \(1, 2\)"),
+    (np.zeros((5, 2, 1)), [1.0], [[0.0, 0.0]], r"\(5, 2, 1\), \(1,\) and \(1, 2\)"),
+], ids=["negative-ratio", "one-ratio-two-offsets", "offsets-in-r3", "no-words", "2-d-ratios",
+        "empty-base", "1-d-base", "3-d-base"])
+def test_tiled_sample_refuses_what_it_cannot_count(base, ratios, offsets, message):
+    with pytest.raises(InputDomainError, match=message):
+        TiledSample(base, ratios, offsets)
+
+
+def test_tiled_sample_takes_zero_ratios_and_leaves_nan_to_the_counter():
+    # A ratio of 0 maps the base to one point; a NaN ratio passes the sign
+    # check, and the counter refuses it.
+    frame = np.array([[[0.6], [0.8]]])
+    sample = TiledSample(DUST_TILE, [0.0, 0.5], [[0.0, 0.0], [0.5, 0.5]])
+    est, = projected_dimensions(sample, frame, 2, 8)
+    assert est == box_dimension(normalize_unit_box(word_cloud(sample, frame[0])), 2, 8)
+    with pytest.raises(InputDomainError, match="non-finite"):
+        projected_dimensions(TiledSample(DUST_TILE, [np.nan], [[0.0, 0.0]]), frame, 2, 8)
+
+
 def test_generate_budget_error_names_the_budget():
     with pytest.raises(ResourceBudgetError,
                        match="4\\^13 points exceed the exhaustive budget 10000000$"):
@@ -167,7 +208,13 @@ def test_sample_and_ifs_reject_bad_shapes(call, message):
     (dict(maps=[0.5, 0.5]), "field ratio: missing from IFS JSON map 0"),
     (dict(maps=[{"ratio": 0.5, "translation": [0.0]}, {"ratio": 0.5}]),
      "field translation: missing from IFS JSON map 1"),
-], ids=["n-string", "map-not-object", "map-without-translation"])
+    # Any JSON value was once taken as the label and echoed into summary.json.
+    (dict(label=[1, {"a": 2}]), r"label must be a string or null, got \[1, \{'a': 2\}\]"),
+    (dict(label=3), "label must be a string or null, got 3"),
+    (dict(label=True), "label must be a string or null, got True"),
+    (dict(label={"name": "dust"}), "label must be a string or null, got {'name': 'dust'}"),
+], ids=["n-string", "map-not-object", "map-without-translation", "label-list",
+        "label-number", "label-boolean", "label-object"])
 def test_ifs_json_rejects_with_typed_error(change, message):
     document = {**json.loads(cantor_middle_thirds().to_json()), **change}
     with pytest.raises(InputDomainError, match=message):
@@ -179,6 +226,8 @@ def test_ifs_json_round_trip():
     again = IFSSpec.from_json(spec.to_json())
     assert again.n == 2 and len(again.maps) == 4
     assert again.label == spec.label
+    unlabelled = IFSSpec(n=2, maps=spec.maps)
+    assert IFSSpec.from_json(unlabelled.to_json()).label is None
 
 
 def test_box_counts_match_independent_oracle():
@@ -338,7 +387,7 @@ def test_dust_projection_counts_by_occupancy(monkeypatch):
     points = generate(cantor_dust(), 8).points
     frames = np.array([[[0.6], [0.8]], [[1.0], [0.0]], [[-0.28], [0.96]]])
     spaces = record_occupancy(monkeypatch)
-    ests = projected_dimensions(points, frames, 2, 13)
+    ests = projected_dimensions(plain_cloud(points), frames, 2, 13)
     assert spaces == [1 << 14] * len(frames)
     for frame, est in zip(frames, ests):
         line = normalize_unit_box(points @ frame)
@@ -356,12 +405,20 @@ def record_tiles(monkeypatch):
     return shapes
 
 
+def word_cloud(sample, frame):
+    """Reference: the projection of a tiled sample onto one frame, taken
+    before the words, materialized word by word, (N, k)."""
+    return np.concatenate([ratio * (sample.base @ frame) + shift for ratio, shift
+                           in zip(sample.ratios.tolist(), sample.offsets @ frame)])
+
+
 @pytest.mark.parametrize("k, budget, batches, tiles", [
-    # An odd budget: each of the 4 frames spans several tiles, the last one
-    # partial.
-    (1, 1001, 4, 4 * ([(1, 1, 1001)] * 4 + [(1, 1, 92)])),
-    (2, 1001, 4, 4 * ([(1, 2, 500)] * 8 + [(1, 2, 96)])),
-    # Three whole frames per batch and tile.
+    # One frame per batch, each spanning the 16 word images of a 4^4-point
+    # base tile.
+    (1, 511, 4, 4 * 16 * [(1, 1, 256)]),
+    (2, 1001, 4, 4 * 16 * [(1, 2, 256)]),
+    # The whole sample is one identity word: three whole frames per batch
+    # and tile.
     (1, 3 * 4096 + 1, 2, [(3, 1, 4096), (1, 1, 4096)]),
     (2, 3 * 2 * 4096 + 1, 2, [(3, 2, 4096), (1, 2, 4096)]),
 ], ids=["lines-sliced", "planes-sliced", "lines-batched", "planes-batched"])
@@ -369,21 +426,23 @@ def test_occupancy_tiles_count_like_each_frame(monkeypatch, k, budget, batches, 
     # 4^6 dust points; 2^(k (scale_hi + 1)) = 4096 cells, so the pipeline
     # counts by occupancy.  The frames have no negative entries, so the last
     # point, the dust's corner, lands in cell 2^scale_hi of every live axis,
-    # in the last tile.  The third frame has a constant axis.
-    points = generate(cantor_dust(), 6).points
+    # in the last tile.  The third frame has a constant axis.  The oracle is
+    # the word images' cloud, which rounds apart from generate's points.
     hi = 12 // k - 1
     frames = {1: [[[0.6], [0.8]], [[0.28], [0.96]], [[0.0], [0.0]], [[1.0], [0.0]]],
               2: [[[1.0, 0.3], [0.2, 1.0]], [[0.6, 0.8], [0.8, 0.6]],
                   [[1.0, 0.0], [0.5, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}[k]
     frames = np.array(frames)
     monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+    sample = fractal.tiled_sample(cantor_dust(), 6, k)
     occupied, shapes = record_occupancy(monkeypatch), record_tiles(monkeypatch)
-    ests = projected_dimensions(points, frames, 2, hi)
+    ests = projected_dimensions(sample, frames, 2, hi)
     monkeypatch.undo()
     assert occupied == [4096] * batches
     assert shapes == tiles
+    assert all(math.prod(shape) <= budget for shape in shapes)
     for frame, est in zip(frames, ests):
-        cloud = normalize_unit_box(points @ frame)
+        cloud = normalize_unit_box(word_cloud(sample, frame))
         assert np.all((cloud[-1] == 1.0) | (cloud.max(axis=0) == 0.0))
         assert est.counts == per_scale_counts(cloud, range(2, hi + 1))
         assert est == box_dimension(cloud, 2, hi)
@@ -407,12 +466,12 @@ def test_batch_budget_keeps_estimates_and_sorts_whole_batches(path, data):
     frames, hi = BUDGET_PATHS[path]
     k = frames.shape[2]
     budget = data.draw(st.integers(1, 3 * k * len(points)), label="budget")
-    expected = projected_dimensions(points, frames, 2, hi)
+    expected = projected_dimensions(plain_cloud(points), frames, 2, hi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fractal, "COUNT_BATCH_POINTS", budget)
         occupied, shapes = record_occupancy(mp), record_tiles(mp)
         dtypes = record_key_dtypes(mp)
-        assert projected_dimensions(points, frames, 2, hi) == expected
+        assert projected_dimensions(plain_cloud(points), frames, 2, hi) == expected
     assert bool(occupied) == (path == "occupancy")
     if path == "sort":
         # One tile per batch, holding every point of every frame in it.
@@ -440,7 +499,7 @@ def test_scale_window_is_typed(window, message):
     with pytest.raises(InputDomainError, match=message):
         box_dimension(dust, *window)
     with pytest.raises(InputDomainError, match=message):
-        projected_dimensions(dust.points, np.array([[[0.6], [0.8]]]), *window)
+        projected_dimensions(plain_cloud(dust.points), np.array([[[0.6], [0.8]]]), *window)
     assert box_dimension(dust, 0, 2).scales == (0, 1, 2)
 
 
@@ -556,10 +615,10 @@ def test_key_dtype_follows_key_width(monkeypatch):
     angles = np.linspace(0.1, 3.0, 5)
     frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
     dtypes = record_key_dtypes(monkeypatch)
-    narrow = projected_dimensions(points, frames, 2, 17)
+    narrow = projected_dimensions(plain_cloud(points), frames, 2, 17)
     assert dtypes and set(dtypes) == {np.dtype(np.int32)}
     dtypes.clear()
-    wide = projected_dimensions(points, frames, 2, 31)
+    wide = projected_dimensions(plain_cloud(points), frames, 2, 31)
     assert dtypes and set(dtypes) == {np.dtype(np.int64)}
     assert [est.counts[:16] for est in wide] == [est.counts for est in narrow]
     # box_dimension picks the dtype from the shifted cells' bit length.
@@ -646,7 +705,7 @@ def test_counting_leaves_inputs_unchanged():
     angles = np.linspace(0.1, 3.0, 4)
     frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
     points_before, frames_before = points.copy(), frames.copy()
-    projected_dimensions(points, frames, 2, 12)
+    projected_dimensions(plain_cloud(points), frames, 2, 12)
     assert points.tobytes() == points_before.tobytes()
     assert frames.tobytes() == frames_before.tobytes()
 

@@ -27,7 +27,7 @@ from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
 from projlab import fractal
 from projlab.fractal import projected_dimensions
 from projlab.lab import _scan_cells_per_axis
-from test_fractal import count_cells, record_occupancy
+from test_fractal import count_cells, plain_cloud, record_occupancy, word_cloud
 
 
 def random_ifs(n, seed):
@@ -212,13 +212,6 @@ def record_grids(monkeypatch):
     return grids
 
 
-def word_cloud(sample, frame):
-    """Reference: the projection of a tiled sample onto one frame, taken
-    before the words, materialized word by word, (N, k)."""
-    return np.concatenate([ratio * (sample.base @ frame) + shift for ratio, shift
-                           in zip(sample.ratios.tolist(), sample.offsets @ frame)])
-
-
 def test_large_sample_counts_as_word_images(monkeypatch):
     # 4^8 dust points exceed the budget of k x N coordinates: the sweep
     # counts the 4 word images of a 4^7-point base tile, two lines a batch.
@@ -370,13 +363,13 @@ def test_batched_counter_raises_like_box_dimension():
     with pytest.raises(InputDomainError, match="non-finite"):
         box_dimension(bad.T, 2, 8)
     with pytest.raises(InputDomainError, match="non-finite"):
-        projected_dimensions(bad.T, identity, 2, 8)
+        projected_dimensions(plain_cloud(bad.T), identity, 2, 8)
     # 3 axes x 22 bits exceed the 63-bit key.  The pipeline refuses before
     # it projects, so the NaN is never reached.
     with pytest.raises(ResourceBudgetError, match="k=3 at scale_hi=22"):
         box_dimension(good.T, 2, 22)
     with pytest.raises(ResourceBudgetError, match="k=3 at scale_hi=22"):
-        projected_dimensions(bad.T, identity, 2, 22)
+        projected_dimensions(plain_cloud(bad.T), identity, 2, 22)
     huge = np.full((1, 1, 3), 1e30)
     with pytest.raises(ResourceBudgetError, match="scale_hi=8"):
         box_dimension(huge[0].T, 2, 8)
@@ -386,11 +379,11 @@ def test_projected_dimensions_one_frame_per_estimate():
     points = generate(random_ifs(4, 1), 5).points
     frames = np.stack([orthonormal_frame(sample_uniform(
         4, 2, np.random.default_rng(i))) for i in range(5)])
-    ests = projected_dimensions(points, frames, 2, 7)
+    ests = projected_dimensions(plain_cloud(points), frames, 2, 7)
     for frame, est in zip(frames, ests):
         assert est == box_dimension(normalize_unit_box(points @ frame), 2, 7)
     with pytest.raises(InputDomainError, match="at least 3 scales"):
-        projected_dimensions(points, frames, 2, 3)
+        projected_dimensions(plain_cloud(points), frames, 2, 3)
 
 
 @pytest.mark.parametrize("points, frames", [
@@ -401,7 +394,7 @@ def test_projected_dimensions_rejects_empty_input(points, frames):
     # These once died in np.concatenate with a raw ValueError and in the
     # batch size with a raw ZeroDivisionError.
     with pytest.raises(InputDomainError, match="empty|nonempty"):
-        projected_dimensions(points, frames, 2, 8)
+        projected_dimensions(plain_cloud(points), frames, 2, 8)
 
 
 def test_batch_workspace_is_fully_overwritten(monkeypatch):
@@ -412,7 +405,7 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
     points = generate(random_ifs(4, 1), 6).points
     frames = np.stack([orthonormal_frame(sample_uniform(
         4, 2, np.random.default_rng(i))) for i in range(30)])
-    fresh = projected_dimensions(points, frames, 2, 7)
+    fresh = projected_dimensions(plain_cloud(points), frames, 2, 7)
     real_empty, shapes = np.empty, []
 
     def filled_empty(*args, **kwargs):
@@ -423,7 +416,7 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "empty", filled_empty)
-        assert projected_dimensions(points, frames, 2, 7) == fresh
+        assert projected_dimensions(plain_cloud(points), frames, 2, 7) == fresh
     assert shapes.count((22, 2, 729)) == 2
     # Two calls at once: the first to reach a batch is held there until the
     # other call has run to the end, so each needs its own workspace.
@@ -437,45 +430,51 @@ def test_batch_workspace_is_fully_overwritten(monkeypatch):
 
     monkeypatch.setattr(fractal, "_unit_box_grid", held_rows)
     with ThreadPoolExecutor(max_workers=2) as pool:
-        calls = [pool.submit(projected_dimensions, points, frames, 2, 7)
+        calls = [pool.submit(projected_dimensions, plain_cloud(points), frames, 2, 7)
                  for _ in range(2)]
         wait(calls, timeout=60, return_when=FIRST_COMPLETED)
         release.set()
         assert [call.result() for call in calls] == [fresh, fresh]
 
 
-def test_projected_dimensions_keeps_nothing_after_the_call():
+def test_projected_dimensions_keeps_nothing_after_the_call(monkeypatch):
     # Numpy reports its data buffers to tracemalloc.  One line per batch on
-    # 4^depth points, counted by occupancy (2^12 cells at scale 11): a
-    # workspace of N float64 rows and one intp tile of COUNT_BATCH_POINTS
-    # coordinates, and no N-sized integer array.
+    # 4^depth points, given as the 4 or 16 word images of a 4^8-point base
+    # tile and counted by occupancy (2^12 cells at scale 11): a workspace of
+    # N0 float64 rows, N0 float64 images and one intp tile of at most
+    # COUNT_BATCH_POINTS coordinates, and no N-sized array.
+    monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", 4**8)
     angles = np.linspace(0.0, math.pi, 5, endpoint=False)
     frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
-    for depth in (8, 9):
-        points = generate(cantor_dust(), depth).points
-        workspace = len(points) * 8 + fractal.COUNT_BATCH_POINTS * np.dtype(np.intp).itemsize
+    for depth, words in ((9, 4), (10, 16)):
+        sample = fractal.tiled_sample(cantor_dust(), depth, 1)
+        assert sample.base.shape == (4**8, 2) and len(sample.ratios) == words
+        workspace = len(sample.base) * (8 + 8 + np.dtype(np.intp).itemsize)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            projected_dimensions(points, frames, 2, 11)
+            projected_dimensions(sample, frames, 2, 11)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert kept - start < 16 * 1024
         assert workspace <= peak - start < 1.25 * workspace
-    # 2^18 points: below the float64 rows and int32 cells that the
+    # 2^20 points: below the float64 rows and int32 cells that the
     # occupancy path once allocated.
-    assert peak - start < len(points) * (8 + 4)
+    assert peak - start < 4**depth * (8 + 4)
 
 
-@pytest.mark.parametrize("points, frames", [
-    (np.zeros((50, 3)), np.zeros((2, 4, 1))),
-    (np.zeros((50, 3)), np.zeros((3, 2))),
-    (np.zeros((50, 3, 1)), np.zeros((1, 3, 2))),
-    (np.zeros(50), np.zeros((1, 1, 1))),
+@pytest.mark.parametrize("points, frames, message", [
+    (np.zeros((50, 3)), np.zeros((2, 4, 1)),
+     r"\(D, n, k\) frame stack for n=3, got shape \(2, 4, 1\)"),
+    (np.zeros((50, 3)), np.zeros((3, 2)),
+     r"\(D, n, k\) frame stack for n=3, got shape \(3, 2\)"),
+    (np.zeros((50, 3, 1)), np.zeros((1, 3, 2)),
+     r"\(N0, n\) base tile.*got shapes \(50, 3, 1\)"),
+    (np.zeros(50), np.zeros((1, 1, 1)), r"\(N0, n\) base tile.*got shapes \(50,\)"),
 ], ids=["mismatched-n", "2-d-frames", "3-d-points", "1-d-points"])
-def test_projected_dimensions_rejects_bad_shapes(points, frames):
+def test_projected_dimensions_rejects_bad_shapes(points, frames, message):
     # These once died in the matmul with a raw ValueError, in the frame
     # shape with a raw IndexError, or broadcast into an estimate.
-    with pytest.raises(InputDomainError, match=r"\(N, n\) points and a \(D, n, k\)"):
-        projected_dimensions(points, frames, 2, 8)
+    with pytest.raises(InputDomainError, match=message):
+        projected_dimensions(plain_cloud(points), frames, 2, 8)
