@@ -2,11 +2,16 @@
 
 A chart fixes a row index set I and normalizes a basis matrix A of the
 plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
-remaining (n-k) x k block carries all free parameters.  Index sets are
-chosen for conditioning, scoring only those that a bound lets win: the
-columns maximize the smallest singular value (:func:`_good_columns`), the
-row block |det| (:func:`_good_rows`).  A stack of projections is charted at
-once (:func:`chart_bases`); :func:`to_chart` is its one-projection case.
+remaining (n-k) x k block carries all free parameters.  I is the row
+block of largest |det| (:func:`_good_rows`), which makes the chart a
+function of the plane alone: any other basis A M has |det (A M)_J| =
+|det A_J| |det M| and (A M)(A M)_J^{-1} = A A_J^{-1}.  A stack of bases is
+charted at once (:func:`chart_bases`): the lab's sweeps chart the QR factors
+of their draws and its scans their grid bases.  Projection matrices serve
+the one-subspace API only: :func:`to_chart`, :func:`orthonormal_frame`,
+:func:`good_basis` and :func:`chart_stability` take the columns of P that
+maximize the smallest singular value (:func:`_good_columns`) as the basis.
+Both selections score only the index sets that a bound lets win.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
 from .grassmann import (_IDEMPOTENCY_TOL, _SYMMETRY_TOL, Subspace, contains,
                         from_basis, metric_rho)
 
-# A basis whose smallest singular value is at most this is rank deficient.
+# A basis whose smallest singular value, or whose largest row-block |det|
+# relative to the product of its column norms, is at most this is rank
+# deficient.
 _RANK_TOL = 1e-10
 # Submatrices per batched eigvalsh/svd/det call: memory stays at 1024 x n x k
 # floats whatever binom(n, k) and the number of projections are.
@@ -160,10 +167,11 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return cols, sigma, p[np.arange(d)[:, None, None], np.arange(n)[:, None], cols[:, None]]
 
 
-def _good_rows(a: np.ndarray) -> np.ndarray:
+def _good_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row selection of each basis of a (D, n, k) stack: the (D, k) index
-    sets I maximizing |det(A_I)|, scoring the blocks whose padded Hadamard
-    bound reaches (1 - ``_DET_SLACK``) |det| of the best-bounded block."""
+    sets I maximizing |det(A_I)| and those (D,) |det|, scoring the blocks
+    whose padded Hadamard bound reaches (1 - ``_DET_SLACK``) |det| of the
+    best-bounded block."""
     _, n, k = a.shape
     subsets = _index_subsets(n, k)
     norms = np.sqrt(np.einsum("dij,dij->di", a, a))
@@ -173,7 +181,8 @@ def _good_rows(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         dets = _pruned_scores(subsets, bound, lambda top: top * (1.0 - _DET_SLACK),
                               lambda i, s: np.abs(np.linalg.det(a[i[:, None], s])))
-    return subsets[np.argmax(dets, axis=1)]
+    best = np.argmax(dets, axis=1)
+    return subsets[best], dets[np.arange(len(a)), best]
 
 
 def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
@@ -209,25 +218,29 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     s = np.linalg.svd(a, compute_uv=False)
     if s[-1] <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
-    best_idx = tuple(_good_rows(a[None])[0].tolist())
+    best_idx = tuple(_good_rows(a[None])[0][0].tolist())
     k1, k2 = float(s[0]), float(s[-1])
     return best_idx, ConditionReport(
         sigma_min=k2, sigma_max=k1, det_AI=float(np.linalg.det(a[list(best_idx), :])),
         inv_norm_bound=math.sqrt(math.comb(n, m)) * k1 ** (m - 1) / k2**m)
 
 
-def chart_bases(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Charts of a (D, n, n) stack of checked rank-k projections.
+def chart_bases(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Charts of the planes spanned by a (D, n, k) stack of bases.
 
-    Returns the (D, k) row index sets I and the (D, n, k) chart bases A',
-    with the identity at the I-rows and the free block elsewhere.  Per
-    projection this is :func:`good_basis` followed by :func:`good_submatrix`,
-    for the whole stack at once (:func:`_good_columns`, whose rescoring
-    also gives the rank check, and :func:`_good_rows`); one batched inverse
-    normalizes the row blocks.
+    Returns the (D, k) row index sets I maximizing |det(A_I)|
+    (:func:`_good_rows`) and the (D, n, k) chart bases A' = A A_I^{-1}, with
+    the identity at the I-rows and the free block elsewhere; one batched
+    inverse normalizes the row blocks.  By Hadamard's inequality every
+    |det(A_I)| is at most the product of A's column norms, so a basis whose
+    best |det| is at most ``_RANK_TOL`` times that product has dependent
+    columns and raises :class:`DegeneracyError`.
     """
-    a = _good_columns(p, k)[2]
-    rows = _good_rows(a)
+    k = a.shape[2]
+    rows, dets = _good_rows(a)
+    low = dets <= _RANK_TOL * np.prod(np.linalg.norm(a, axis=1), axis=1)
+    if low.any():
+        raise DegeneracyError("basis is rank deficient", sigma=float(dets[low].min()))
     a_prime = a @ np.linalg.inv(a[np.arange(len(a))[:, None], rows])
     a_prime[np.arange(len(a))[:, None], rows] = np.eye(k)
     return rows, a_prime
@@ -251,7 +264,7 @@ def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
 
 def to_chart(v: Subspace) -> Chart:
     """Chart of a subspace: good basis, then the best-conditioned row block."""
-    return charts_of(*chart_bases(v.proj[None], v.k))[0]
+    return charts_of(*chart_bases(_good_columns(v.proj[None], v.k)[2]))[0]
 
 
 def from_chart(c: Chart) -> Subspace:
@@ -299,7 +312,7 @@ def chart_stability(v: Subspace, eps: float, trials: int,
     """
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, basis_idx = a[0], cols[0].tolist()
-    rows = _good_rows(a[None])[0].tolist()
+    rows = _good_rows(a[None])[0][0].tolist()
     a_i_inv = np.linalg.inv(a[rows, :])
     a_prime = a @ a_i_inv
     constant = stability_constant(v.n, v.k, float(sigma[0]))
@@ -320,7 +333,7 @@ def chart_stability(v: Subspace, eps: float, trials: int,
 def orthonormal_frame(v: Subspace) -> np.ndarray:
     """Deterministic orthonormal basis of a subspace: the frame of its chart
     basis, see :func:`orthonormal_frames`."""
-    return orthonormal_frames(chart_bases(v.proj[None], v.k)[1])[0]
+    return orthonormal_frames(chart_bases(_good_columns(v.proj[None], v.k)[2])[1])[0]
 
 
 def orthonormal_frames(bases: np.ndarray) -> np.ndarray:

@@ -586,10 +586,16 @@ def _word_images(rows, ratios, shifts, lo, images):
     """Each word's image of a (B, k, N0) stack of projected rows, less
     ``lo``, in word order: fl(fl(r_w x) + shifts[..., w]) - lo, computed in
     the ``images`` workspace; or, without shifts (the one identity word),
-    x - lo, in place in the rows."""
+    x - lo, in place in the rows.  When every word has one ratio r, fl(r x)
+    is taken once, in place in the rows."""
+    one_ratio = shifts is not None and (ratios == ratios[0]).all()
+    if one_ratio:
+        rows *= ratios[0]
     for w, ratio in enumerate(ratios.tolist()):
         image = rows
-        if shifts is not None:
+        if one_ratio:
+            image = np.add(rows, shifts[..., w:w + 1], out=images[:len(rows)])
+        elif shifts is not None:
             image = np.multiply(rows, ratio, out=images[:len(rows)])
             image += shifts[..., w:w + 1]
         image -= lo

@@ -5,7 +5,10 @@ metric is the spectral norm of the difference of projection matrices, which
 coincides with the sup over unit vectors of the projected-image distance.
 Projections are built in (D, n, n) stacks (:func:`haar_projections`,
 :func:`basis_projections`) whose invariants are checked once per stack;
-:func:`sample_uniform` and :func:`from_basis` are their one-matrix cases.
+:func:`sample_uniform` and :func:`from_basis` are their one-matrix cases,
+and these serve the one-subspace API.  The lab's sweeps take the
+orthonormal n x k bases of :func:`haar_bases` instead and chart them
+directly, with no projection matrix.
 """
 
 from __future__ import annotations
@@ -140,11 +143,16 @@ def basis_projections(a: np.ndarray) -> np.ndarray:
     return _symmetrized_checked(a @ np.linalg.solve(at @ a, at), k)
 
 
+def haar_bases(g: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of invariant-measure planes from a (D, n, k) stack
+    of iid Gaussian draws: the Q factor of one batched QR."""
+    return np.linalg.qr(g)[0]
+
+
 def haar_projections(g: np.ndarray) -> np.ndarray:
-    """Invariant-measure projections from a (D, n, k) stack of iid Gaussian
-    draws: one batched QR orthonormalizes every draw.  A checked (D, n, n)
-    stack."""
-    q, _ = np.linalg.qr(g)
+    """The projections onto the planes of :func:`haar_bases`, as a checked
+    (D, n, n) stack."""
+    q = haar_bases(g)
     return _symmetrized_checked(q @ q.swapaxes(-1, -2), g.shape[-1])
 
 

@@ -1,10 +1,13 @@
 """Experiment harness: Marstrand sweeps over random directions and
 exceptional-direction scans against the Kaufman-type bound.
 
-Both build a stack of projection matrices, one per direction, and hand it
-to one pipeline: batched chart selection, then batched projection and box
-counting (:func:`projlab.fractal.projected_dimensions`), which counts the
-batches of directions one after another.  The sample is never
+Both build a (D, n, k) stack of bases, one per direction, and hand it to
+one pipeline: batched chart selection on the bases themselves
+(:func:`projlab.charts.chart_bases`; a sweep passes the orthonormal QR
+factors of its Gaussian draws, a scan its grid bases as they are, and no
+projection matrix is formed), then batched projection and box counting
+(:func:`projlab.fractal.projected_dimensions`), which counts the batches of
+directions one after another.  The sample is never
 materialized: :func:`projlab.fractal.tiled_sample` gives it as the
 similarity images of one base tile small enough for a counting batch, and
 the counter projects the base once per batch and streams the images.  A
@@ -30,7 +33,7 @@ from .errors import (ConfigError, InputDomainError, integer, integer_argument, r
                      real)
 from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
                       box_dimension, projected_dimensions, tiled_sample)
-from .grassmann import basis_projections, haar_projections
+from .grassmann import haar_bases
 
 
 def kaufman_bound(n: int, k: int, s: float) -> float:
@@ -134,19 +137,20 @@ class SweepResult:
     summary: dict = field(default_factory=dict)
 
 
-def _run(config: ExperimentConfig, projections: np.ndarray,
+def _run(config: ExperimentConfig, bases: np.ndarray,
          params: list[tuple]) -> SweepResult:
     """The direction pipeline: charts, frames and one dimension estimate
-    for each projection of a (D, n, n) stack, whose rows carry ``params``."""
+    for the plane of each basis of a (D, n, k) stack, whose rows carry
+    ``params``."""
     sample = tiled_sample(config.ifs, config.depth, config.k)
-    index_sets, bases = chart_bases(projections, config.k)
-    estimates = projected_dimensions(sample, orthonormal_frames(bases),
+    index_sets, charted = chart_bases(bases)
+    estimates = projected_dimensions(sample, orthonormal_frames(charted),
                                      config.scale_lo, config.scale_hi)
     rows = tuple(DirectionRow(index=i, chart=c, estimate=est,
                               exceptional=est.value < config.threshold_s,
                               params=p)
                  for i, (c, est, p) in enumerate(
-                     zip(charts_of(index_sets, bases), estimates, params)))
+                     zip(charts_of(index_sets, charted), estimates, params)))
     return SweepResult(rows=rows, summary=_summarize(rows, config))
 
 
@@ -155,7 +159,7 @@ def marstrand_sweep(config: ExperimentConfig) -> SweepResult:
     if config.mode != "sweep":
         raise ConfigError(f"field mode: expected 'sweep', got '{config.mode}'")
     draws = _direction_draws(config.seed, config.num_directions, (config.n, config.k))
-    return _run(config, haar_projections(draws), [()] * config.num_directions)
+    return _run(config, haar_bases(draws), [()] * config.num_directions)
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mixer, pool of 4 uint32
@@ -277,7 +281,7 @@ def exceptional_scan(config: ExperimentConfig) -> SweepResult:
     if config.mode != "scan":
         raise ConfigError(f"field mode: expected 'scan', got '{config.mode}'")
     bases, params = _grid_directions(config)
-    result = _run(config, basis_projections(bases), params)
+    result = _run(config, bases, params)
     flagged = [r.params for r in result.rows if r.exceptional]
     hi = max(4, min(8, int(math.log2(len(params)))))
     result.summary["flagged_param_dimension"] = (

@@ -412,16 +412,33 @@ def test_to_chart_scores_blocks_once(monkeypatch):
 
 
 def test_chart_bases_rejects_rank_deficient_basis():
-    # No column block of the zero matrix has a positive singular value.
+    # No row block of a zero basis has a nonzero determinant, and no column
+    # block of the zero matrix has a positive singular value.
     with pytest.raises(DegeneracyError, match="rank deficient"):
-        charts.chart_bases(np.zeros((2, 3, 3)), 1)
+        charts.chart_bases(np.zeros((2, 3, 1)))
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        charts._good_columns(np.zeros((2, 3, 3)), 1)
+
+
+@pytest.mark.parametrize("dependent", [
+    np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [3.0, 6.0]]),
+    np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    np.array([[1.0, 1.0], [1e-12, 0.0], [0.0, 1e-12], [2.0, 2.0]]),
+], ids=["parallel", "zero-column", "nearly-parallel"])
+def test_chart_bases_rejects_a_dependent_basis_in_a_stack(dependent):
+    # One dependent basis among independent ones: its best |det| is at most
+    # _RANK_TOL times the product of its column norms.
+    q = grassmann.haar_bases(np.random.default_rng(71).standard_normal((3, 4, 2)))
+    charts.chart_bases(q)
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        charts.chart_bases(np.stack([q[0], dependent, q[1], q[2]]))
 
 
 def test_chart_bases_subnormal_entries_do_not_warn():
     v = subnormal_subspace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rows, bases = charts.chart_bases(v.proj[None], 2)
+        rows, bases = charts.chart_bases(charts._good_columns(v.proj[None], 2)[2])
     assert rows.tolist() == [[0, 1]]
     assert bases[0, :2].tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
@@ -431,7 +448,7 @@ def test_score_table_bounds_submatrices_per_call(monkeypatch):
     rng = np.random.default_rng(59)
     p = np.stack([sample_uniform(4, 2, rng).proj for _ in range(2000)])
     monkeypatch.setattr(charts, "_SUBSET_BLOCK", 10**9)
-    whole_rows, whole_bases = charts.chart_bases(p, 2)
+    whole_rows, whole_bases = charts.chart_bases(charts._good_columns(p, 2)[2])
     monkeypatch.setattr(charts, "_SUBSET_BLOCK", 1024)
     stacks = []
     for name in ("eigvalsh", "svd", "det"):
@@ -439,7 +456,7 @@ def test_score_table_bounds_submatrices_per_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name,
                             lambda a, *args, _real=real, **kw:
                             stacks.append(math.prod(np.shape(a)[:-2])) or _real(a, *args, **kw))
-    rows, bases = charts.chart_bases(p, 2)
+    rows, bases = charts.chart_bases(charts._good_columns(p, 2)[2])
     assert stacks and max(stacks) <= 1024
     # Each projection's best-bounded principal block and row block, 2000 of
     # each: 2 eigvalsh and 2 det calls.  For k = 2 the interlacing bound is
@@ -512,21 +529,28 @@ def test_pruned_row_selection_on_general_matrices_matches_loop(a):
 
 
 def test_pruned_selection_scores_few_blocks(monkeypatch):
-    # 150 Haar planes of G(8, 4), as a sweep-g84 call charts them: 70 column
-    # and 70 row blocks per plane, of which a run measured 4.43 principal
-    # blocks for eigvalsh and 13.78 row blocks for det, counting each plane's
-    # best-bounded block, and one SVD candidate.
-    p = grassmann.haar_projections(np.random.default_rng(61).standard_normal((150, 8, 4)))
+    # 150 Haar planes of G(8, 4): 70 column and 70 row blocks per plane.
+    # Charted from their projections, a run measured 4.43 principal blocks
+    # for eigvalsh and 13.78 row blocks for det, counting each plane's
+    # best-bounded block, and one SVD candidate.  Charted from their QR
+    # factors, as a sweep-g84 call charts them, there is no column selection.
+    draws = np.random.default_rng(61).standard_normal((150, 8, 4))
+    p = grassmann.haar_projections(draws)
+    q = grassmann.haar_bases(draws)
     scored = {"eigvalsh": 0, "det": 0, "svd": 0}
     for name in scored:
         def wrapped(a, *args, _name=name, _real=getattr(np.linalg, name), **kw):
             scored[_name] += math.prod(np.shape(a)[:-2])
             return _real(a, *args, **kw)
         monkeypatch.setattr(np.linalg, name, wrapped)
-    charts.chart_bases(p, 4)
+    charts.chart_bases(charts._good_columns(p, 4)[2])
     assert scored["eigvalsh"] / 150 <= 6.0
     assert scored["det"] / 150 <= 18.0
     assert scored["svd"] / 150 <= 1.1
+    scored.update(eigvalsh=0, det=0, svd=0)
+    charts.chart_bases(q)
+    assert scored["eigvalsh"] == scored["svd"] == 0
+    assert scored["det"] / 150 <= 18.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
@@ -555,7 +579,7 @@ def test_charts_of_equals_validated_construction():
     rng = np.random.default_rng(61)
     for n, k in [(2, 1), (4, 2), (6, 3)]:
         p = np.stack([sample_uniform(n, k, rng).proj for _ in range(7)])
-        rows, bases = charts.chart_bases(p, k)
+        rows, bases = charts.chart_bases(charts._good_columns(p, k)[2])
         built = charts.charts_of(rows, bases)
         assert len(built) == len(p)
         for chart in built:
@@ -574,3 +598,32 @@ def test_charts_of_equals_validated_construction():
         Chart(n=4, k=2, I=(0, 4), free=np.zeros((2, 2)))
     with pytest.raises(InputDomainError, match="free block shape"):
         Chart(n=4, k=2, I=(0, 1), free=np.zeros((2, 3)))
+
+
+@st.composite
+def planes_with_bases(draw):
+    """A Haar plane of G(n, k), n <= 8, as the QR factor of a Gaussian draw,
+    and the same plane as a checked projection."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
+    q = grassmann.haar_bases(g[None])
+    return q, grassmann.haar_projections(g[None])[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane=planes_with_bases())
+def test_chart_does_not_depend_on_the_basis(plane):
+    # |det (A M)_J| = |det A_J| |det M| and (A M)(A M)_J^-1 = A A_J^-1: the
+    # QR factor and the projection's column basis chart the same plane alike,
+    # up to rounding, unless its two best row blocks nearly tie.
+    q, p = plane
+    _, n, k = q.shape
+    dets = sorted(abs(np.linalg.det(q[0, list(s)]))
+                  for s in itertools.combinations(range(n), k))
+    assume(len(dets) == 1 or dets[-2] < dets[-1] * (1.0 - 1e-9))
+    rows, bases = charts.chart_bases(q)
+    (chart,) = charts.charts_of(rows, bases)
+    expected = to_chart(Subspace(n=n, k=k, proj=p))
+    assert chart.I == expected.I
+    assert np.abs(chart.free - expected.free).max() <= 1e-12

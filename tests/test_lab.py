@@ -228,11 +228,11 @@ def test_scan_rejects_coarse_grid():
 
 
 def count_charts(monkeypatch):
-    """Record the size of every projection stack given to chart selection."""
+    """Record the size of every basis stack given to chart selection."""
     stacks = []
     real = lab.chart_bases
     monkeypatch.setattr(lab, "chart_bases",
-                        lambda p, k: stacks.append(len(p)) or real(p, k))
+                        lambda a: stacks.append(len(a)) or real(a))
     return stacks
 
 
@@ -247,6 +247,22 @@ def test_scan_computes_one_chart_per_direction(monkeypatch):
     result = exceptional_scan(sweep_config(ifs=cantor_on_axis(), mode="scan",
                                            num_directions=16, threshold_s=0.5))
     assert stacks == [len(result.rows)] == [16]
+
+
+def test_g84_sweep_charts_without_column_selection(monkeypatch):
+    # A sweep charts the QR factors of its draws: no projection matrix, so
+    # no eigvalsh or SVD of its column blocks.
+    calls = []
+    for name in ("eigvalsh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name, _real=real, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    g84 = IFSSpec(n=8, maps=tuple((0.4, np.random.default_rng(i).uniform(0.0, 0.6, 8))
+                                  for i in range(3)))
+    result = marstrand_sweep(sweep_config(ifs=g84, n=8, k=4, depth=4, threshold_s=0.5,
+                                          num_directions=20))
+    assert len(result.rows) == 20
+    assert calls == []
 
 
 def test_mode_mismatch_rejected():

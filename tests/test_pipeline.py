@@ -1,9 +1,10 @@
 """The stacked direction pipeline against the per-direction loop it replaced.
 
-Sweeps and scans build a (D, n, n) projection stack, select every chart in
-one batch and box-count the projections in batches of directions.  The
-oracle below is the old loop, one direction at a time: one QR or solve per
-projection, one chart and one Gram-Schmidt frame per direction, then
+Sweeps and scans build a (D, n, k) stack of bases, chart every basis in one
+batch and box-count the projections in batches of directions.  The oracle
+below is the loop, one direction at a time: one QR per sweep draw (a scan's
+grid basis as it is), the row block of largest |det| by one det per subset,
+the chart basis A A_J^-1 and its Gram-Schmidt frame, then
 ``box_dimension(normalize_unit_box(points @ frame))``.  Every row must agree
 bit for bit.
 """
@@ -46,17 +47,9 @@ def config(n, k, mode="sweep", **overrides):
     return ExperimentConfig(**base)
 
 
-def loop_projection(a):
-    """Reference: projection onto span(a), one matrix at a time."""
-    p = a @ np.linalg.solve(a.T @ a, a.T)
-    return (p + p.T) / 2.0
-
-
-def loop_haar_projection(rng, n, k):
+def loop_haar_basis(rng, n, k):
     """Reference: one Gaussian draw orthonormalized by its own QR."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-    p = q @ q.T
-    return (p + p.T) / 2.0
+    return np.linalg.qr(rng.standard_normal((n, k)))[0]
 
 
 def loop_best_subset(n, k, score):
@@ -70,13 +63,17 @@ def loop_best_subset(n, k, score):
     return best_idx
 
 
-def loop_chart(p, n, k):
-    """Reference: the column block of P with the largest smallest singular
-    value (one SVD per subset), then its row block of largest |det| (one det
-    per subset), then normalize."""
+def loop_good_basis(p, n, k):
+    """Reference: the column block of a projection P with the largest
+    smallest singular value, one SVD per subset."""
     cols = loop_best_subset(
         n, k, lambda s: np.linalg.svd(p[:, s], compute_uv=False)[-1])
-    a = p[:, list(cols)]
+    return p[:, list(cols)]
+
+
+def loop_chart(a, n, k):
+    """Reference: the row block of the basis A with the largest |det| (one
+    det per subset), then normalize."""
     idx = loop_best_subset(n, k, lambda s: abs(np.linalg.det(a[s, :])))
     a_prime = a @ np.linalg.inv(a[list(idx), :])
     others = [i for i in range(n) if i not in set(idx)]
@@ -93,21 +90,21 @@ def loop_frame(c):
     return q
 
 
-def oracle_projections(cfg):
-    """The projection of each direction, one direction at a time."""
+def oracle_bases(cfg):
+    """The basis of each direction, one direction at a time."""
     if cfg.mode == "sweep":
-        return [loop_haar_projection(np.random.default_rng(
+        return [loop_haar_basis(np.random.default_rng(
                     np.random.SeedSequence(cfg.seed, spawn_key=(1, i))), cfg.n, cfg.k)
                 for i in range(cfg.num_directions)]
     per_axis = _scan_cells_per_axis(cfg.n, cfg.k, cfg.num_directions)
     if (cfg.n, cfg.k) == (2, 1):
-        return [loop_projection(np.array([[math.cos(j * math.pi / per_axis)],
-                                          [math.sin(j * math.pi / per_axis)]]))
+        return [np.array([[math.cos(j * math.pi / per_axis)],
+                          [math.sin(j * math.pi / per_axis)]])
                 for j in range(per_axis)]
     centers = [-3.0 + (i + 0.5) * 6.0 / per_axis for i in range(per_axis)]
-    return [loop_projection(Chart(n=cfg.n, k=cfg.k, I=tuple(range(cfg.k)),
-                                  free=np.array([centers[i] for i in flat])
-                                  .reshape(cfg.n - cfg.k, cfg.k)).reconstruct())
+    return [Chart(n=cfg.n, k=cfg.k, I=tuple(range(cfg.k)),
+                  free=np.array([centers[i] for i in flat])
+                  .reshape(cfg.n - cfg.k, cfg.k)).reconstruct()
             for flat in np.ndindex(*([per_axis] * (cfg.k * (cfg.n - cfg.k))))]
 
 
@@ -116,8 +113,8 @@ def oracle_rows(cfg):
     per-direction loop."""
     points = generate(cfg.ifs, cfg.depth).points
     out = []
-    for p in oracle_projections(cfg):
-        c = loop_chart(p, cfg.n, cfg.k)
+    for a in oracle_bases(cfg):
+        c = loop_chart(a, cfg.n, cfg.k)
         coords = points @ loop_frame(c)
         est = box_dimension(normalize_unit_box(coords), cfg.scale_lo, cfg.scale_hi)
         out.append((c, coords.T, est))
@@ -246,14 +243,17 @@ def test_large_sample_counts_as_word_images(monkeypatch):
 
 @st.composite
 def tiled_samples(draw):
-    """A random IFS of 2-4 maps with unequal ratios in R^2 or R^3, sampled
-    at 729-2048 points; a budget that splits it into m^p words, p = 1 or
-    2; k-frames; and a scale window on the occupancy or the sort path."""
+    """A random IFS of 2-4 maps with unequal ratios, or with one ratio
+    (whose words the counter scales once), in R^2 or R^3, sampled at
+    729-2048 points; a budget that splits it into m^p words, p = 1 or 2;
+    k-frames; and a scale window on the occupancy or the sort path."""
     m, n = draw(st.integers(2, 4), label="maps"), draw(st.sampled_from([2, 3]), label="n")
     k = draw(st.integers(1, n - 1), label="k")
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    spec = IFSSpec(n=n, maps=tuple((r, rng.uniform(-1.0, 1.0, n))
-                                   for r in rng.uniform(0.15, 0.6, m)))
+    ratios = rng.uniform(0.15, 0.6, m)
+    if draw(st.booleans(), label="one ratio"):
+        ratios[:] = ratios[0]
+    spec = IFSSpec(n=n, maps=tuple((r, rng.uniform(-1.0, 1.0, n)) for r in ratios))
     depth = {2: 11, 3: 6, 4: 5}[m]
     p = draw(st.integers(1, 2), label="p")
     budget = draw(st.integers(k * m**(depth - p), k * m**(depth - p + 1) - 1), label="budget")
@@ -313,7 +313,7 @@ def test_orthonormal_frame_matches_loop(n, k):
     rng = np.random.default_rng(10 * n + k)
     for _ in range(20):
         v = sample_uniform(n, k, rng)
-        expected = loop_frame(loop_chart(v.proj, n, k))
+        expected = loop_frame(loop_chart(loop_good_basis(v.proj, n, k), n, k))
         assert orthonormal_frame(v).tobytes() == expected.tobytes()
 
 
