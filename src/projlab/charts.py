@@ -5,13 +5,16 @@ plane to A' = A * A_I^{-1}, so the I-rows of A' form the identity and the
 remaining (n-k) x k block carries all free parameters.  I is the row
 block of largest |det| (:func:`_good_rows`), which makes the chart a
 function of the plane alone: any other basis A M has |det (A M)_J| =
-|det A_J| |det M| and (A M)(A M)_J^{-1} = A A_J^{-1}.  A stack of bases is
-charted at once (:func:`chart_bases`): the lab's sweeps chart the QR factors
-of their draws and its scans their grid bases.  Projection matrices serve
-the one-subspace API only: :func:`to_chart`, :func:`orthonormal_frame`,
-:func:`good_basis` and :func:`chart_stability` take the columns of P that
-maximize the smallest singular value (:func:`_good_columns`) as the basis.
-Both selections score only the index sets that a bound lets win.
+|det A_J| |det M| and (A M)(A M)_J^{-1} = A A_J^{-1}.  By Cramer's rule no
+free entry exceeds 1 in absolute value, up to rounding.  A stack of bases
+is charted at once (:func:`chart_bases`): the lab's sweeps chart the QR
+factors of their draws and its scans their grid bases.  One subspace is
+charted the same way, from the orthonormal basis Q of its projection's
+top-k eigenvectors (:func:`to_chart`, :func:`orthonormal_frame`); as
+det P[I, I] = det(Q_I)^2, its I is also the max-det principal block of P.
+:func:`good_basis` and :func:`chart_stability` take instead the columns of P
+that maximize the smallest singular value (:func:`_good_columns`).  Both
+selections score only the index sets that a bound lets win.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
-                     integer, parse_json, read_fields)
+                     integer, integer_argument, parse_json, read_fields)
 from .grassmann import (_IDEMPOTENCY_TOL, _SYMMETRY_TOL, Subspace, contains,
                         from_basis, metric_rho)
 
@@ -262,9 +265,17 @@ def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
     return charts
 
 
+def _eigenbasis(v: Subspace) -> np.ndarray:
+    """An orthonormal basis of the plane of ``v``, as a (1, n, k) stack: the
+    eigenvectors of the k largest eigenvalues of (P + P^T) / 2."""
+    return np.linalg.eigh((v.proj + v.proj.T) / 2.0)[1][None, :, v.n - v.k:]
+
+
 def to_chart(v: Subspace) -> Chart:
-    """Chart of a subspace: good basis, then the best-conditioned row block."""
-    return charts_of(*chart_bases(_good_columns(v.proj[None], v.k)[2]))[0]
+    """Chart of a subspace: :func:`chart_bases` of the orthonormal basis Q
+    of its projection's eigenvectors.  As det P[I, I] = det(Q_I)^2, I is the
+    max-det principal block of P."""
+    return charts_of(*chart_bases(_eigenbasis(v)))[0]
 
 
 def from_chart(c: Chart) -> Subspace:
@@ -295,7 +306,9 @@ def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspac
 
 def stability_constant(n: int, k: int, c_hat: float) -> float:
     """Per-instance Lipschitz constant for chart coordinates under metric
-    perturbations, with c_hat the smallest singular value of the good basis."""
+    perturbations, with c_hat > 0 the smallest singular value of the good basis."""
+    if not c_hat > 0.0:
+        raise InputDomainError(f"c_hat must be positive, got {c_hat}")
     binom = math.comb(n, k)
     return (math.sqrt(k * binom) / c_hat**k
             + (1.0 + math.sqrt(k)) * 2.0 * math.sqrt(k) * binom / c_hat ** (2 * k))
@@ -308,8 +321,11 @@ def chart_stability(v: Subspace, eps: float, trials: int,
     Both index sets are held fixed across perturbations (re-selection could
     jump charts at decision boundaries).  Returns (max_observed, constant);
     the contract is max_observed <= constant * eps, provided the premise
-    ||A_I^{-1}|| * ||A_I - A~_I|| < 1/2 holds in every trial.
+    ||A_I^{-1}|| * ||A_I - A~_I|| < 1/2 holds in every trial, of which there
+    must be at least one.
     """
+    if integer_argument("trials", trials) < 1:
+        raise InputDomainError(f"trials must be at least 1, got {trials}")
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, basis_idx = a[0], cols[0].tolist()
     rows = _good_rows(a[None])[0][0].tolist()
@@ -331,9 +347,9 @@ def chart_stability(v: Subspace, eps: float, trials: int,
 
 
 def orthonormal_frame(v: Subspace) -> np.ndarray:
-    """Deterministic orthonormal basis of a subspace: the frame of its chart
-    basis, see :func:`orthonormal_frames`."""
-    return orthonormal_frames(chart_bases(_good_columns(v.proj[None], v.k)[2])[1])[0]
+    """Deterministic orthonormal basis of a subspace: the frame of the chart
+    basis of :func:`to_chart`, see :func:`orthonormal_frames`."""
+    return orthonormal_frames(chart_bases(_eigenbasis(v))[1])[0]
 
 
 def orthonormal_frames(bases: np.ndarray) -> np.ndarray:
@@ -370,6 +386,9 @@ def relative_chart(v: Subspace, w: Subspace) -> Chart:
 
 def embed_relative(c: Chart, w: Subspace) -> Subspace:
     """Inverse of :func:`relative_chart` for the same containing plane."""
+    if c.n != w.k:
+        raise InputDomainError(f"a chart in G({c.n}, {c.k}) does not fit a "
+                               f"containing plane of dimension {w.k}")
     q = orthonormal_frame(w)
     inner = from_chart(c).proj
     p = q @ inner @ q.T

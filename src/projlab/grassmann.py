@@ -3,10 +3,10 @@
 A k-plane is represented by its n x n orthogonal projection matrix.  The
 metric is the spectral norm of the difference of projection matrices, which
 coincides with the sup over unit vectors of the projected-image distance.
-Projections are built in (D, n, n) stacks (:func:`haar_projections`,
-:func:`basis_projections`) whose invariants are checked once per stack;
-:func:`sample_uniform` and :func:`from_basis` are their one-matrix cases,
-and these serve the one-subspace API.  The lab's sweeps take the
+:func:`sample_uniform` and :func:`from_basis` each build one symmetrized
+projection and construct the :class:`Subspace`, which checks it once.  These
+serve the one-subspace API, which charts a plane through the eigenbasis of
+its projection (:func:`projlab.charts.to_chart`).  The lab's sweeps take the
 orthonormal n x k bases of :func:`haar_bases` instead and chart them
 directly, with no projection matrix.
 """
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import (DegeneracyError, InputDomainError, integer, parse_json,
-                     read_fields)
+from .errors import (DegeneracyError, InputDomainError, integer, integer_argument,
+                     parse_json, read_fields)
 
 # contains() and AffinePlane.contains_point() accept residuals up to these.
 _CONTAINMENT_TOL = 1e-8
@@ -29,6 +29,15 @@ _POINT_TOL = 1e-9
 _SYMMETRY_TOL = 1e-10
 _IDEMPOTENCY_TOL = 1e-10
 _TRACE_TOL = 1e-8
+
+
+def _dimensions(n, k) -> tuple[int, int]:
+    """(n, k) as ints, refusing non-integers and any k outside 0 < k < n
+    with :class:`InputDomainError`."""
+    n, k = integer_argument("n", n), integer_argument("k", k)
+    if not (0 < k < n):
+        raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
+    return n, k
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,24 +49,13 @@ class Subspace:
     proj: np.ndarray
 
     def __post_init__(self):
+        n, k = _dimensions(self.n, self.k)
         p = np.asarray(self.proj, dtype=float)
-        object.__setattr__(self, "proj", p)
-        if not (0 < self.k < self.n):
-            raise InputDomainError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        if p.shape != (self.n, self.n):
-            raise InputDomainError(
-                f"projection matrix shape {p.shape} does not match n={self.n}")
-        check_projections(p[None], self.k)
-
-    @classmethod
-    def _checked(cls, k: int, proj: np.ndarray) -> "Subspace":
-        """Wrap a projection that :func:`check_projections` has passed,
-        without checking it again."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "n", proj.shape[0])
-        object.__setattr__(v, "k", k)
-        object.__setattr__(v, "proj", proj)
-        return v
+        # A frozen dataclass's fields live in its __dict__.
+        self.__dict__.update(n=n, k=k, proj=p)
+        if p.shape != (n, n):
+            raise InputDomainError(f"projection matrix shape {p.shape} does not match n={n}")
+        check_projections(p[None], k)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k,
@@ -124,46 +122,23 @@ def _norm_above(m: np.ndarray, tol: float) -> bool:
                 and np.linalg.svd(m, compute_uv=False)[..., 0].max() > tol)
 
 
-def _symmetrized_checked(p: np.ndarray, k: int) -> np.ndarray:
-    p = (p + p.swapaxes(-1, -2)) / 2.0
-    check_projections(p, k)
-    return p
-
-
-def basis_projections(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projections onto the column spans of a (D, n, k) stack of
-    bases, as a checked (D, n, n) stack.  Dependent columns, as k > n
-    columns always are, raise :class:`DegeneracyError`."""
-    d, n, k = a.shape
-    sigma = np.linalg.svd(a, compute_uv=False)[..., -1] if k <= n else np.zeros(d)
-    if sigma.min() <= 1e-8:
-        raise DegeneracyError("basis columns are (nearly) linearly dependent",
-                              sigma=float(sigma.min()))
-    at = a.swapaxes(-1, -2)
-    return _symmetrized_checked(a @ np.linalg.solve(at @ a, at), k)
-
-
 def haar_bases(g: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of invariant-measure planes from a (D, n, k) stack
-    of iid Gaussian draws: the Q factor of one batched QR."""
+    """Orthonormal bases of invariant-measure planes from an (n, k) matrix or
+    a (D, n, k) stack of iid Gaussian draws: the Q factor of one (batched) QR."""
     return np.linalg.qr(g)[0]
 
 
-def haar_projections(g: np.ndarray) -> np.ndarray:
-    """The projections onto the planes of :func:`haar_bases`, as a checked
-    (D, n, n) stack."""
-    q = haar_bases(g)
-    return _symmetrized_checked(q @ q.swapaxes(-1, -2), g.shape[-1])
-
-
 def from_basis(a) -> Subspace:
-    """Orthogonal projection onto the column span of an (n, k) matrix, 0 < k < n."""
+    """Orthogonal projection onto the column span of an (n, k) matrix, 0 < k < n.
+    Dependent columns, as k > n columns always are, raise :class:`DegeneracyError`."""
     a = mk.as_matrix(a)
-    p = basis_projections(a[None])[0]
     n, k = a.shape
-    if not (0 < k < n):
-        raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
-    return Subspace._checked(k, p)
+    sigma = np.linalg.svd(a, compute_uv=False)[-1] if k <= n else 0.0
+    if sigma <= 1e-8:
+        raise DegeneracyError("basis columns are (nearly) linearly dependent",
+                              sigma=float(sigma))
+    p = a @ np.linalg.solve(a.T @ a, a.T)
+    return Subspace(n=n, k=k, proj=(p + p.T) / 2.0)
 
 
 def project_point(v: Subspace, x) -> np.ndarray:
@@ -193,7 +168,7 @@ def contains(w: Subspace, v: Subspace) -> bool:
 
 def sample_uniform(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Invariant-measure sample: orthonormalize k iid Gaussian vectors."""
-    if not (0 < k < n):
-        raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
-    g = rng.standard_normal((n, k))
-    return Subspace._checked(k, haar_projections(g[None])[0])
+    n, k = _dimensions(n, k)
+    q = haar_bases(rng.standard_normal((n, k)))
+    p = q @ q.T
+    return Subspace(n=n, k=k, proj=(p + p.T) / 2.0)

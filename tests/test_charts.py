@@ -13,7 +13,7 @@ from projlab import (Chart, DegeneracyError, IFSSpec, InputDomainError,
                      Subspace, chart_stability, contains, embed_relative, from_basis,
                      from_chart, good_basis, good_submatrix, metric_rho,
                      relative_chart, sample_uniform, smallest_singular_value,
-                     spectral_norm, to_chart)
+                     spectral_norm, stability_constant, to_chart)
 
 
 def diag_line_2d():
@@ -85,8 +85,8 @@ def test_batched_selection_ties_match_loop(v):
 
 
 @st.composite
-def near_tie_subspaces(draw):
-    """A tie plane turned by a Cayley rotation of angle at most 1e-15..1e-9:
+def near_tie_bases(draw):
+    """A tie basis turned by a Cayley rotation of angle at most 1e-15..1e-9:
     its tied subsets now differ at about the rounding level, where the
     eigenvalue filter and the SVD may order them differently."""
     basis = draw(st.sampled_from(tie_bases()))
@@ -94,7 +94,11 @@ def near_tie_subspaces(draw):
     angle = 10.0 ** draw(st.floats(-15.0, -9.0))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n))
     skew = angle / 2.0 * (g - g.T) / spectral_norm(g - g.T)
-    return from_basis(np.linalg.solve(np.eye(n) - skew, np.eye(n) + skew) @ basis)
+    return np.linalg.solve(np.eye(n) - skew, np.eye(n) + skew) @ basis
+
+
+def near_tie_subspaces():
+    return near_tie_bases().map(from_basis)
 
 
 @settings(max_examples=150, deadline=None)
@@ -234,10 +238,53 @@ def test_good_submatrix_rejects_rank_deficient():
     (lambda: relative_chart(sample_uniform(4, 2, np.random.default_rng(0)),
                             sample_uniform(4, 2, np.random.default_rng(1))),
      "need k1 < k2"),
-], ids=["good_submatrix-wide", "relative_chart-k1-not-below-k2"])
+    (lambda: chart_stability(diag_line_2d(), 1e-6, 2.5, np.random.default_rng(0)),
+     r"^trials must be an integer, got 2.5$"),
+    (lambda: chart_stability(diag_line_2d(), 1e-6, 0, np.random.default_rng(0)),
+     r"^trials must be at least 1, got 0$"),
+    (lambda: chart_stability(diag_line_2d(), 1e-6, -1, np.random.default_rng(0)),
+     r"^trials must be at least 1, got -1$"),
+    (lambda: stability_constant(2, 1, 0.0), r"^c_hat must be positive, got 0.0$"),
+    (lambda: embed_relative(to_chart(sample_uniform(4, 2, np.random.default_rng(0))),
+                            sample_uniform(5, 3, np.random.default_rng(1))),
+     r"^a chart in G\(4, 2\) does not fit a containing plane of dimension 3$"),
+], ids=["good_submatrix-wide", "relative_chart-k1-not-below-k2",
+        "chart_stability-fractional-trials", "chart_stability-zero-trials",
+        "chart_stability-negative-trials", "stability_constant-zero-sigma",
+        "embed_relative-size-mismatch"])
 def test_chart_arguments_out_of_domain(call, message):
+    # Fractional trials once raised a raw TypeError, trials <= 0 returned a
+    # vacuous (0.0, constant), c_hat = 0 divided by zero, and a chart of the
+    # wrong size died in a raw ValueError from matmul.
     with pytest.raises(InputDomainError, match=message):
         call()
+
+
+@st.composite
+def haar_qr_bases(draw):
+    """The QR factor of a Gaussian (n, k) draw, n <= 8."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return grassmann.haar_bases(rng.standard_normal((n, k)))
+
+
+# Measured on 20000 planes of each kind: no free entry above 1 for the Haar
+# and tie bases, and at most 1 + 4 eps for the near-tie bases, whose best row
+# blocks differ by rounding.
+_CERTIFICATE_EPS = 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(basis=st.one_of(haar_qr_bases(), st.sampled_from(tie_bases()), near_tie_bases()))
+def test_max_det_chart_free_entries_at_most_one(basis):
+    # Cramer's rule: free entry (r, c) of A A_I^-1 is det(A_I with its row c
+    # replaced by row r of A) / det A_I.  No single row swap raises a maximal
+    # |det A_I|, so no free entry of a max-|det| chart exceeds 1.
+    bound = 1.0 + _CERTIFICATE_EPS * np.finfo(float).eps
+    (chart,) = charts.charts_of(*charts.chart_bases(basis[None]))
+    assert np.abs(chart.free).max() <= bound
+    assert np.abs(to_chart(from_basis(basis)).free).max() <= bound
 
 
 def test_to_chart_examples():
@@ -396,18 +443,16 @@ def test_chart_rejects_bad_shapes():
 
 def test_to_chart_scores_blocks_once(monkeypatch):
     v = sample_uniform(8, 4, np.random.default_rng(53))
-    calls = {"eigvalsh": [], "svd": [], "det": []}
+    calls = {"eigh": [], "eigvalsh": [], "svd": [], "det": []}
     for name in calls:
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _name=name, _real=getattr(np.linalg, name), **kw:
                             calls[_name].append(np.shape(a[0])) or _real(*a, **kw))
     c = to_chart(v)
-    # Of the 70 principal 4 x 4 blocks, interlacing leaves only the
-    # best-bounded one, and of the 70 row blocks Hadamard's inequality leaves
-    # only the best-bounded one: one block each for eigvalsh and det.  The
-    # near-maximal column block goes to the SVD, whose value the rank check
-    # reuses.
-    assert calls == {"eigvalsh": [(1, 4, 4)], "svd": [(1, 8, 4)], "det": [(1, 4, 4)]}
+    # One eigh of P gives the orthonormal basis, and of its 70 row blocks
+    # Hadamard's inequality leaves only the best-bounded one for det.  No
+    # column selection runs.
+    assert calls == {"eigh": [(8, 8)], "eigvalsh": [], "svd": [], "det": [(1, 4, 4)]}
     assert metric_rho(from_chart(c), v) <= 1e-9
 
 
@@ -530,13 +575,14 @@ def test_pruned_row_selection_on_general_matrices_matches_loop(a):
 
 def test_pruned_selection_scores_few_blocks(monkeypatch):
     # 150 Haar planes of G(8, 4): 70 column and 70 row blocks per plane.
-    # Charted from their projections, a run measured 4.43 principal blocks
-    # for eigvalsh and 13.78 row blocks for det, counting each plane's
-    # best-bounded block, and one SVD candidate.  Charted from their QR
-    # factors, as a sweep-g84 call charts them, there is no column selection.
-    draws = np.random.default_rng(61).standard_normal((150, 8, 4))
-    p = grassmann.haar_projections(draws)
-    q = grassmann.haar_bases(draws)
+    # Charted from the column blocks that good_basis selects from their
+    # projections, a run measured 4.43 principal blocks for eigvalsh and
+    # 13.78 row blocks for det, counting each plane's best-bounded block, and
+    # one SVD candidate.  Charted from their QR factors, as a sweep-g84 call
+    # charts them, there is no column selection.
+    q = grassmann.haar_bases(np.random.default_rng(61).standard_normal((150, 8, 4)))
+    p = q @ q.swapaxes(-1, -2)
+    p = (p + p.swapaxes(-1, -2)) / 2.0
     scored = {"eigvalsh": 0, "det": 0, "svd": 0}
     for name in scored:
         def wrapped(a, *args, _name=name, _real=getattr(np.linalg, name), **kw):
@@ -603,27 +649,27 @@ def test_charts_of_equals_validated_construction():
 @st.composite
 def planes_with_bases(draw):
     """A Haar plane of G(n, k), n <= 8, as the QR factor of a Gaussian draw,
-    and the same plane as a checked projection."""
+    and the same plane as the Subspace that sample_uniform draws."""
     n = draw(st.integers(2, 8))
     k = draw(st.integers(1, n - 1))
-    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
-    q = grassmann.haar_bases(g[None])
-    return q, grassmann.haar_projections(g[None])[0]
+    seed = draw(st.integers(0, 2**32 - 1))
+    q = grassmann.haar_bases(np.random.default_rng(seed).standard_normal((1, n, k)))
+    return q, sample_uniform(n, k, np.random.default_rng(seed))
 
 
 @settings(max_examples=150, deadline=None)
 @given(plane=planes_with_bases())
 def test_chart_does_not_depend_on_the_basis(plane):
     # |det (A M)_J| = |det A_J| |det M| and (A M)(A M)_J^-1 = A A_J^-1: the
-    # QR factor and the projection's column basis chart the same plane alike,
+    # QR factor and the projection's eigenbasis chart the same plane alike,
     # up to rounding, unless its two best row blocks nearly tie.
-    q, p = plane
+    q, v = plane
     _, n, k = q.shape
     dets = sorted(abs(np.linalg.det(q[0, list(s)]))
                   for s in itertools.combinations(range(n), k))
     assume(len(dets) == 1 or dets[-2] < dets[-1] * (1.0 - 1e-9))
     rows, bases = charts.chart_bases(q)
     (chart,) = charts.charts_of(rows, bases)
-    expected = to_chart(Subspace(n=n, k=k, proj=p))
+    expected = to_chart(v)
     assert chart.I == expected.I
     assert np.abs(chart.free - expected.free).max() <= 1e-12

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,3 +424,63 @@ def test_reader_error_names_document_and_field(tmp_path, capsys, kind, case):
         document = {**document, field: bad}
     err = read(tmp_path, capsys, document)
     assert message in err and name in err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def scan_rows_flag_row_8_alone(out, cwd):
+    lines = (cwd / "scan-out" / "results.csv").read_text().splitlines()
+    flagged = [line for line in lines if line.endswith(",true")]
+    return len(lines) == 17 and len(flagged) == 1 and flagged[0].startswith("8,")
+
+
+def chart_of_diagonal(out, cwd):
+    chart = Chart.from_json(out)
+    return chart.I == (0,) and abs(chart.free - 1.0).max() <= 1e-12
+
+
+TINY_SWEEP = config_document(num_directions=3, depth=4, scale_lo=2, scale_hi=5,
+                             threshold_s=0.5, seed=1)
+# Per case: the documents to write, the arguments, the exit code, a substring
+# of stderr, and a check of stdout and the working directory.
+PROCESS_CASES = {
+    "bound": ({}, ["bound", "--n", "2", "--k", "1", "--s", "0.5"], 0, "",
+              lambda out, cwd: out == "0.5\n"),
+    "dims-bad-window": ({}, ["dims", "--sample", "x.bin", "--scale-lo", "-1",
+                             "--scale-hi", "8"], 2, "--scale-lo", None),
+    "bound-bad-k": ({}, ["bound", "--n", "2", "--k", "3", "--s", "0.5"], 3, "", None),
+    "tiny-sweep": ({"ok.json": TINY_SWEEP},
+                   ["sweep", "--config", "ok.json", "--out", "sweep-out"], 0, "",
+                   lambda out, cwd: (cwd / "sweep-out" / "results.csv").stat().st_size > 0),
+    # An IFS label that is not a string or null is a config error naming the
+    # field.
+    "bad-label": ({"bad.json": {**TINY_SWEEP,
+                                "ifs": {**TINY_SWEEP["ifs"], "label": ["dust"]}}},
+                  ["sweep", "--config", "bad.json", "--out", "bad-out"], 2, "field ifs", None),
+    # Criterion 9: a 16-cell scan of the Cantor set on the x-axis charts its
+    # grid bases and flags the vertical direction, row 8, alone.
+    "scan-16-cells": ({"scan.json": config_document(
+        ifs=json.loads(cantor_on_axis().to_json()), num_directions=16, depth=8,
+        scale_hi=10, threshold_s=0.5, seed=7, mode="scan")},
+        ["scan", "--config", "scan.json", "--out", "scan-out"], 0, "",
+        scan_rows_flag_row_8_alone),
+    "chart-diagonal": ({"v.json": json.loads(
+        from_basis(np.array([[1.0], [1.0]]) / np.sqrt(2.0)).to_json())},
+        ["chart", "--subspace", "v.json"], 0, "", chart_of_diagonal),
+}
+
+
+@pytest.mark.parametrize("case", list(PROCESS_CASES))
+def test_cli_process_exit_code(tmp_path, case):
+    # The entry point as a process: main() and its sys.exit, which the
+    # in-process run_cli tests do not reach.
+    documents, argv, code, err, check = PROCESS_CASES[case]
+    for name, document in documents.items():
+        (tmp_path / name).write_text(json.dumps(document))
+    done = subprocess.run([sys.executable, "-m", "projlab.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == code, done.stderr
+    assert err in done.stderr
+    assert check is None or check(done.stdout, tmp_path)

@@ -8,8 +8,7 @@ from projlab import (AffinePlane, DegeneracyError, InputDomainError, Subspace,
                      chart_stability, contains, from_basis, metric_rho,
                      orthogonal_complement, perturb_within, project_point,
                      sample_uniform)
-from projlab.grassmann import (basis_projections, check_projections,
-                               haar_projections)
+from projlab.grassmann import check_projections
 
 
 def line(theta, n=2):
@@ -159,6 +158,18 @@ def test_sample_uniform_k_out_of_range():
         sample_uniform(3, 0, rng)
 
 
+@pytest.mark.parametrize("n, k, name", [(2.5, 1, "n"), (3, 1.0, "k"), ("3", 1, "n"),
+                                         (3, None, "k")],
+                         ids=["n-fractional", "k-float", "n-string", "k-none"])
+def test_sample_uniform_refuses_non_integer_dimensions(n, k, name):
+    # 2.5 once died in a raw TypeError inside standard_normal.
+    rng = np.random.default_rng(0)
+    with pytest.raises(InputDomainError, match=f"^{name} must be an integer, got "):
+        sample_uniform(n, k, rng)
+    # Refused before anything is drawn.
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
 def test_sample_uniform_rotation_invariance():
     # Two-sample check: statistics of rho(V, x-axis)^2 match when every
     # sample is conjugated by a fixed rotation.
@@ -231,6 +242,21 @@ def test_subspace_arguments_out_of_domain(call, message):
         call()
 
 
+@pytest.mark.parametrize("n, k, name", [(2, 1.0, "k"), (2.0, 1, "n"), (2, "1", "k")],
+                         ids=["k-float", "n-float", "k-string"])
+def test_subspace_refuses_non_integer_dimensions(n, k, name):
+    # Subspace(n=2, k=1.0) was once accepted; to_chart and good_basis then
+    # died in a raw TypeError, and to_json wrote "k": 1.0.
+    with pytest.raises(InputDomainError, match=f"^{name} must be an integer, got "):
+        Subspace(n=n, k=k, proj=X_AXIS_2D.proj)
+
+
+def test_subspace_stores_integer_dimensions():
+    v = Subspace(n=np.int64(2), k=np.int32(1), proj=X_AXIS_2D.proj)
+    assert (type(v.n), type(v.k)) == (int, int)
+    assert json.loads(v.to_json())["k"] == 1
+
+
 def test_subspace_json_round_trip():
     rng = np.random.default_rng(77)
     v = sample_uniform(4, 2, rng)
@@ -253,22 +279,6 @@ def test_affine_plane_offset_canonical():
     assert plane.contains_point([7.0, 4.0])
     with pytest.raises(InputDomainError, match="orthogonal"):
         AffinePlane(X_AXIS_2D, np.array([1.0, 1.0]))
-
-
-def test_stacked_constructors_match_single_items():
-    draws = [np.random.default_rng(i).standard_normal((5, 2)) for i in range(6)]
-    stack = haar_projections(np.stack(draws))
-    for i, p in enumerate(stack):
-        assert p.tobytes() == sample_uniform(5, 2, np.random.default_rng(i)).proj.tobytes()
-    bases = np.stack(draws)
-    stack = basis_projections(bases)
-    for a, p in zip(bases, stack):
-        v = from_basis(a)
-        assert p.tobytes() == v.proj.tobytes()
-        # Built without a second check, and still a valid Subspace.
-        Subspace(n=5, k=2, proj=v.proj)
-    with pytest.raises(DegeneracyError):
-        basis_projections(np.stack([bases[0], np.zeros((5, 2))]))
 
 
 def test_check_projections_rejects_any_broken_member():
