@@ -13,8 +13,9 @@ charted the same way, from the orthonormal basis Q of its projection's
 top-k eigenvectors (:func:`to_chart`, :func:`orthonormal_frame`); as
 det P[I, I] = det(Q_I)^2, its I is also the max-det principal block of P.
 :func:`good_basis` and :func:`chart_stability` take instead the columns of P
-that maximize the smallest singular value (:func:`_good_columns`).  Both
-selections score only the index sets that a bound lets win.
+whose principal block has the largest least eigenvalue, sigma(P[:, I])^2
+(:func:`_good_columns`).  Both selections score only the index sets that a
+bound lets win.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +32,20 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
                      integer, integer_argument, parse_json, read_fields)
-from .grassmann import (_IDEMPOTENCY_TOL, _SYMMETRY_TOL, Subspace, contains,
-                        from_basis, metric_rho)
+from .grassmann import Subspace, _dimensions, contains, from_basis, metric_rho
 
 # A basis whose smallest singular value, or whose largest row-block |det|
 # relative to the product of its column norms, is at most this is rank
 # deficient.
 _RANK_TOL = 1e-10
-# Submatrices per batched eigvalsh/svd/det call: memory stays at 1024 x n x k
+# Submatrices per batched eigvalsh/det call: memory stays at 1024 x n x k
 # floats whatever binom(n, k) and the number of projections are.
 _SUBSET_BLOCK = 1024
-# Column blocks whose eigenvalue lies within this of their projection's best
-# are rescored by SVD.  For P passed by check_projections, S = (P + P^T) / 2
-# and K = (P - P^T) / 2, P[:, I]^T P[:, I] - S[I, I] is the I-block of the
-# symmetric part of -2KP + (P^2 - P), so by Weyl |sigma(P[:, I])^2 -
-# lambda_min(S[I, I])| <= _SYMMETRY_TOL ||P|| + _IDEMPOTENCY_TOL, about 2e-10:
-# the SVD winner is within twice that of the best, and 4 leaves as much again.
-_CANDIDATE_MARGIN = 4 * (_SYMMETRY_TOL + _IDEMPOTENCY_TOL)
+# eigvalsh gives the eigenvalues of S[I, I] + E, ||E|| <= p(k) eps ||S[I, I]||,
+# p(k) a modest multiple of k (LAPACK Users' Guide, sec. 4.7), ||S[I, I]|| <= 1 +
+# 2e-10 for a checked projection, and the 2 x 2 bound's sums and hypot add a few
+# eps: 1e-12 = 4500 eps covers p(k) < 4000 (at most 1 eps on Haar G(10, 5)).
+_EIG_SLACK = 1e-12
 # Hadamard: |det(A_J)| <= the product of A_J's row norms.  LU with partial
 # pivoting gives det(A_J + E), |E| <= gamma_k |L||U|, |L| <= 1, |U| <= 2^(k-1)
 # max|A_J| (Higham 2002, Thms 9.3, 9.7): _good_rows pads each row norm by
@@ -140,13 +139,12 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     index sets I maximizing the smallest singular value of P[:, I], those
     (D,) singular values, and the (D, n, k) bases P[:, I].
 
-    lambda_min(S[I, I]), S = (P + P^T) / 2, is sigma(P[:, I])^2 up to the
-    projection tolerances and, by Cauchy interlacing, at most the bound of each
-    2 x 2 block {i, j} of I, (a + c)/2 - hypot((a - c)/2, b).  So a block whose
-    bound is 2 * ``_CANDIDATE_MARGIN`` below a scored eigenvalue (rounding moves
-    each by a few eps) is no candidate, and eigvalsh skips it; SVD rescores the
-    candidates, as an SVD of every block would pick.  A rank-k P has a best
-    sigma >= binom(n, k)^(-1/2); one at the rank tolerance raises DegeneracyError.
+    For a projection sigma(P[:, I])^2 = lambda_min(P[I, I]): eigvalsh of S[I, I],
+    S = (P + P^T) / 2, scores each I, and sigma = sqrt(max(lambda, 0)).  By Cauchy
+    interlacing lambda is at most the bound (a + c)/2 - hypot((a - c)/2, b) of
+    each 2 x 2 block of I, so a block bounded over ``_EIG_SLACK`` below a scored
+    lambda is skipped.  A rank-k P has a best sigma >= binom(n, k)^(-1/2); one at
+    the rank tolerance raises DegeneracyError.
     """
     d, n, _ = p.shape
     subsets = _index_subsets(n, k)
@@ -157,14 +155,10 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     bound = functools.reduce(np.minimum, (pair[:, subsets[:, i], subsets[:, j]] for i, j
                                           in itertools.combinations(range(k), 2)),
                              t[:, subsets[:, 0], 0])
-    lam = _pruned_scores(subsets, bound, lambda top: top - 2 * _CANDIDATE_MARGIN, lambda i, s: (
+    lam = _pruned_scores(subsets, bound, lambda top: top - _EIG_SLACK, lambda i, s: (
         np.linalg.eigvalsh(sym[i[:, None, None], s[:, :, None], s[:, None]])[..., 0]))
-    cands = np.nonzero(lam >= lam.max(axis=1, keepdims=True) - _CANDIDATE_MARGIN)
-    # The (m, n, k) column blocks of the candidates, gathered as rows of P^T.
-    scores = _fill(np.full(lam.shape, -math.inf), *cands, subsets, lambda i, s: np.linalg.svd(
-        p.swapaxes(-1, -2)[i[:, None], s].swapaxes(-1, -2), compute_uv=False)[..., -1])
-    best = np.argmax(scores, axis=1)
-    cols, sigma = subsets[best], scores[np.arange(d), best]
+    best = np.argmax(lam, axis=1)
+    cols, sigma = subsets[best], np.sqrt(np.maximum(lam[np.arange(d), best], 0.0))
     if sigma.min() <= _RANK_TOL:
         raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
     return cols, sigma, p[np.arange(d)[:, None, None], np.arange(n)[:, None], cols[:, None]]
@@ -192,18 +186,15 @@ def good_basis(v: Subspace) -> tuple[np.ndarray, tuple, ConditionReport]:
     """Well-conditioned basis of projected standard vectors.
 
     Returns (A, I, report) where the columns of A are P_V e_i for i in I and
-    I maximizes the smallest singular value over all binom(n, k) choices
-    (lexicographically first on ties); :func:`_good_columns` scores only the
-    sets that interlacing lets win.  Always ||A|| <= 1 and sigma(A) > 0.
+    I maximizes their smallest singular value sigma = lambda_min(P[I, I])^(1/2)
+    (:func:`_good_columns`, lexicographically first on ties).  A_I = P[I, I] is
+    symmetric positive definite, so ||A_I^{-1}|| = 1 / sigma^2; ||A|| <= 1.
     """
     cols, sigma, a = _good_columns(v.proj[None], v.k)
-    a, best_idx = a[0], tuple(cols[0].tolist())
-    a_rows = a[list(best_idx), :]
-    s_rows = np.linalg.svd(a_rows, compute_uv=False)
+    a, best_idx, sigma = a[0], tuple(cols[0].tolist()), float(sigma[0])
     return a, best_idx, ConditionReport(
-        sigma_min=float(sigma[0]), sigma_max=mk.spectral_norm(a),
-        det_AI=float(np.linalg.det(a_rows)),
-        inv_norm_bound=float(1.0 / s_rows[-1]) if s_rows[-1] > 0 else math.inf)
+        sigma_min=sigma, sigma_max=mk.spectral_norm(a),
+        det_AI=float(np.linalg.det(a[list(best_idx), :])), inv_norm_bound=1.0 / sigma**2)
 
 
 def good_submatrix(a) -> tuple[tuple, ConditionReport]:
@@ -290,9 +281,13 @@ def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspac
     step until the metric target is met; this keeps the result exactly on
     the Grassmannian, unlike naive perturbation of the projection matrix.
     """
-    if not (0.0 < eps < 1.0):
-        raise InputDomainError(f"eps must lie in (0, 1), got {eps}")
-    c = to_chart(v)
+    return _perturb(to_chart(v), v, eps, rng)
+
+
+def _perturb(c: Chart, v: Subspace, eps, rng: np.random.Generator) -> Subspace:
+    """:func:`perturb_within` of ``v`` from its chart ``c``; eps is checked first."""
+    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+        raise InputDomainError(f"eps must lie in (0, 1), got {eps!r}")
     g = rng.standard_normal(c.free.shape)
     g /= mk.spectral_norm(g)
     t = eps
@@ -307,8 +302,9 @@ def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspac
 def stability_constant(n: int, k: int, c_hat: float) -> float:
     """Per-instance Lipschitz constant for chart coordinates under metric
     perturbations, with c_hat > 0 the smallest singular value of the good basis."""
-    if not c_hat > 0.0:
-        raise InputDomainError(f"c_hat must be positive, got {c_hat}")
+    n, k = _dimensions(n, k)
+    if not isinstance(c_hat, numbers.Real) or not c_hat > 0.0:
+        raise InputDomainError(f"c_hat must be positive, got {c_hat!r}")
     binom = math.comb(n, k)
     return (math.sqrt(k * binom) / c_hat**k
             + (1.0 + math.sqrt(k)) * 2.0 * math.sqrt(k) * binom / c_hat ** (2 * k))
@@ -318,25 +314,24 @@ def chart_stability(v: Subspace, eps: float, trials: int,
                     rng: np.random.Generator) -> tuple[float, float]:
     """Measure chart-coordinate deviation under metric-eps perturbations.
 
-    Both index sets are held fixed across perturbations (re-selection could
-    jump charts at decision boundaries).  Returns (max_observed, constant);
-    the contract is max_observed <= constant * eps, provided the premise
-    ||A_I^{-1}|| * ||A_I - A~_I|| < 1/2 holds in every trial, of which there
-    must be at least one.
+    Every trial perturbs ``v`` from its one :func:`to_chart`.  With P = Q Q^T,
+    the good basis a = P[:, J] has |det a_I| = |det Q_I| |det Q_J|, so its
+    max-det row block is the chart's I.  Both index sets are held fixed
+    (re-selection could jump charts at decision boundaries).  Returns (max_observed, constant); the contract is
+    max_observed <= constant * eps, provided the premise ||A_I^{-1}|| *
+    ||A_I - A~_I|| < 1/2 holds in every trial, of which there must be one.
     """
     if integer_argument("trials", trials) < 1:
         raise InputDomainError(f"trials must be at least 1, got {trials}")
+    chart = to_chart(v)
     cols, sigma, a = _good_columns(v.proj[None], v.k)
-    a, basis_idx = a[0], cols[0].tolist()
-    rows = _good_rows(a[None])[0][0].tolist()
+    a, basis_idx, rows = a[0], cols[0].tolist(), list(chart.I)
     a_i_inv = np.linalg.inv(a[rows, :])
     a_prime = a @ a_i_inv
     constant = stability_constant(v.n, v.k, float(sigma[0]))
-
     max_observed = 0.0
     for trial in range(trials):
-        w = perturb_within(v, eps, rng)
-        a_t = w.proj[:, basis_idx]
+        a_t = _perturb(chart, v, eps, rng).proj[:, basis_idx]
         if mk.spectral_norm(a_i_inv) * mk.spectral_norm(a[rows, :] - a_t[rows, :]) >= 0.5:
             raise PremiseViolationError(
                 "perturbed row block left the Neumann-premise region", trial=trial)
