@@ -64,15 +64,14 @@ class Chart:
     free: np.ndarray
 
     def __post_init__(self):
-        idx = mk.validate_index_set(self.I, self.n)
-        if len(idx) != self.k:
-            raise InputDomainError(f"index set must have {self.k} entries, got {len(idx)}")
-        object.__setattr__(self, "I", idx)
+        n, k = _dimensions(self.n, self.k)
+        idx = mk.validate_index_set(self.I, n)
+        if len(idx) != k:
+            raise InputDomainError(f"index set must have {k} entries, got {len(idx)}")
         f = np.asarray(self.free, dtype=float)
-        if f.shape != (self.n - self.k, self.k):
-            raise InputDomainError(
-                f"free block shape {f.shape}, expected {(self.n - self.k, self.k)}")
-        object.__setattr__(self, "free", f)
+        if f.shape != (n - k, k):
+            raise InputDomainError(f"free block shape {f.shape}, expected {(n - k, k)}")
+        self.__dict__.update(n=n, k=k, I=idx, free=f)
 
     def reconstruct(self) -> np.ndarray:
         """The n x k basis matrix A' with identity rows at I."""
@@ -327,12 +326,12 @@ def chart_stability(v: Subspace, eps: float, trials: int,
     cols, sigma, a = _good_columns(v.proj[None], v.k)
     a, basis_idx, rows = a[0], cols[0].tolist(), list(chart.I)
     a_i_inv = np.linalg.inv(a[rows, :])
-    a_prime = a @ a_i_inv
+    a_prime, inv_norm = a @ a_i_inv, mk.spectral_norm(a_i_inv)
     constant = stability_constant(v.n, v.k, float(sigma[0]))
     max_observed = 0.0
     for trial in range(trials):
         a_t = _perturb(chart, v, eps, rng).proj[:, basis_idx]
-        if mk.spectral_norm(a_i_inv) * mk.spectral_norm(a[rows, :] - a_t[rows, :]) >= 0.5:
+        if inv_norm * mk.spectral_norm(a[rows, :] - a_t[rows, :]) >= 0.5:
             raise PremiseViolationError(
                 "perturbed row block left the Neumann-premise region", trial=trial)
         a_t_prime = a_t @ np.linalg.inv(a_t[rows, :])

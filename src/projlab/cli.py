@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .charts import to_chart
-from .errors import ConfigError, ProjlabError, parse_json
-from .fractal import box_dimension, load_sample
+from .errors import ConfigError, ProjlabError, config_check, parse_json
+from .fractal import _scales, box_dimension, load_sample
 from .grassmann import Subspace
 from .lab import (ExperimentConfig, exceptional_scan, kaufman_bound,
                   marstrand_sweep, result_csv)
@@ -92,11 +92,7 @@ def run_cli(argv=None) -> int:
             doc = parse_json(path.read_text(), ConfigError, "subspace file")
             print(to_chart(Subspace.from_json(doc)).to_json())
         elif args.command == "dims":
-            if args.scale_lo < 0:
-                raise ConfigError(f"--scale-lo: need >= 0, got {args.scale_lo}")
-            if args.scale_hi < args.scale_lo + 2:
-                raise ConfigError(f"--scale-hi: need >= --scale-lo + 2 (at least 3 scales), "
-                                  f"got --scale-lo {args.scale_lo}, --scale-hi {args.scale_hi}")
+            config_check("--scale-lo, --scale-hi", _scales, args.scale_lo, args.scale_hi)
             path = Path(args.sample)
             if not path.exists() or not path.with_suffix(".json").exists():
                 raise ConfigError(f"sample file or sidecar not found: {path}")

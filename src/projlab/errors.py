@@ -49,8 +49,8 @@ class ResourceBudgetError(ProjlabError, ValueError):
 
 
 class ConfigError(ProjlabError, ValueError):
-    """An experiment configuration file is malformed; the message names the
-    offending field."""
+    """An experiment configuration or a command-line flag is malformed; the
+    message names the offending field or flag."""
 
 
 def read_fields(doc, casts: dict, error: type, what: str) -> list:
@@ -66,6 +66,16 @@ def read_fields(doc, casts: dict, error: type, what: str) -> list:
         except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
             raise error(f"{what} field {name}: {exc}") from exc
     return values
+
+
+def config_check(name: str, check, *args):
+    """``check(*args)``, with a library :class:`InputDomainError` or
+    :class:`ResourceBudgetError` re-raised as a :class:`ConfigError` that
+    names the field or flag ``name``, so an edge calls the rule's one body."""
+    try:
+        return check(*args)
+    except (InputDomainError, ResourceBudgetError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_json(text, error: type, what: str):

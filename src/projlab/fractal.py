@@ -209,9 +209,10 @@ def _sample_depth(spec: IFSSpec, depth) -> int:
     m, depth = len(spec.maps), integer_argument("depth", depth)
     if depth < 0:
         raise InputDomainError(f"depth must be >= 0, got {depth}")
-    if m**depth > EXHAUSTIVE_BUDGET:
+    # min(): m >= 2 and 2^64 exceeds the budget, so a huge depth needs no huge power.
+    if m ** min(depth, 64) > EXHAUSTIVE_BUDGET:
         raise ResourceBudgetError(
-            f"{m}^{depth} points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
+            f"{m}^{depth} sample points exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
     return depth
 
 
@@ -419,11 +420,11 @@ def _scales(scale_lo: int, scale_hi: int) -> list[int]:
     scale_lo = integer_argument("scale_lo", scale_lo)
     scale_hi = integer_argument("scale_hi", scale_hi)
     if scale_lo < 0:
-        raise InputDomainError(f"scale_lo must be >= 0, got {scale_lo}")
-    scales = list(range(scale_lo, scale_hi + 1))
-    if len(scales) < 3:
-        raise InputDomainError("need at least 3 scales")
-    return scales
+        raise InputDomainError(f"scale_lo must be >= 0, got {scale_lo} (scale_hi={scale_hi})")
+    if scale_hi < scale_lo + 2:
+        raise InputDomainError(
+            f"need at least 3 scales, got scale_lo={scale_lo}, scale_hi={scale_hi}")
+    return list(range(scale_lo, scale_hi + 1))
 
 
 def _fit_table(scales: list[int], counts: np.ndarray) -> list[DimensionEstimate]:
@@ -455,6 +456,13 @@ def _key_dtype(k: int, bits: int, scale_hi: int) -> type:
             f"box keys for k={k} at scale_hi={scale_hi} need {k} x {bits} "
             "bits, over the 63-bit limit; lower scale_hi")
     return np.int32 if k * bits <= 31 else np.int64
+
+
+def _unit_box_key(k: int, scale_hi: int) -> tuple[int, type]:
+    """The bits per axis and :func:`_key_dtype` of k-axis unit-box keys at
+    ``scale_hi``: the closed box's far edge lands in cell 2^scale_hi."""
+    bits = scale_hi + 1
+    return bits, _key_dtype(k, bits, scale_hi)
 
 
 def box_dimension(sample, scale_lo: int = 2,
@@ -547,9 +555,9 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
             f"{frames.shape}")
     identity = ratios.tolist() == [1.0] and not offsets.any()
     scales = _scales(scale_lo, scale_hi)
-    base_count, k, bits = len(base), frames.shape[2], scale_hi + 1
+    base_count, k = len(base), frames.shape[2]
     count = len(ratios) * base_count
-    dtype = _key_dtype(k, bits, scale_hi)
+    bits, dtype = _unit_box_key(k, scale_hi)
     occupancy = 1 << (k * bits) <= count
     size = max(1, COUNT_BATCH_POINTS // (k * (base_count if occupancy else count)))
     # One contiguous (n, N0) operand for every batch's product; the transpose

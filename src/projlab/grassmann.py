@@ -130,8 +130,10 @@ def haar_bases(g: np.ndarray) -> np.ndarray:
 
 def from_basis(a) -> Subspace:
     """Orthogonal projection onto the column span of an (n, k) matrix, 0 < k < n.
-    Dependent columns, as k > n columns always are, raise :class:`DegeneracyError`."""
+    Dependent columns, as k > n columns always are, raise :class:`DegeneracyError`,
+    at any scale: the test runs on A scaled exactly by 2^-e, max |A| in [2^(e-1), 2^e)."""
     a = mk.as_matrix(a)
+    a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
     n, k = a.shape
     sigma = np.linalg.svd(a, compute_uv=False)[-1] if k <= n else 0.0
     if sigma <= 1e-8:

@@ -21,29 +21,28 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # to_chart is not called here, but stays importable from this module, where
-# perfbench/spans.py looks it up.
+# perfbench/test_perfbench.py looks it up.
 from .charts import (Chart, chart_bases, charts_of, orthonormal_frames,  # noqa: F401
                      to_chart)
-from .errors import (ConfigError, InputDomainError, integer, integer_argument, read_fields,
-                     real)
-from .fractal import (EXHAUSTIVE_BUDGET, DimensionEstimate, IFSSpec,
+from .errors import (ConfigError, InputDomainError, config_check, integer, integer_argument,
+                     read_fields, real)
+from .fractal import (DimensionEstimate, IFSSpec, _sample_depth, _scales, _unit_box_key,
                       box_dimension, projected_dimensions, tiled_sample)
-from .grassmann import haar_bases
+from .grassmann import _dimensions, haar_bases
 
 
 def kaufman_bound(n: int, k: int, s: float) -> float:
     """Exceptional-set dimension bound k(n-k) + s - k, for integers
-    0 < k < n."""
-    n, k = integer_argument("n", n), integer_argument("k", k)
-    if not (0 < k < n):
-        raise InputDomainError(f"need 0 < k < n, got k={k}, n={n}")
-    if not (0.0 < s <= k):
-        raise InputDomainError(f"need 0 < s <= k, got s={s}")
+    0 < k < n and a real 0 < s <= k."""
+    n, k = _dimensions(n, k)
+    if not (isinstance(s, numbers.Real) and 0.0 < s <= k):
+        raise InputDomainError(f"need a real 0 < s <= k, got s={s!r}")
     return k * (n - k) + s - k
 
 
@@ -61,42 +60,32 @@ class ExperimentConfig:
     mode: str  # sweep | scan
 
     def __post_init__(self):
-        if not (0 < self.k < self.n):
-            raise ConfigError(f"field k: need 0 < k < n, got k={self.k}, n={self.n}")
-        if not (0.0 < self.threshold_s <= self.k):
-            raise ConfigError(f"field threshold_s: need a value in (0, k], got {self.threshold_s}")
+        # A rule that the library owns is its call, re-raised naming the field.
+        # The int fields are stored typed; a frozen dataclass keeps them in __dict__.
+        self.__dict__.update({f.name: config_check(f"field {f.name}", integer_argument, f.name,
+                                                   getattr(self, f.name))
+                              for f in fields(self) if f.type == "int"})
+        config_check("field k", _dimensions, self.n, self.k)
+        config_check("field threshold_s", kaufman_bound, self.n, self.k, self.threshold_s)
         if self.seed < 0:
             raise ConfigError(f"field seed: need >= 0, got {self.seed}")
         if self.num_directions < 1:
             raise ConfigError(f"field num_directions: need >= 1, got {self.num_directions}")
+        if not isinstance(self.ifs, IFSSpec):
+            raise ConfigError(f"field ifs: need an IFSSpec, got {self.ifs!r}")
         if self.depth < 1:
             raise ConfigError(f"field depth: need >= 1, got {self.depth}")
-        # min(): an IFS has m >= 2 maps and 2^64 exceeds the budget, so a
-        # huge depth needs no huge power.
-        if len(self.ifs.maps) ** min(self.depth, 64) > EXHAUSTIVE_BUDGET:
-            raise ConfigError(
-                f"field depth: {len(self.ifs.maps)}^{self.depth} sample points "
-                f"exceed the exhaustive budget {EXHAUSTIVE_BUDGET}")
-        # A unit-box scale 2^-j with j < 0 holds the whole sample in one box.
-        if self.scale_lo < 0:
-            raise ConfigError(f"field scale_lo: need >= 0, got {self.scale_lo}")
-        if self.scale_hi - self.scale_lo < 2:
-            raise ConfigError(
-                f"field scale_hi: need scale_hi >= scale_lo + 2 (at least 3 scales), "
-                f"got scale_lo={self.scale_lo}, scale_hi={self.scale_hi}")
-        # Unit-box cells reach 2^scale_hi: scale_hi + 1 bits per axis of a key.
-        if self.scale_hi > 61 or self.k * (self.scale_hi + 1) > 63:
-            raise ConfigError(
-                f"field scale_hi: box keys need scale_hi <= 61 and k * (scale_hi + 1) "
-                f"<= 63, got scale_hi={self.scale_hi} for k={self.k}")
+        config_check("field depth", _sample_depth, self.ifs, self.depth)
+        config_check("field scale_lo, field scale_hi", _scales, self.scale_lo, self.scale_hi)
+        config_check("field scale_hi", _unit_box_key, self.k, self.scale_hi)
         if self.ifs.n != self.n:
             raise ConfigError(f"field ifs: ambient dimension {self.ifs.n} != n={self.n}")
         if self.mode not in ("sweep", "scan"):
             raise ConfigError(f"field mode: unknown mode '{self.mode}'")
-        if self.mode == "sweep" and self.num_directions > 1 << 32:
-            # Direction i seeds its stream with the 32-bit spawn word i.
-            raise ConfigError(
-                f"field num_directions: need <= 2^32 for a sweep, got {self.num_directions}")
+        if self.num_directions > 1 << 32:
+            # A sweep seeds direction i's stream with the 32-bit spawn word i,
+            # and a scan's grid size is a float root of num_directions.
+            raise ConfigError(f"field num_directions: need <= 2^32, got {self.num_directions}")
         if self.mode == "scan":
             cells = _scan_cells_per_axis(self.n, self.k, self.num_directions)
             if cells < 8:

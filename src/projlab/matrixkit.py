@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputDomainError, SingularityError
+from .errors import InputDomainError, SingularityError, integer_argument
 
 # A square matrix with sigma_min <= SINGULARITY_RTOL * sigma_max is treated
 # as singular; scale-relative so the test is unit-free.
@@ -30,8 +30,8 @@ def as_matrix(m) -> np.ndarray:
 
 
 def validate_index_set(indices, nrows: int) -> tuple[int, ...]:
-    """Validate a strictly increasing, in-range, duplicate-free index set."""
-    idx = tuple(int(i) for i in indices)
+    """Validate a strictly increasing, in-range, duplicate-free index set of integers."""
+    idx = tuple(integer_argument("index set entry", i) for i in indices)
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise InputDomainError(f"index set {idx} is not strictly increasing")
     if idx and (idx[0] < 0 or idx[-1] >= nrows):

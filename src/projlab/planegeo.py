@@ -10,12 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit as mk
-from .errors import DegeneracyError, InputDomainError
+from .errors import InputDomainError
 from .grassmann import (AffinePlane, Subspace, from_basis,
                         orthogonal_complement)
-
-# Degeneracy threshold on the unit-normalized difference matrix.
-_SPAN_SIGMA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -30,24 +27,15 @@ def span_from_points(points) -> SpanResult:
     """Affine k-plane through k+1 points whose differences are independent.
 
     ``sigma`` is the smallest singular value of the matrix with columns
-    p_i - p_0; it quantifies how degenerate the configuration is.
+    p_i - p_0.  :func:`from_basis` refuses dependent differences at any scale.
     """
     pts = [np.asarray(p, dtype=float) for p in points]
     if len(pts) < 2:
         raise InputDomainError("need at least two points")
     diffs = np.column_stack([p - pts[0] for p in pts[1:]])
-    norms = np.linalg.norm(diffs, axis=0)
-    scale = float(np.max(norms))
-    if scale == 0.0:
-        raise DegeneracyError("all points coincide", sigma=0.0)
-    # Threshold on the normalized matrix so the test is scale-invariant.
-    sigma_normalized = mk.smallest_singular_value(diffs / scale)
-    if sigma_normalized <= _SPAN_SIGMA_TOL:
-        raise DegeneracyError("point differences are (nearly) dependent",
-                              sigma=sigma_normalized * scale)
-    sigma = mk.smallest_singular_value(diffs)
     direction = from_basis(diffs)
-    return SpanResult(plane=AffinePlane.through(direction, pts[0]), sigma=sigma)
+    return SpanResult(plane=AffinePlane.through(direction, pts[0]),
+                      sigma=mk.smallest_singular_value(diffs))
 
 
 def line_through(z, w) -> AffinePlane:

@@ -389,6 +389,18 @@ def test_chart_stability_charts_once(monkeypatch):
     assert max_observed <= constant * 2.0**-30
 
 
+def test_chart_stability_takes_each_spectral_norm_once(monkeypatch):
+    # ||A_I^-1|| of the fixed row block was once an SVD in every trial's
+    # Neumann-premise check: 50 trials took it 50 times.
+    seen = []
+    monkeypatch.setattr(charts.mk, "spectral_norm", lambda m, _real=charts.mk.spectral_norm:
+                        seen.append(np.asarray(m).tobytes()) or _real(m))
+    v = sample_uniform(4, 2, np.random.default_rng(41))
+    chart_stability(v, 2.0**-30, 50, np.random.default_rng(5))
+    assert len(seen) >= 3 * 50
+    assert len(set(seen)) == len(seen)
+
+
 @pytest.mark.parametrize("n, k, seed, eps, trials, expected", [
     (4, 2, 29, 2.0**-30, 20, 9.306723776293528e-10),
     (8, 4, 3, 2.0**-25, 10, 2.8788497178419912e-08),
@@ -499,6 +511,27 @@ def test_chart_rejects_bad_shapes():
         Chart(n=4, k=2, I=(0,), free=np.zeros((2, 2)))
     with pytest.raises(InputDomainError):
         Chart(n=4, k=2, I=(0, 1), free=np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("n, k, index_set, free, message", [
+    # A fractional entry was once truncated: I=(0.5,) became (0,).
+    (2, 1, (0.5,), [[1.0]], "index set entry must be an integer, got 0.5"),
+    (2, 1, ("0",), [[1.0]], "index set entry must be an integer, got '0'"),
+    # A string n once ended in a raw TypeError, and k = n was accepted.
+    ("2", 1, (0,), [[1.0]], "n must be an integer, got '2'"),
+    (2, 1.0, (0,), [[1.0]], "k must be an integer, got 1.0"),
+    (2, 2, (0, 1), np.zeros((0, 2)), "need 0 < k < n, got k=2, n=2"),
+    (2, 0, (), np.zeros((2, 0)), "need 0 < k < n, got k=0, n=2"),
+], ids=["I-fractional", "I-string", "n-string", "k-float", "k-equals-n", "k-zero"])
+def test_chart_types_its_fields(n, k, index_set, free, message):
+    with pytest.raises(InputDomainError, match=re.escape(message)):
+        Chart(n=n, k=k, I=index_set, free=free)
+
+
+def test_chart_stores_typed_fields():
+    c = Chart(n=np.int64(3), k=np.int32(1), I=(np.int64(2),), free=[[0.5], [0.25]])
+    assert (type(c.n), type(c.k), type(c.I[0])) == (int, int, int)
+    assert c.I == (2,) and c.free.shape == (2, 1)
 
 
 def test_to_chart_scores_blocks_once(monkeypatch):

@@ -114,6 +114,9 @@ def test_config_error_names_offending_field(tmp_path, capsys):
     (dict(depth=None), "field depth: int() argument must be"),
     (dict(threshold_s="high"), "field threshold_s: could not convert string to float"),
     (dict(seed=[1]), "field seed: int() argument must be"),
+    (dict(k=2), "field k: need 0 < k < n, got k=2, n=2"),
+    (dict(threshold_s=1.5), "field threshold_s: need a real 0 < s <= k, got s=1.5"),
+    (dict(scale_hi=63), "field scale_hi: box keys for k=1 at scale_hi=63"),
 ])
 def test_config_error_before_sampling(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path / "cfg.json", **{"depth": 10, **overrides})
@@ -167,9 +170,10 @@ def nonfinite_dust(value):
 
 
 @pytest.mark.parametrize("overrides, extra, field", [
-    (dict(scale_hi=62), [], "field scale_hi: box keys need scale_hi <= 61"),
-    (dict(scale_hi=70), [], "field scale_hi: box keys need scale_hi <= 61"),
-    (dict(scale_lo=-5, scale_hi=4), [], "field scale_lo: need >= 0"),
+    (dict(scale_hi=63), [], "field scale_hi: box keys for k=1 at scale_hi=63 need 1 x 64 bits"),
+    (dict(scale_hi=70), [], "field scale_hi: box keys for k=1 at scale_hi=70 need 1 x 71 bits"),
+    (dict(scale_lo=-5, scale_hi=4), [],
+     "field scale_lo, field scale_hi: scale_lo must be >= 0, got -5 (scale_hi=4)"),
     (dict(seed=-1), [], "field seed: need >= 0, got -1"),
     ({}, ["--seed", "-4"], "field seed: need >= 0, got -4"),
     (dict(ifs=nonfinite_dust(float("nan"))), [],
@@ -184,7 +188,7 @@ def nonfinite_dust(value):
     # Any JSON value was once taken as the label and echoed into summary.json.
     (dict(ifs={**json.loads(cantor_dust().to_json()), "label": ["dust"]}), [],
      "config field ifs: label must be a string or null, got ['dust']"),
-], ids=["scale_hi-62", "scale_hi-70", "scale_lo-negative", "seed-negative",
+], ids=["scale_hi-63", "scale_hi-70", "scale_lo-negative", "seed-negative",
         "seed-override-negative", "translation-nan", "translation-inf", "translation-huge",
         "label-list"])
 def test_config_error_before_generate(tmp_path, capsys, monkeypatch, overrides,
@@ -202,7 +206,8 @@ def test_scan_negative_scale_lo_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", ifs=json.loads(cantor_on_axis().to_json()),
                        num_directions=16, threshold_s=0.5, mode="scan", scale_lo=-1)
     assert run_cli(["scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "field scale_lo: need >= 0, got -1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "field scale_lo, field scale_hi: scale_lo must be >= 0, got -1" in err
 
 
 def test_parser_is_reused_after_an_argparse_error(tmp_path, capsys):
@@ -290,9 +295,11 @@ def test_dims_subcommand(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("window, message", [
-    (["--scale-lo", "-1"], "--scale-lo: need >= 0, got -1"),
-    (["--scale-lo", "5", "--scale-hi", "4"], "--scale-hi: need >= --scale-lo + 2"),
-    (["--scale-lo", "2", "--scale-hi", "3"], "--scale-hi: need >= --scale-lo + 2"),
+    (["--scale-lo", "-1"], "--scale-lo, --scale-hi: scale_lo must be >= 0, got -1 (scale_hi=8)"),
+    (["--scale-lo", "5", "--scale-hi", "4"],
+     "--scale-lo, --scale-hi: need at least 3 scales, got scale_lo=5, scale_hi=4"),
+    (["--scale-lo", "2", "--scale-hi", "3"],
+     "--scale-lo, --scale-hi: need at least 3 scales, got scale_lo=2, scale_hi=3"),
 ], ids=["scale-lo-negative", "scale-hi-below-scale-lo", "two-scales"])
 def test_dims_window_is_config_error(tmp_path, capsys, window, message):
     # A negative --scale-lo once exited 0 with 0.739 on this sample, and

@@ -169,8 +169,14 @@ def test_tiled_sample_takes_zero_ratios_and_leaves_nan_to_the_counter():
 
 def test_generate_budget_error_names_the_budget():
     with pytest.raises(ResourceBudgetError,
-                       match="4\\^13 points exceed the exhaustive budget 10000000$"):
+                       match="4\\^13 sample points exceed the exhaustive budget 10000000$"):
         generate(cantor_dust(), 13)
+
+
+def test_generate_refuses_a_huge_depth_at_once():
+    # The budget check once computed 4^depth in full before refusing it.
+    with pytest.raises(ResourceBudgetError, match="4\\^1000000000000 sample points exceed"):
+        generate(cantor_dust(), 10**12)
 
 
 def test_generate_rejects_negative_depth():

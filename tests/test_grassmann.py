@@ -45,6 +45,26 @@ def test_from_basis_rejects_dependent_columns():
     assert exc.value.sigma <= 1e-8
 
 
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**-27, 2.0**600],
+                         ids=["2^-600", "2^-27", "2^600"])
+def test_from_basis_decides_rank_at_any_scale(scale):
+    # An absolute sigma <= 1e-8 test once refused a well-conditioned basis at
+    # 2^-27.  Scaling by a power of two is exact, so the projection's bits do
+    # not move, and a basis dependent up to 1e-10 of its largest entry is
+    # refused at every scale.
+    a = np.array([[1.0, 0.5], [0.0, 1.0], [2.0, -1.0]])
+    assert from_basis(scale * a).proj.tobytes() == from_basis(a).proj.tobytes()
+    with pytest.raises(DegeneracyError, match="linearly dependent"):
+        from_basis(scale * np.column_stack([a[:, 0], 3.0 * a[:, 0]]))
+    with pytest.raises(DegeneracyError, match="linearly dependent"):
+        from_basis(scale * np.array([[1.0, 1.0], [0.0, 1e-10], [0.0, 0.0]]))
+
+
+def test_from_basis_of_huge_entries():
+    # a^T a once overflowed and failed the Subspace check as "trace(proj)=0".
+    assert np.array_equal(from_basis(1e200 * np.eye(3)[:, :2]).proj, np.diag([1.0, 1.0, 0.0]))
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 5)])
 def test_from_basis_rejects_wide_matrix(shape):
     # More columns than rows are dependent; once a raw LinAlgError (2 x 3)

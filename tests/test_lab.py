@@ -1,9 +1,12 @@
 import hashlib
 import json
+import math
+import numbers
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projlab import lab
@@ -40,6 +43,10 @@ def test_kaufman_bound_rejects_bad_arguments():
         kaufman_bound(3, 1.5, 1.0)
     with pytest.raises(InputDomainError, match="n must be an integer, got 3.0"):
         kaufman_bound(3.0, 1, 1.0)
+    # A string s once ended in a raw TypeError from the comparison.
+    for s in ("0.5", None, [0.5], math.nan):
+        with pytest.raises(InputDomainError, match=r"need a real 0 < s <= k, got s="):
+            kaufman_bound(2, 1, s)
 
 
 def sweep_config(**overrides):
@@ -62,6 +69,9 @@ def test_config_validation_names_fields():
         sweep_config(num_directions=0)
     with pytest.raises(ConfigError, match="field ifs"):
         sweep_config(ifs=cantor_on_axis(), n=3, k=1)
+    # Once a raw AttributeError.
+    with pytest.raises(ConfigError, match="field ifs: need an IFSSpec, got None"):
+        sweep_config(ifs=None)
     with pytest.raises(ConfigError, match="field mode"):
         sweep_config(mode="walk")
     with pytest.raises(ConfigError, match="field mode: unknown mode 'grid'"):
@@ -74,16 +84,118 @@ def test_config_validation_names_fields():
         sweep_config(scale_lo=2, scale_hi=3)
     # Scales 2^-j with j < 0 hold the whole sample in one box: a dust sweep
     # at scales -5..4 read about 0.46, against about 0.95 at scales 2..8.
-    with pytest.raises(ConfigError, match="field scale_lo: need >= 0, got -5"):
+    with pytest.raises(ConfigError,
+                       match="field scale_lo, field scale_hi: scale_lo must be >= 0, got -5"):
         sweep_config(scale_lo=-5, scale_hi=4)
     sweep_config(scale_lo=0, scale_hi=8)
     with pytest.raises(ConfigError, match="field num_directions: need <= 2\\^32"):
         sweep_config(num_directions=(1 << 32) + 1)
+    # A scan's cell count once overflowed a float root: a raw OverflowError.
+    with pytest.raises(ConfigError, match="field num_directions: need <= 2\\^32"):
+        sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=10**400)
     with pytest.raises(ConfigError, match="field num_directions.*4 cells"):
         sweep_config(mode="scan", num_directions=4)
     with pytest.raises(ConfigError, match="7 cells per chart axis"):
         sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=49)
     sweep_config(ifs=line_3d(), n=3, k=1, mode="scan", num_directions=64)
+
+
+INT_FIELDS = ("n", "k", "num_directions", "depth", "scale_lo", "scale_hi", "seed")
+
+
+@pytest.mark.parametrize("bad", [2.0, 4.5, "2", None],
+                         ids=["float-2.0", "float-4.5", "str", "None"])
+@pytest.mark.parametrize("name", INT_FIELDS)
+def test_config_types_each_integer_field(name, bad):
+    # A config built in Python once took k=1.5, n=2.0, num_directions=8.5 or
+    # seed=4.5 and died in a raw TypeError or AttributeError inside the sweep.
+    with pytest.raises(ConfigError, match=f"^field {name}: {name} must be an integer, got "):
+        sweep_config(**{name: bad})
+
+
+def test_config_stores_typed_integers():
+    cfg = sweep_config(n=np.int64(2), k=np.int32(1), depth=np.uint8(6), seed=np.int64(42))
+    assert all(type(getattr(cfg, name)) is int for name in INT_FIELDS)
+    assert cfg.echo() == sweep_config().echo()
+
+
+def refused(f) -> bool:
+    """Whether some rule of a config refuses the fields ``f``: the rules,
+    written out once more as the test's oracle."""
+    if any(type(f[name]) is not int for name in INT_FIELDS):
+        return True
+    ifs, n, k, s, lo, hi = (f[name] for name in ("ifs", "n", "k", "threshold_s",
+                                                 "scale_lo", "scale_hi"))
+    return bool(
+        not 0 < k < n or not isinstance(s, numbers.Real) or not 0 < s <= k
+        or f["seed"] < 0 or f["num_directions"] < 1 or not isinstance(ifs, IFSSpec)
+        or f["depth"] < 1 or f["depth"] * math.log(len(ifs.maps)) > math.log(10**7)
+        or lo < 0 or hi < lo + 2 or k * (hi + 1) > 63
+        or ifs.n != n or f["mode"] not in ("sweep", "scan")
+        or f["num_directions"] > 2**32
+        or (f["mode"] == "scan" and lab._scan_cells_per_axis(n, k, f["num_directions"]) < 8))
+
+
+def fields_or(ints, *others):
+    return ints | st.sampled_from([2.0, 1.5, "2", None, *others])
+
+
+FIELD_VALUES = dict(
+    ifs=st.sampled_from([cantor_dust(), cantor_on_axis(), line_3d(), None, "dust"]),
+    n=fields_or(st.integers(-1, 5)), k=fields_or(st.integers(-1, 4)),
+    num_directions=fields_or(st.integers(-1, 80), 2**32 + 1, 10**400),
+    depth=fields_or(st.integers(-1, 13), 10**12),
+    scale_lo=fields_or(st.integers(-2, 10)), scale_hi=fields_or(st.integers(-1, 70), 62, 63),
+    threshold_s=st.floats(-1.0, 4.0) | st.sampled_from([math.nan, 1, "0.5", None]),
+    seed=fields_or(st.integers(-3, 2**70)),
+    mode=st.sampled_from(["sweep", "scan", "grid", None]))
+VALID_FIELDS = dict(ifs=cantor_dust(), n=2, k=1, num_directions=8, depth=6, scale_lo=2,
+                    scale_hi=8, threshold_s=0.9, seed=42, mode="sweep")
+# A valid config with up to four fields redrawn, so that both outcomes are common.
+CONFIG_FIELDS = st.lists(st.sampled_from(sorted(FIELD_VALUES)), max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({**{name: st.just(value)
+                                            for name, value in VALID_FIELDS.items()},
+                                         **{name: FIELD_VALUES[name] for name in names}}))
+
+
+@settings(max_examples=400, deadline=None)
+@given(f=CONFIG_FIELDS)
+@example(f={**VALID_FIELDS, "scale_hi": 62})
+@example(f={**VALID_FIELDS, "ifs": None})
+@example(f={**VALID_FIELDS, "ifs": line_3d(), "n": 3, "mode": "scan", "num_directions": 10**400})
+def test_config_raises_config_error_exactly_when_a_rule_refuses(f):
+    # Any other exception fails the test.
+    try:
+        cfg = ExperimentConfig(**f)
+    except ConfigError:
+        assert refused(f)
+    else:
+        assert not refused(f)
+        assert all(type(getattr(cfg, name)) is int for name in INT_FIELDS)
+
+
+def test_scale_hi_up_to_the_key_width():
+    # The config once capped scale_hi at 61, a rule that no library code had.
+    # Lines take k * (scale_hi + 1) <= 63, so scale_hi 62, and a depth-8
+    # Cantor set reads its 256 points at every scale of 57..62, as at 15..20.
+    axis = dict(ifs=cantor_on_axis(), depth=8, num_directions=4, threshold_s=0.5)
+    fine, coarse = (marstrand_sweep(sweep_config(**axis, scale_lo=hi - 5, scale_hi=hi))
+                    for hi in (62, 20))
+    for a, b in zip(fine.rows, coarse.rows):
+        assert a.estimate.counts == b.estimate.counts == (256,) * 6
+    with pytest.raises(ConfigError, match="field scale_hi: box keys for k=1 at scale_hi=63"):
+        sweep_config(scale_hi=63)
+    with pytest.raises(ConfigError, match="field scale_hi: box keys for k=2 at scale_hi=31"):
+        sweep_config(ifs=line_3d(), n=3, k=2, threshold_s=0.5, scale_hi=31)
+    sweep_config(ifs=line_3d(), n=3, k=2, threshold_s=0.5, scale_hi=30)
+
+
+def test_readme_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    mean_dim, exceptional_fraction = map(float, capsys.readouterr().out.split())
+    assert 0.9 <= mean_dim <= 1.05 and 0.0 <= exceptional_fraction <= 1.0
 
 
 def test_config_rejects_sample_over_exhaustive_budget():
@@ -96,6 +208,8 @@ def test_config_rejects_sample_over_exhaustive_budget():
                      threshold_s=0.5, depth=24)
     with pytest.raises(ConfigError, match="field depth"):
         sweep_config(depth=10**9)
+    with pytest.raises(ConfigError, match="field depth: 4\\^1000000000000 sample points"):
+        sweep_config(depth=10**12)
     # 2^23 points fit the budget.
     sweep_config(ifs=cantor_on_axis(), depth=23)
 

@@ -62,6 +62,10 @@ def test_row_submatrix_rejects_bad_index_sets():
         row_submatrix(m, (1, 1))
     with pytest.raises(InputDomainError):
         row_submatrix(m, (2, 0))
+    # int() once read row 1.5 as row 1.
+    with pytest.raises(InputDomainError, match="index set entry must be an integer, got 1.5"):
+        row_submatrix(m, (0, 1.5))
+    assert np.array_equal(row_submatrix(m, np.array([0, 2])), m[[0, 2]])
 
 
 def test_inverse_examples():

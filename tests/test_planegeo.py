@@ -64,6 +64,17 @@ def test_line_through_coincident_points():
         line_through([1.0, 2.0], [1.0, 2.0])
 
 
+def test_line_and_fiber_hyperplane_of_close_points():
+    # Points 3 * 2^-30 apart once raised DegeneracyError in from_basis's
+    # absolute rank test, though span_from_points' scale-free test passed them.
+    z = np.array([0.25, -1.0, 3.0])
+    w = z + 2.0**-30 * np.array([1.0, 2.0, -2.0])
+    d = np.array([1.0, 2.0, -2.0]) / 3.0
+    assert np.allclose(line_through(z, w).direction.proj, np.outer(d, d), atol=1e-12)
+    assert np.allclose(fiber_hyperplane(z, w).proj, np.eye(3) - np.outer(d, d), atol=1e-12)
+    assert span_from_points([z, w]).sigma == pytest.approx(2.0**-30 * 3.0)
+
+
 def test_fiber_hyperplane_examples():
     h = fiber_hyperplane([0.0, 0.0], [1.0, 0.0])
     assert np.allclose(h.proj, [[0.0, 0.0], [0.0, 1.0]])
