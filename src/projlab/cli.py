@@ -79,7 +79,7 @@ def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "bound":
-            print(kaufman_bound(args.n, args.k, args.s))
+            print(config_check("--n, --k, --s", kaufman_bound, args.n, args.k, args.s))
         elif args.command in ("sweep", "scan"):
             config = _load_config(args)
             runner = marstrand_sweep if args.command == "sweep" else exceptional_scan

@@ -474,8 +474,11 @@ def box_dimension(sample, scale_lo: int = 2,
     ``scale_hi`` defaults to :func:`default_scale_hi` of the sample.  The
     cloud's cells at ``scale_hi``, shifted by a per-axis offset that is a
     multiple of 2^(scale_hi - scale_lo) (which keeps every coarser box
-    whole), go to :func:`_box_counts` as one tile of :func:`_key_dtype`
-    cells, and :func:`_fit_table` fits the counts.
+    whole), go to :func:`_box_counts` as one tile, and :func:`_fit_table`
+    fits the counts.  The tile holds int64 cells when the key space, 2^(k
+    x bits) cells, holds no more cells than N (occupancy scatters intp keys
+    without a conversion), and :func:`_key_dtype` cells otherwise (the sort
+    path sorts int32 keys faster).
 
     This is the one entry that counts outside points, so it checks them
     for the counter it shares with :func:`projected_dimensions`: an input
@@ -507,7 +510,8 @@ def box_dimension(sample, scale_lo: int = 2,
     dtype = _key_dtype(len(cells), bits, scale_hi)
     cells = cells.astype(np.int64)
     cells -= offset[:, None]
-    cells = cells.astype(dtype, copy=False)
+    if 1 << (len(cells) * bits) > len(pts):
+        cells = cells.astype(dtype, copy=False)
     return _fit_table(scales, _box_counts([cells[None]], 1, len(cells), bits, len(pts),
                                           scale_lo, scale_hi))[0]
 
@@ -535,13 +539,25 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     and the division correctly rounded, so the quotient is the rescaled
     coordinate times 2^scale_hi, bit for bit.  The row maximum maps to
     2^scale_hi, so the keys need scale_hi + 1 bits per axis and no offset.
-    :func:`_box_counts` marks each word image as one (B, k, N0) intp tile
-    on the occupancy path; on the sort path it sorts one (B, k, W * N0)
-    tile of :func:`_key_dtype` cells that holds every image.  The one
-    identity word (a plain cloud) skips the multiply-add.  One
-    :func:`_fit_table` fits all counts.  The rows, the images and the tile
-    are allocated once per call, as large as the largest batch, and nothing
-    is kept between calls.
+
+    On the occupancy path, :func:`_box_counts` marks tiles of cells.  For
+    lines (k = 1) each batch's rows are sorted in place once their grid is
+    found, and :func:`_line_cells` reads each word image's cells off the
+    sorted rows: a cell trunc((fl(fl(r_w x) + c_w) - lo) / width) is
+    monotone non-decreasing in x, as r_w >= 0, width > 0 and rounding is
+    monotone, so the cells of one image along a sorted row do not decrease.
+    Computed at the ends of blocks of the row, they leave out no cell of a
+    block whose ends differ by at most 1, and only the other blocks, where a
+    gap of the projected set spans a cell, are computed point by point.
+    The marked cells are those of every point, bit for bit, from a
+    fraction of the cells (1 in 15 on lines of the 4^10-point dust at scale
+    13).  For planes (k >= 2), whose Morton keys follow no one sort order,
+    each word image is one (B, k, N0) intp tile.  On the sort path
+    :func:`_box_counts` sorts one (B, k, W * N0) tile of :func:`_key_dtype`
+    cells that holds every image.  The one identity word (a plain cloud)
+    skips the multiply-add.  One :func:`_fit_table` fits all counts.  The
+    rows, the images and the tile are allocated once per call, as large as
+    the largest batch, and nothing is kept between calls.
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
     anything is projected.  A non-finite coordinate and frames that are not
@@ -559,6 +575,7 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     count = len(ratios) * base_count
     bits, dtype = _unit_box_key(k, scale_hi)
     occupancy = 1 << (k * bits) <= count
+    lines = k == 1 and occupancy
     size = max(1, COUNT_BATCH_POINTS // (k * (base_count if occupancy else count)))
     # One contiguous (n, N0) operand for every batch's product; the transpose
     # of a generate() sample already is one.
@@ -568,7 +585,7 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     # reading it: allocating each batch afresh counts slower.
     shape = (min(size, len(frames)), k, base_count)
     all_rows = np.empty(shape)
-    images = None if identity else np.empty(shape)
+    images = None if identity and not lines else np.empty(shape)
     tile = (np.empty(shape, dtype=np.intp) if occupancy
             else np.empty((*shape[:2], count), dtype=dtype))
 
@@ -578,16 +595,99 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
         shifts = None if identity else np.matmul(batch.swapaxes(1, 2), offsets.T)
         lo, width = _unit_box_grid(rows, scale_hi, ratios, shifts)
         # The images less lo are non-negative, so the integer cast floors them.
-        words = _word_images(rows, ratios, shifts, lo, images)
         keys = tile[:len(batch)]
-        if occupancy:
-            tiles = (np.divide(image, width, casting="unsafe", out=keys) for image in words)
+        if lines:
+            tiles = _line_cells(rows[:, 0], ratios, None if identity else shifts[:, 0],
+                                lo, width, images.reshape(-1), tile.reshape(-1))
+        elif occupancy:
+            tiles = (np.divide(image, width, casting="unsafe", out=keys)
+                     for image in _word_images(rows, ratios, shifts, lo, images))
         else:
-            for j, image in zip(range(0, count, base_count), words):
+            for j, image in zip(range(0, count, base_count),
+                                _word_images(rows, ratios, shifts, lo, images)):
                 np.divide(image, width, casting="unsafe", out=keys[..., j:j + base_count])
             tiles = [keys]
         counts.append(_box_counts(tiles, len(batch), k, bits, count, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
+
+
+def _line_cells(rows, ratios, shifts, lo, width, floats, cells):
+    """The cells at ``scale_hi`` that the word images of a (B, N0) stack of
+    projected rows occupy on a line, as (B, 1, M) tiles for
+    :func:`_occupied_keys`, read off the rows sorted in place.
+
+    Word w's cell of x is trunc((fl(fl(r_w x) + shifts[:, w]) - lo) /
+    width), and each step is monotone non-decreasing in x: r_w >= 0, width
+    > 0 (or inf), and rounding is monotone.  So on a sorted row the cells of
+    one image do not decrease, and a block of the row between two points
+    whose cells differ by at most 1 holds no other cell.  The cells are
+    computed at every ``stride``-th point and the row's last (the block
+    ends), and only a block whose ends differ by 2 or more, where a gap of
+    the projected set spans a cell, is computed point by point: the stride
+    - 1 points after its first end, which cover the points inside it.  The
+    marked cells are those of every point, bit for bit.  The stride is the
+    largest power of two at most half of the mean points per cell of the
+    widest image, N0 width / (r_max span), in the batch's sparsest row, and
+    at most N0 - 1.
+
+    The words come in chunks whose end cells fill the (B x N0-sized)
+    ``floats`` and ``cells`` workspaces, and the blocks to refine in slices
+    that fill them; the ends' jumps reuse ``floats`` as intp once their
+    cells are cast.  Without ``shifts`` (the one identity word), a cell is
+    trunc((x - lo) / width).  Each tile must be marked before the next is
+    asked for.
+    """
+    rows.sort(axis=-1)
+    batch, base_count = rows.shape
+    with np.errstate(divide="ignore"):
+        per_cell = np.min(base_count * width[:, :, 0]
+                          / (ratios.max() * (rows[:, -1:] - rows[:, :1])))
+    limit = int(max(1.0, min(per_cell / 2, base_count - 1)))
+    stride = 1 << limit.bit_length() - 1
+    ends = np.arange(0, base_count + stride - 1, stride)
+    ends[-1] = base_count - 1
+    points = rows[:, None, ends]
+    # A block's window is the stride - 1 points after its first end; on the
+    # last block, the take clips those past the row's end to its last point.
+    starts = ends[:-1, None]
+    window = np.arange(1, stride)
+    chunk = max(1, len(floats) // (batch * len(ends)))
+    per_slice = len(floats) // (batch * max(1, len(window)))
+    for first in range(0, len(ratios), chunk):
+        words = np.arange(first, min(first + chunk, len(ratios)))
+        table = _line_image_cells(points, words, ratios, shifts, lo, width, floats, cells)
+        yield table.reshape(batch, 1, -1)
+        gaps = np.subtract(table[..., 1:], table[..., :-1], out=floats.view(np.intp)[
+            :table[..., 1:].size].reshape(batch, len(words), -1))
+        # With stride 1 every point is an end.
+        refine = np.flatnonzero((gaps >= 2).any(axis=0)) if len(window) else ()
+        for block in (refine[i:i + per_slice] for i in range(0, len(refine), per_slice)):
+            word, block = np.divmod(block, len(ends) - 1)
+            # The window indices go to the cells workspace, which their cells overwrite.
+            index = np.add(starts[block], window,
+                           out=cells[:len(block) * len(window)].reshape(len(block), -1))
+            x = np.take(rows, index, axis=1, mode="clip",
+                        out=floats[:batch * index.size].reshape(batch, *index.shape))
+            yield _line_image_cells(x, words[word], ratios, shifts, lo, width, x,
+                                    cells).reshape(batch, 1, -1)
+
+
+def _line_image_cells(x, words, ratios, shifts, lo, width, floats, cells):
+    """The (B, R, L) cells trunc((fl(fl(r_w x) + shifts[:, w]) - lo) /
+    width) of points ``x`` under the R words w of ``words`` (trunc((x - lo)
+    / width) without shifts), with x broadcast to (B, R, L).  The images go
+    to the front of ``floats`` (which may be ``x`` itself) and the cells to
+    the front of ``cells``."""
+    shape = np.broadcast_shapes(x.shape, lo.shape, (len(words), 1))
+    image = floats.reshape(-1)[:math.prod(shape)].reshape(shape)
+    if shifts is None:
+        np.subtract(x, lo, out=image)
+    else:
+        np.multiply(x, ratios[words, None], out=image)
+        image += shifts[:, words, None]
+        image -= lo
+    return np.divide(image, width, casting="unsafe",
+                     out=cells[:image.size].reshape(shape))
 
 
 def _word_images(rows, ratios, shifts, lo, images):

@@ -34,8 +34,12 @@ def test_bound_prints_value(capsys):
 
 
 def test_bound_rejects_bad_arguments(capsys):
-    assert run_cli(["bound", "--n", "2", "--k", "2", "--s", "1"]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    # Flags outside their domain are a config error naming the flags; they
+    # once exited 3 as a numeric failure.
+    assert run_cli(["bound", "--n", "2", "--k", "2", "--s", "1"]) == 2
+    assert "config error: --n, --k, --s: " in capsys.readouterr().err
+    assert run_cli(["bound", "--n", "3", "--k", "2", "--s", "2.5"]) == 2
+    assert "need a real 0 < s <= k, got s=2.5" in capsys.readouterr().err
 
 
 def test_sweep_writes_outputs(tmp_path):
@@ -456,7 +460,8 @@ PROCESS_CASES = {
               lambda out, cwd: out == "0.5\n"),
     "dims-bad-window": ({}, ["dims", "--sample", "x.bin", "--scale-lo", "-1",
                              "--scale-hi", "8"], 2, "--scale-lo", None),
-    "bound-bad-k": ({}, ["bound", "--n", "2", "--k", "3", "--s", "0.5"], 3, "", None),
+    "bound-bad-k": ({}, ["bound", "--n", "2", "--k", "3", "--s", "0.5"], 2, "--n, --k, --s",
+                    None),
     "tiny-sweep": ({"ok.json": TINY_SWEEP},
                    ["sweep", "--config", "ok.json", "--out", "sweep-out"], 0, "",
                    lambda out, cwd: (cwd / "sweep-out" / "results.csv").stat().st_size > 0),

@@ -420,11 +420,14 @@ def word_cloud(sample, frame):
 
 @pytest.mark.parametrize("k, budget, batches, tiles", [
     # One frame per batch, each spanning the 16 word images of a 4^4-point
-    # base tile.
-    (1, 511, 4, 4 * 16 * [(1, 1, 256)]),
+    # base tile.  Planes mark each image as one tile.  Lines hold about 1
+    # point per cell, so every point of a sorted row is a block end, and
+    # each image is one table of 256 ends; the constant third line has 3
+    # ends per image (points 0, 128 and 255), and one table holds all 16.
+    (1, 511, 4, 2 * 16 * [(1, 1, 256)] + [(1, 1, 48)] + 16 * [(1, 1, 256)]),
     (2, 1001, 4, 4 * 16 * [(1, 2, 256)]),
     # The whole sample is one identity word: three whole frames per batch
-    # and tile.
+    # and tile (on lines, a table of every point as a block end).
     (1, 3 * 4096 + 1, 2, [(3, 1, 4096), (1, 1, 4096)]),
     (2, 3 * 2 * 4096 + 1, 2, [(3, 2, 4096), (1, 2, 4096)]),
 ], ids=["lines-sliced", "planes-sliced", "lines-batched", "planes-batched"])
@@ -632,6 +635,24 @@ def test_key_dtype_follows_key_width(monkeypatch):
     box_dimension(points[:, :1], 2, 17)
     box_dimension(points[:, :1], 2, 40)
     assert dtypes == [np.dtype(np.int32), np.dtype(np.int64)]
+
+
+def test_box_dimension_marks_int64_cells_by_occupancy(monkeypatch):
+    # 4^8 dust points on a line at scale 13 span 2^14 cells, no more than
+    # N: box_dimension marks its int64 cells as they are, where it once
+    # cast them to int32 keys, which the scatter converts back to intp.  In
+    # the plane at scale 9 the 2^18 cells outnumber N: the keys are sorted
+    # as int32.
+    points = generate(cantor_dust(), 8).points
+    line = normalize_unit_box(points @ np.array([[0.6], [0.8]]))
+    dtypes, spaces = record_key_dtypes(monkeypatch), record_occupancy(monkeypatch)
+    est = box_dimension(line, 2, 13)
+    assert dtypes == [np.dtype(np.int64)] and spaces == [1 << 14]
+    assert est.counts == per_scale_counts(line, range(2, 14))
+    dtypes.clear()
+    plane = box_dimension(points, 2, 9)
+    assert dtypes == [np.dtype(np.int32)] and spaces == [1 << 14]
+    assert plane.counts == per_scale_counts(points, range(2, 10))
 
 
 def test_box_counts_of_63_bit_keys():

@@ -26,7 +26,7 @@ from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
                      marstrand_sweep, normalize_unit_box, orthonormal_frame,
                      result_csv, sample_uniform)
 from projlab import fractal
-from projlab.fractal import projected_dimensions
+from projlab.fractal import TiledSample, projected_dimensions
 from projlab.lab import _scan_cells_per_axis
 from test_fractal import count_cells, plain_cloud, record_occupancy, word_cloud
 
@@ -200,7 +200,7 @@ def record_grids(monkeypatch):
 
     def record(rows, scale, *words):
         grid = real_grid(rows, scale, *words)
-        grids.append((rows.copy(), words[-1].copy(), *grid))
+        grids.append((rows.copy(), None if words[-1] is None else words[-1].copy(), *grid))
         return grid
 
     monkeypatch.setattr(fractal, "_unit_box_grid", record)
@@ -240,38 +240,72 @@ def test_large_sample_counts_as_word_images(monkeypatch):
 
 
 @st.composite
-def tiled_samples(draw):
+def tiled_samples(draw, lines=False):
     """A random IFS of 2-4 maps with unequal ratios, or with one ratio
-    (whose words the counter scales once), in R^2 or R^3, sampled at
-    729-2048 points; a budget that splits it into m^p words, p = 1 or 2;
-    k-frames; and a scale window on the occupancy or the sort path."""
-    m, n = draw(st.integers(2, 4), label="maps"), draw(st.sampled_from([2, 3]), label="n")
-    k = draw(st.integers(1, n - 1), label="k")
+    (whose words the counter scales once), in R^2 or R^3, or the Cantor
+    dust, sampled at 729-2048 points; a budget that splits it into m^p
+    words, p = 0 (one identity word), 1 or 2, and on some samples of p >= 1
+    a word whose ratio is to be zeroed; k-frames, random and, on lines,
+    constant or within a degree of an axis, of either sign; and a scale
+    window on the occupancy or the sort path.  ``lines`` fixes k = 1 and
+    the occupancy path."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
-    ratios = rng.uniform(0.15, 0.6, m)
-    if draw(st.booleans(), label="one ratio"):
-        ratios[:] = ratios[0]
-    spec = IFSSpec(n=n, maps=tuple((r, rng.uniform(-1.0, 1.0, n)) for r in ratios))
+    if draw(st.booleans(), label="dust"):
+        spec = cantor_dust()
+    else:
+        ratios = rng.uniform(0.15, 0.6, draw(st.integers(2, 4), label="maps"))
+        if draw(st.booleans(), label="one ratio"):
+            ratios[:] = ratios[0]
+        n = draw(st.sampled_from([2, 3]), label="n")
+        spec = IFSSpec(n=n, maps=tuple((r, rng.uniform(-1.0, 1.0, n)) for r in ratios))
+    m, n = len(spec.maps), spec.n
+    k = 1 if lines else draw(st.integers(1, n - 1), label="k")
     depth = {2: 11, 3: 6, 4: 5}[m]
-    p = draw(st.integers(1, 2), label="p")
+    p = draw(st.integers(0, 2), label="p")
     budget = draw(st.integers(k * m**(depth - p), k * m**(depth - p + 1) - 1), label="budget")
-    frames = np.stack([orthonormal_frame(sample_uniform(n, k, rng))
-                       for _ in range(draw(st.integers(1, 4), label="frames"))])
-    # The finest scale whose 2^(k (hi + 1)) cells are no more than the points.
+    zero = draw(st.none() | st.integers(0, m**p - 1), label="zero ratio") if p else None
+    frames = [orthonormal_frame(sample_uniform(n, k, rng))
+              for _ in range(draw(st.integers(0 if k == 1 else 1, 4), label="frames"))]
+    if k == 1:
+        kinds = st.lists(st.sampled_from(["constant", "near-axis"]), min_size=not frames,
+                         max_size=2)
+        for kind in draw(kinds, label="line frames"):
+            angle = rng.integers(2) * math.pi / 2 + math.radians(rng.uniform(-1.0, 1.0))
+            line = np.zeros((n, 1))
+            if kind == "near-axis":
+                line[:2, 0] = rng.choice([-1.0, 1.0]) * np.array([np.cos(angle), np.sin(angle)])
+            frames.append(line)
+    # The finest scale whose 2^(k (hi + 1)) cells are no more than the
+    # points; coarser scales put more points in each cell.
     fill = int(math.log2(m**depth)) // k - 1
-    path = draw(st.sampled_from(["occupancy", "sort"]), label="path")
-    hi = fill if path == "occupancy" else fill + draw(st.integers(1, 3), label="over")
+    path = "occupancy" if lines else draw(st.sampled_from(["occupancy", "sort"]), label="path")
+    if path == "occupancy":
+        hi = max(2, fill - draw(st.integers(0, 3), label="under"))
+    else:
+        hi = fill + draw(st.integers(1, 3), label="over")
     lo = draw(st.integers(0, hi - 2), label="scale_lo")
-    return spec, depth, k, budget, p, frames, path, lo, hi
+    return spec, depth, k, budget, p, zero, np.stack(frames), path, lo, hi
+
+
+def budget_sample(monkeypatch, spec, depth, k, budget, zero):
+    """The tiled sample of ``spec`` at ``depth`` for k-frames under the
+    counting budget, which stays set in ``monkeypatch``, with word
+    ``zero``'s ratio zeroed (unless it is None)."""
+    monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", budget)
+    sample = fractal.tiled_sample(spec, depth, k)
+    if zero is None:
+        return sample
+    ratios = sample.ratios.copy()
+    ratios[zero] = 0.0
+    return TiledSample(sample.base, ratios, sample.offsets)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=tiled_samples())
 def test_word_images_count_like_their_materialized_cloud(case):
-    spec, depth, k, budget, p, frames, path, lo, hi = case
+    spec, depth, k, budget, p, zero, frames, path, lo, hi = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fractal, "COUNT_BATCH_POINTS", budget)
-        sample = fractal.tiled_sample(spec, depth, k)
+        sample = budget_sample(mp, spec, depth, k, budget, zero)
         occupied, grids = record_occupancy(mp), record_grids(mp)
         ests = projected_dimensions(sample, frames, lo, hi)
     assert len(sample.ratios) == len(spec.maps)**p
@@ -288,6 +322,45 @@ def test_word_images_count_like_their_materialized_cloud(case):
         reference = box_dimension(normalize_unit_box(cloud), lo, hi)
         assert est.counts == reference.counts
         assert est == reference
+
+
+def record_line_tables(monkeypatch):
+    """One flag per table of line cells computed: True for the windows of
+    refined blocks, which are computed in place in their gathered points,
+    False for block ends."""
+    tables = []
+    real = fractal._line_image_cells
+
+    def record(x, words, ratios, shifts, lo, width, floats, cells):
+        tables.append(floats is x)
+        return real(x, words, ratios, shifts, lo, width, floats, cells)
+
+    monkeypatch.setattr(fractal, "_line_image_cells", record)
+    return tables
+
+
+def test_line_cells_count_like_their_materialized_cloud():
+    # On lines the occupancy path reads each word image's cells at the ends
+    # of blocks of the sorted rows and computes a block point by point only
+    # where its end cells differ by 2 or more.  Gaps of near-axis dust
+    # lines and coarse scales span such blocks, so some example refines.
+    refined = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tiled_samples(lines=True))
+    def check(case):
+        spec, depth, k, budget, p, zero, frames, path, lo, hi = case
+        with pytest.MonkeyPatch.context() as mp:
+            sample = budget_sample(mp, spec, depth, k, budget, zero)
+            occupied, tables = record_occupancy(mp), record_line_tables(mp)
+            ests = projected_dimensions(sample, frames, lo, hi)
+        assert occupied and tables and not tables[0]
+        refined.extend(tables)
+        for frame, est in zip(frames, ests, strict=True):
+            assert est == box_dimension(normalize_unit_box(word_cloud(sample, frame)), lo, hi)
+
+    check()
+    assert any(refined)
 
 
 def test_dust_sweep_holds_no_sample_sized_array():
@@ -439,8 +512,10 @@ def test_projected_dimensions_keeps_nothing_after_the_call(monkeypatch):
     # Numpy reports its data buffers to tracemalloc.  One line per batch on
     # 4^depth points, given as the 4 or 16 word images of a 4^8-point base
     # tile and counted by occupancy (2^12 cells at scale 11): a workspace of
-    # N0 float64 rows, N0 float64 images and one intp tile of at most
-    # COUNT_BATCH_POINTS coordinates, and no N-sized array.
+    # N0 float64 rows (sorted in place), N0 float64 images and one intp
+    # tile of at most COUNT_BATCH_POINTS coordinates, which hold the cell
+    # tables of block ends and refined windows, their jumps and window
+    # indices, and no N-sized array.
     monkeypatch.setattr(fractal, "COUNT_BATCH_POINTS", 4**8)
     angles = np.linspace(0.0, math.pi, 5, endpoint=False)
     frames = np.stack([np.cos(angles), np.sin(angles)], axis=1)[:, :, None]
