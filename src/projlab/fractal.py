@@ -533,31 +533,34 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     the word offsets into shifts.  A row's bounds lo and hi are those of
     the union of its word images: rounding is monotone and every ratio is
     >= 0, so the bounds of an image are the images of the row's bounds, bit
-    for bit.  Each image is floored into cells with one division, less lo,
-    by span * 2^-scale_hi (inf where the span is at most
-    ``DEGENERATE_SPAN``, giving cells 0): scaling by a power of two is exact
-    and the division correctly rounded, so the quotient is the rescaled
-    coordinate times 2^scale_hi, bit for bit.  The row maximum maps to
-    2^scale_hi, so the keys need scale_hi + 1 bits per axis and no offset.
+    for bit.  One kernel, :func:`_image_cells`, turns every image into
+    cells with one division, less lo, by span * 2^-scale_hi (inf where the
+    span is at most ``DEGENERATE_SPAN``, giving cells 0): scaling by a
+    power of two is exact and the division correctly rounded, so the
+    quotient is the rescaled coordinate times 2^scale_hi, bit for bit.  The
+    row maximum maps to 2^scale_hi, so the keys need scale_hi + 1 bits per
+    axis and no offset.  The one identity word (a plain cloud) skips the
+    multiply-add: its image less lo is taken in place in the rows.
 
     On the occupancy path, :func:`_box_counts` marks tiles of cells.  For
-    lines (k = 1) each batch's rows are sorted in place once their grid is
-    found, and :func:`_line_cells` reads each word image's cells off the
-    sorted rows: a cell trunc((fl(fl(r_w x) + c_w) - lo) / width) is
-    monotone non-decreasing in x, as r_w >= 0, width > 0 and rounding is
-    monotone, so the cells of one image along a sorted row do not decrease.
-    Computed at the ends of blocks of the row, they leave out no cell of a
-    block whose ends differ by at most 1, and only the other blocks, where a
-    gap of the projected set spans a cell, are computed point by point.
-    The marked cells are those of every point, bit for bit, from a
-    fraction of the cells (1 in 15 on lines of the 4^10-point dust at scale
-    13).  For planes (k >= 2), whose Morton keys follow no one sort order,
-    each word image is one (B, k, N0) intp tile.  On the sort path
-    :func:`_box_counts` sorts one (B, k, W * N0) tile of :func:`_key_dtype`
-    cells that holds every image.  The one identity word (a plain cloud)
-    skips the multiply-add.  One :func:`_fit_table` fits all counts.  The
-    rows, the images and the tile are allocated once per call, as large as
-    the largest batch, and nothing is kept between calls.
+    lines (k = 1) of a sample of real words, each batch's rows are sorted
+    in place once their grid is found, and :func:`_line_cells` reads each
+    word image's cells off the sorted rows: a cell trunc((fl(fl(r_w x) +
+    c_w) - lo) / width) is monotone non-decreasing in x, as r_w >= 0,
+    width > 0 and rounding is monotone, so the cells of one image along a
+    sorted row do not decrease.  Computed at the ends of blocks of the row,
+    they leave out no cell of a block whose ends differ by at most 1, and
+    only the other blocks, where a gap of the projected set spans a cell,
+    are computed point by point.  The marked cells are those of every
+    point, bit for bit, from a fraction of the cells (1 in 15 on lines of
+    the 4^10-point dust at scale 13).  For planes (k >= 2), whose Morton
+    keys follow no one sort order, and for the identity word, whose one
+    image the sort would not repay, each word image is one (B, k, N0) intp
+    tile, marked point by point.  On the sort path :func:`_box_counts`
+    sorts one (B, k, W * N0) tile of :func:`_key_dtype` cells that holds
+    every image, one block per word.  One :func:`_fit_table` fits all
+    counts.  The rows, the images and the tile are allocated once per call,
+    as large as the largest batch, and nothing is kept between calls.
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
     anything is projected.  A non-finite coordinate and frames that are not
@@ -575,17 +578,18 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     count = len(ratios) * base_count
     bits, dtype = _unit_box_key(k, scale_hi)
     occupancy = 1 << (k * bits) <= count
-    lines = k == 1 and occupancy
+    lines = k == 1 and occupancy and not identity
     size = max(1, COUNT_BATCH_POINTS // (k * (base_count if occupancy else count)))
     # One contiguous (n, N0) operand for every batch's product; the transpose
     # of a generate() sample already is one.
     coords = np.ascontiguousarray(base.T)
 
     # Reused by every batch, which writes each row and tile entry before
-    # reading it: allocating each batch afresh counts slower.
+    # reading it: allocating each batch afresh counts slower.  The identity
+    # word's image is computed in place in the rows.
     shape = (min(size, len(frames)), k, base_count)
     all_rows = np.empty(shape)
-    images = None if identity and not lines else np.empty(shape)
+    images = all_rows if identity else np.empty(shape)
     tile = (np.empty(shape, dtype=np.intp) if occupancy
             else np.empty((*shape[:2], count), dtype=dtype))
 
@@ -594,27 +598,43 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
         rows = np.matmul(batch.swapaxes(1, 2), coords, out=all_rows[:len(batch)])
         shifts = None if identity else np.matmul(batch.swapaxes(1, 2), offsets.T)
         lo, width = _unit_box_grid(rows, scale_hi, ratios, shifts)
-        # The images less lo are non-negative, so the integer cast floors them.
-        keys = tile[:len(batch)]
+        keys, image = tile[:len(batch)], images[:len(batch)]
+        words = zip(ratios.tolist(), [None] if identity else shifts.transpose(2, 0, 1)[..., None])
         if lines:
-            tiles = _line_cells(rows[:, 0], ratios, None if identity else shifts[:, 0],
-                                lo, width, images.reshape(-1), tile.reshape(-1))
+            tiles = _line_cells(rows[:, 0], ratios, shifts[:, 0], lo, width,
+                                images.reshape(-1), tile.reshape(-1))
         elif occupancy:
-            tiles = (np.divide(image, width, casting="unsafe", out=keys)
-                     for image in _word_images(rows, ratios, shifts, lo, images))
+            tiles = (_image_cells(rows, ratio, shift, lo, width, image, keys)
+                     for ratio, shift in words)
         else:
-            for j, image in zip(range(0, count, base_count),
-                                _word_images(rows, ratios, shifts, lo, images)):
-                np.divide(image, width, casting="unsafe", out=keys[..., j:j + base_count])
+            for j, (ratio, shift) in zip(range(0, count, base_count), words):
+                _image_cells(rows, ratio, shift, lo, width, image, keys[..., j:j + base_count])
             tiles = [keys]
         counts.append(_box_counts(tiles, len(batch), k, bits, count, scale_lo, scale_hi))
     return _fit_table(scales, np.concatenate(counts))
 
 
+def _image_cells(x, ratio, shift, lo, width, image, out):
+    """The cells trunc((fl(fl(ratio x) + shift) - lo) / width) of points
+    ``x`` under one word, or trunc((x - lo) / width) when ``shift`` is None
+    (the identity word): the image less lo is computed in ``image``, which
+    may be ``x`` itself, and its quotient by width is cast into ``out``.
+    The image less lo is non-negative, so the integer cast floors it."""
+    if shift is None:
+        np.subtract(x, lo, out=image)
+    else:
+        np.multiply(x, ratio, out=image)
+        image += shift
+        image -= lo
+    return np.divide(image, width, casting="unsafe", out=out)
+
+
 def _line_cells(rows, ratios, shifts, lo, width, floats, cells):
     """The cells at ``scale_hi`` that the word images of a (B, N0) stack of
     projected rows occupy on a line, as (B, 1, M) tiles for
-    :func:`_occupied_keys`, read off the rows sorted in place.
+    :func:`_occupied_keys`, read off the rows sorted in place.  The words
+    are real ones, with (B, W) ``shifts``: the one identity word of a plain
+    cloud is marked point by point instead.
 
     Word w's cell of x is trunc((fl(fl(r_w x) + shifts[:, w]) - lo) /
     width), and each step is monotone non-decreasing in x: r_w >= 0, width
@@ -633,8 +653,8 @@ def _line_cells(rows, ratios, shifts, lo, width, floats, cells):
     The words come in chunks whose end cells fill the (B x N0-sized)
     ``floats`` and ``cells`` workspaces, and the blocks to refine in slices
     that fill them; the ends' jumps reuse ``floats`` as intp once their
-    cells are cast.  Without ``shifts`` (the one identity word), a cell is
-    trunc((x - lo) / width).  Each tile must be marked before the next is
+    cells are cast.  Every cell comes from :func:`_image_cells`, through
+    :func:`_line_image_cells`.  Each tile must be marked before the next is
     asked for.
     """
     rows.sort(axis=-1)
@@ -673,41 +693,14 @@ def _line_cells(rows, ratios, shifts, lo, width, floats, cells):
 
 
 def _line_image_cells(x, words, ratios, shifts, lo, width, floats, cells):
-    """The (B, R, L) cells trunc((fl(fl(r_w x) + shifts[:, w]) - lo) /
-    width) of points ``x`` under the R words w of ``words`` (trunc((x - lo)
-    / width) without shifts), with x broadcast to (B, R, L).  The images go
-    to the front of ``floats`` (which may be ``x`` itself) and the cells to
-    the front of ``cells``."""
+    """The (B, R, L) :func:`_image_cells` of points ``x`` under the R words
+    w of ``words``, of shifts ``shifts[:, w]``, with x broadcast to (B, R,
+    L).  The images go to the front of ``floats`` (which may be ``x``
+    itself) and the cells to the front of ``cells``."""
     shape = np.broadcast_shapes(x.shape, lo.shape, (len(words), 1))
-    image = floats.reshape(-1)[:math.prod(shape)].reshape(shape)
-    if shifts is None:
-        np.subtract(x, lo, out=image)
-    else:
-        np.multiply(x, ratios[words, None], out=image)
-        image += shifts[:, words, None]
-        image -= lo
-    return np.divide(image, width, casting="unsafe",
-                     out=cells[:image.size].reshape(shape))
-
-
-def _word_images(rows, ratios, shifts, lo, images):
-    """Each word's image of a (B, k, N0) stack of projected rows, less
-    ``lo``, in word order: fl(fl(r_w x) + shifts[..., w]) - lo, computed in
-    the ``images`` workspace; or, without shifts (the one identity word),
-    x - lo, in place in the rows.  When every word has one ratio r, fl(r x)
-    is taken once, in place in the rows."""
-    one_ratio = shifts is not None and (ratios == ratios[0]).all()
-    if one_ratio:
-        rows *= ratios[0]
-    for w, ratio in enumerate(ratios.tolist()):
-        image = rows
-        if one_ratio:
-            image = np.add(rows, shifts[..., w:w + 1], out=images[:len(rows)])
-        elif shifts is not None:
-            image = np.multiply(rows, ratio, out=images[:len(rows)])
-            image += shifts[..., w:w + 1]
-        image -= lo
-        yield image
+    size = math.prod(shape)
+    return _image_cells(x, ratios[words, None], shifts[:, words, None], lo, width,
+                        floats.reshape(-1)[:size].reshape(shape), cells[:size].reshape(shape))
 
 
 def normalize_unit_box(points) -> np.ndarray:

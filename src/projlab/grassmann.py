@@ -85,13 +85,19 @@ class AffinePlane:
         object.__setattr__(self, "offset", t)
         if t.shape != (self.direction.n,):
             raise InputDomainError("offset dimension does not match the direction")
+        # A NaN offset would pass the orthogonality test: NaN > tol is False.
+        if not np.isfinite(t).all():
+            raise InputDomainError(f"offset must be finite, got {t.tolist()}")
         if np.linalg.norm(self.direction.proj @ t) > 1e-10:
             raise InputDomainError("invariant violated: offset not orthogonal to direction")
 
     @classmethod
     def through(cls, direction: Subspace, point) -> "AffinePlane":
-        """The affine plane with the given direction passing through a point."""
+        """The affine plane with the given direction passing through a point;
+        a non-finite point raises :class:`InputDomainError`."""
         p = np.asarray(point, dtype=float)
+        if not np.isfinite(p).all():
+            raise InputDomainError(f"point must be finite, got {p.tolist()}")
         return cls(direction, p - direction.proj @ p)
 
     def contains_point(self, x) -> bool:

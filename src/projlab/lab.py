@@ -10,12 +10,15 @@ projection matrix is formed), then batched projection and box counting
 directions one after another.  The sample is never
 materialized: :func:`projlab.fractal.tiled_sample` gives it as the
 similarity images of one base tile small enough for a counting batch, and
-the counter projects the base once per batch and streams the images.  On
-lines over few enough cells (a sweep of the dust), it sorts each projected
-base row once and reads each image's cells only at the ends of sorted
-blocks and inside the blocks whose end cells differ by 2 or more: a cell
-is monotone in the projected coordinate, so no other cell lies between
-the ends, and the counts are those of every point.  A sweep draws direction i from numpy's stream
+the counter projects the base once per batch and streams the images
+through one kernel that turns them into cells.  On lines over few enough
+cells, for a sample of two or more words (a sweep of the dust), it sorts
+each projected base row once and reads each image's cells only at the ends
+of sorted blocks and inside the blocks whose end cells differ by 2 or
+more: a cell is monotone in the projected coordinate, so no other cell lies
+between the ends, and the counts are those of every point.  A sample that
+fits one batch is its one identity word, whose cells are marked point by
+point.  A sweep draws direction i from numpy's stream
 ``default_rng(SeedSequence(seed, spawn_key=(1, i)))``, so a seed fixes every
 result; :func:`_direction_draws` splits all the streams in one vectorized
 seed-sequence hash.

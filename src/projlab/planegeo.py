@@ -5,6 +5,7 @@ and dyadic agreement precision.  Logarithms are base 2 throughout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +56,14 @@ def fiber_sample(v: Subspace, z, radius: float,
     """Random w with p_V w = p_V z and 0 < ||w - z|| <= radius.
 
     Moves from z along (Id - P_V) u for Gaussian u, so the displacement is
-    exactly orthogonal to V.
+    exactly orthogonal to V.  A radius that is not a finite real > 0, or a
+    z that is not a finite point of R^n, raises :class:`InputDomainError`.
     """
-    if radius <= 0:
-        raise InputDomainError(f"radius must be positive, got {radius}")
+    if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
+        raise InputDomainError(f"radius must be a finite real > 0, got {radius!r}")
     z = np.asarray(z, dtype=float)
+    if z.shape != (v.n,) or not np.isfinite(z).all():
+        raise InputDomainError(f"z must be a finite point of R^{v.n}, got {z.tolist()}")
     while True:
         u = rng.standard_normal(v.n)
         d = u - v.proj @ u
@@ -73,10 +77,15 @@ def fiber_sample(v: Subspace, z, radius: float,
 def agreement_precision(z, w) -> float:
     """Dyadic precision t = -log2 ||z - w|| up to which two points agree.
 
-    Negative for pairs farther than 1 apart; +inf for identical points.
+    Negative for pairs farther than 1 apart; +inf for identical points.  A
+    non-finite coordinate raises :class:`InputDomainError`: its distance
+    would read NaN or an infinite disagreement.
     """
-    dist = float(np.linalg.norm(np.asarray(z, dtype=float)
-                                - np.asarray(w, dtype=float)))
+    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
+    if not (np.isfinite(z).all() and np.isfinite(w).all()):
+        raise InputDomainError(
+            f"cannot measure agreement of non-finite points {z.tolist()} and {w.tolist()}")
+    dist = float(np.linalg.norm(z - w))
     if dist == 0.0:
         return math.inf
     return -math.log2(dist)

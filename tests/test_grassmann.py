@@ -255,8 +255,12 @@ def test_subspace_rejects_broken_invariants():
     (lambda: from_basis(np.eye(2)), "need 0 < k < n"),
     (lambda: contains(X_AXIS_2D, line(0.0, n=3)), "same ambient dimension"),
     (lambda: AffinePlane(X_AXIS_2D, np.zeros(3)), "offset dimension"),
+    # NaN > tol is False, so a NaN offset once passed the orthogonality test.
+    (lambda: AffinePlane(X_AXIS_2D, [np.nan, np.nan]), "offset must be finite"),
+    (lambda: AffinePlane.through(X_AXIS_2D, [0.0, np.inf]), "point must be finite"),
 ], ids=["subspace-k-not-below-n", "subspace-shape", "from_basis-k-not-below-n",
-        "contains-across-n", "affine-offset-length"])
+        "contains-across-n", "affine-offset-length", "affine-offset-nan",
+        "affine-through-inf"])
 def test_subspace_arguments_out_of_domain(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()

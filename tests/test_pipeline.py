@@ -241,14 +241,13 @@ def test_large_sample_counts_as_word_images(monkeypatch):
 
 @st.composite
 def tiled_samples(draw, lines=False):
-    """A random IFS of 2-4 maps with unequal ratios, or with one ratio
-    (whose words the counter scales once), in R^2 or R^3, or the Cantor
-    dust, sampled at 729-2048 points; a budget that splits it into m^p
-    words, p = 0 (one identity word), 1 or 2, and on some samples of p >= 1
-    a word whose ratio is to be zeroed; k-frames, random and, on lines,
-    constant or within a degree of an axis, of either sign; and a scale
-    window on the occupancy or the sort path.  ``lines`` fixes k = 1 and
-    the occupancy path."""
+    """A random IFS of 2-4 maps with unequal ratios, or with one ratio, in
+    R^2 or R^3, or the Cantor dust, sampled at 729-2048 points; a budget
+    that splits it into m^p words, p = 0 (one identity word), 1 or 2, and
+    on some samples of p >= 1 a word whose ratio is to be zeroed; k-frames,
+    random and, on lines, constant or within a degree of an axis, of either
+    sign; and a scale window on the occupancy or the sort path.  ``lines``
+    fixes k = 1 and the occupancy path."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if draw(st.booleans(), label="dust"):
         spec = cantor_dust()
@@ -344,6 +343,7 @@ def test_line_cells_count_like_their_materialized_cloud():
     # of blocks of the sorted rows and computes a block point by point only
     # where its end cells differ by 2 or more.  Gaps of near-axis dust
     # lines and coarse scales span such blocks, so some example refines.
+    # The one identity word (p = 0) is marked point by point instead.
     refined = []
 
     @settings(max_examples=60, deadline=None)
@@ -354,7 +354,8 @@ def test_line_cells_count_like_their_materialized_cloud():
             sample = budget_sample(mp, spec, depth, k, budget, zero)
             occupied, tables = record_occupancy(mp), record_line_tables(mp)
             ests = projected_dimensions(sample, frames, lo, hi)
-        assert occupied and tables and not tables[0]
+        assert occupied and bool(tables) == (p >= 1)
+        assert not tables or not tables[0]
         refined.extend(tables)
         for frame, est in zip(frames, ests, strict=True):
             assert est == box_dimension(normalize_unit_box(word_cloud(sample, frame)), lo, hi)

@@ -128,6 +128,30 @@ def test_fiber_sample_radius_validation():
         fiber_sample(x_axis, [0.0, 0.0], radius=0.0, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("z, radius, message", [
+    ([0.0, 0.0], math.nan, "radius"),
+    ([0.0, 0.0], math.inf, "radius"),
+    ([0.0, 0.0], "1", "radius"),
+    ([0.0, math.nan], 1.0, "finite point"),
+    ([0.0, 0.0, 0.0], 1.0, "finite point"),
+], ids=["radius-nan", "radius-inf", "radius-string", "z-nan", "z-length"])
+def test_fiber_sample_refuses_non_finite_input(z, radius, message):
+    # A NaN radius once returned a NaN point, an infinite one +-inf, and a
+    # string radius died in a raw TypeError.
+    x_axis = from_basis(np.array([[1.0], [0.0]]))
+    with pytest.raises(InputDomainError, match=message):
+        fiber_sample(x_axis, z, radius=radius, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("z, w", [([math.nan, 0.0], [0.0, 0.0]),
+                                  ([0.0, 0.0], [0.0, -math.inf])],
+                         ids=["nan", "inf"])
+def test_agreement_precision_refuses_non_finite_points(z, w):
+    # agreement_precision([nan, 0], [0, 0]) once returned nan.
+    with pytest.raises(InputDomainError, match="non-finite"):
+        agreement_precision(z, w)
+
+
 def test_agreement_precision():
     assert agreement_precision([0.0], [2.0**-5]) == pytest.approx(5.0)
     assert agreement_precision([0.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0)

@@ -5,12 +5,15 @@
 Each tree is the root of a projlab checkout; its ``src`` is put first on
 ``PYTHONPATH``.  The configs are those of the CLI workloads in
 ``perfbench/workloads.py`` (read from this checkout) at seeds 7 and 31, plus
-two k = 1 sweeps on the occupancy path that the benchmark does not run: a
-mixed-ratio IFS in R^3, counted as the images of a base tile under words of
-unequal ratios, and a sample small enough to count as one identity word.
-Both trees run ``projlab`` on every config, and the tool prints the sha256
-of each ``results.csv`` and ``summary.json``, one row per file.  It exits 0
-when every file is the same in both trees and 1 otherwise.
+four sweeps over word images that the benchmark does not run: two k = 1
+sweeps on the occupancy path, of a mixed-ratio IFS in R^3 counted as the
+images of a base tile under words of unequal ratios and of a sample small
+enough to count as one identity word; a k = 2 sweep on the occupancy path
+of an IFS in R^3 whose words share one ratio; and a k = 1 sweep of the same
+IFS on the sort path, counted as the images of 16 words.  Both trees run
+``projlab`` on every config, and the tool prints the sha256 of each
+``results.csv`` and ``summary.json``, one row per file.  It exits 0 when
+every file is the same in both trees and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ FILES = ("results.csv", "summary.json")
 
 
 def extra_configs(seed: int) -> dict[str, dict]:
-    """k = 1 sweeps on the occupancy path beside the benchmark's own."""
+    """Sweeps over word images beside the benchmark's own."""
     common = {"n": 2, "k": 1, "num_directions": 8, "scale_lo": 2, "threshold_s": 0.5,
               "seed": seed, "mode": "sweep"}
     mixed = {"n": 3, "label": "mixed-ratio-R3",
@@ -39,11 +42,20 @@ def extra_configs(seed: int) -> dict[str, dict]:
     dust = {"n": 2, "label": "cantor-dust",
             "maps": [{"ratio": 1 / 3, "translation": [x, y]}
                      for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)]}
+    corners = {"n": 3, "label": "corners-0.4-R3",
+               "maps": [{"ratio": 0.4, "translation": t}
+                        for t in ([0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.6, 0.0],
+                                  [0.0, 0.0, 0.6])]}
     return {
         # 3^12 points as 27 words of a 3^9-point tile; 2^15 cells.
         "lines-mixed-ratio": common | {"ifs": mixed, "n": 3, "depth": 12, "scale_hi": 14},
         # 4^7 points fit one counting batch: one identity word; 2^13 cells.
         "lines-identity": common | {"ifs": dust, "depth": 7, "scale_hi": 12},
+        # 4^10 points as 64 one-ratio words of a 4^7-point tile; 2^18 cells.
+        "planes-words": common | {"ifs": corners, "n": 3, "k": 2, "depth": 10, "scale_hi": 8,
+                                  "num_directions": 4},
+        # 4^9 points as 16 words of a 4^7-point tile; 2^21 cells, sorted.
+        "sort-words": common | {"ifs": corners, "n": 3, "depth": 9, "scale_hi": 20},
     }
 
 
