@@ -9,8 +9,7 @@ function of the plane alone: any other basis A M has |det (A M)_J| =
 free entry exceeds 1 in absolute value, up to rounding.  A stack of bases
 is charted at once (:func:`chart_bases`): the lab's sweeps chart the QR
 factors of their draws and its scans their grid bases.  One subspace is
-charted the same way, from the orthonormal basis Q of its projection's
-top-k eigenvectors (:func:`to_chart`, :func:`orthonormal_frame`); as
+charted from the orthonormal basis Q that it carries (:func:`to_chart`); as
 det P[I, I] = det(Q_I)^2, its I is also the max-det principal block of P.
 :func:`good_basis` and :func:`chart_stability` take instead the columns of P
 whose principal block has the largest least eigenvalue, sigma(P[:, I])^2
@@ -255,17 +254,9 @@ def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
     return charts
 
 
-def _eigenbasis(v: Subspace) -> np.ndarray:
-    """An orthonormal basis of the plane of ``v``, as a (1, n, k) stack: the
-    eigenvectors of the k largest eigenvalues of (P + P^T) / 2."""
-    return np.linalg.eigh((v.proj + v.proj.T) / 2.0)[1][None, :, v.n - v.k:]
-
-
 def to_chart(v: Subspace) -> Chart:
-    """Chart of a subspace: :func:`chart_bases` of the orthonormal basis Q
-    of its projection's eigenvectors.  As det P[I, I] = det(Q_I)^2, I is the
-    max-det principal block of P."""
-    return charts_of(*chart_bases(_eigenbasis(v)))[0]
+    """Chart of a subspace: :func:`chart_bases` of its orthonormal basis."""
+    return charts_of(*chart_bases(v.basis[None]))[0]
 
 
 def from_chart(c: Chart) -> Subspace:
@@ -343,7 +334,7 @@ def chart_stability(v: Subspace, eps: float, trials: int,
 def orthonormal_frame(v: Subspace) -> np.ndarray:
     """Deterministic orthonormal basis of a subspace: the frame of the chart
     basis of :func:`to_chart`, see :func:`orthonormal_frames`."""
-    return orthonormal_frames(chart_bases(_eigenbasis(v))[1])[0]
+    return orthonormal_frames(chart_bases(v.basis[None])[1])[0]
 
 
 def orthonormal_frames(bases: np.ndarray) -> np.ndarray:
@@ -373,9 +364,7 @@ def relative_chart(v: Subspace, w: Subspace) -> Chart:
         raise InputDomainError(f"need k1 < k2, got k1={v.k}, k2={w.k}")
     if not contains(w, v):
         raise InputDomainError("the first subspace is not contained in the second")
-    q = orthonormal_frame(w)
-    inner = q.T @ v.proj @ q
-    return to_chart(Subspace(n=w.k, k=v.k, proj=(inner + inner.T) / 2.0))
+    return charts_of(*chart_bases((orthonormal_frame(w).T @ v.basis)[None]))[0]
 
 
 def embed_relative(c: Chart, w: Subspace) -> Subspace:
@@ -383,8 +372,5 @@ def embed_relative(c: Chart, w: Subspace) -> Subspace:
     if c.n != w.k:
         raise InputDomainError(f"a chart in G({c.n}, {c.k}) does not fit a "
                                f"containing plane of dimension {w.k}")
-    q = orthonormal_frame(w)
-    inner = from_chart(c).proj
-    p = q @ inner @ q.T
-    return Subspace(n=w.n, k=c.k, proj=(p + p.T) / 2.0)
+    return from_basis(orthonormal_frame(w) @ c.reconstruct())
 

@@ -1,14 +1,14 @@
 """The Grassmannian G(n, k) as a computational object.
 
-A k-plane is represented by its n x n orthogonal projection matrix.  The
-metric is the spectral norm of the difference of projection matrices, which
-coincides with the sup over unit vectors of the projected-image distance.
-:func:`sample_uniform` and :func:`from_basis` each build one symmetrized
-projection and construct the :class:`Subspace`, which checks it once.  These
-serve the one-subspace API, which charts a plane through the eigenbasis of
-its projection (:func:`projlab.charts.to_chart`).  The lab's sweeps take the
-orthonormal n x k bases of :func:`haar_bases` instead and chart them
-directly, with no projection matrix.
+A k-plane is represented by its n x n orthogonal projection matrix P and an
+orthonormal n x k basis Q of its span.  The metric is the spectral norm of
+the difference of projection matrices, which coincides with the sup over
+unit vectors of the projected-image distance.  ``Subspace(n, k, proj)``
+checks a given P and takes Q from its top-k eigenvectors; :func:`sample_uniform`
+and :func:`from_basis` take Q from a QR factor (:func:`haar_bases`) and set
+P = sym(Q Q^T), valid by construction, unchecked.  Charts are taken from Q
+(:func:`projlab.charts.to_chart`); the lab's sweeps chart the bases of
+:func:`haar_bases` directly, with no projection matrix.
 """
 
 from __future__ import annotations
@@ -42,20 +42,22 @@ def _dimensions(n, k) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class Subspace:
-    """A k-plane through the origin in R^n, stored as its projection matrix."""
+    """A k-plane through the origin in R^n: its projection matrix ``proj`` and an
+    orthonormal (n, k) ``basis``, P's top-k eigenvectors when P is given."""
 
     n: int
     k: int
     proj: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k = _dimensions(self.n, self.k)
         p = np.asarray(self.proj, dtype=float)
-        # A frozen dataclass's fields live in its __dict__.
-        self.__dict__.update(n=n, k=k, proj=p)
         if p.shape != (n, n):
             raise InputDomainError(f"projection matrix shape {p.shape} does not match n={n}")
         check_projections(p[None], k)
+        # A frozen dataclass's fields live in its __dict__.
+        self.__dict__.update(n=n, k=k, proj=p, basis=np.linalg.eigh((p + p.T) / 2.0)[1][:, n - k:])
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k,
@@ -80,29 +82,36 @@ class AffinePlane:
     offset: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        t = np.zeros(self.direction.n) if self.offset is None \
-            else np.asarray(self.offset, dtype=float)
-        object.__setattr__(self, "offset", t)
-        if t.shape != (self.direction.n,):
-            raise InputDomainError("offset dimension does not match the direction")
         # A NaN offset would pass the orthogonality test: NaN > tol is False.
-        if not np.isfinite(t).all():
-            raise InputDomainError(f"offset must be finite, got {t.tolist()}")
+        t = (np.zeros(self.direction.n) if self.offset is None
+             else _point("offset", self.offset, self.direction.n))
+        object.__setattr__(self, "offset", t)
         if np.linalg.norm(self.direction.proj @ t) > 1e-10:
             raise InputDomainError("invariant violated: offset not orthogonal to direction")
 
     @classmethod
     def through(cls, direction: Subspace, point) -> "AffinePlane":
-        """The affine plane with the given direction passing through a point;
-        a non-finite point raises :class:`InputDomainError`."""
-        p = np.asarray(point, dtype=float)
-        if not np.isfinite(p).all():
-            raise InputDomainError(f"point must be finite, got {p.tolist()}")
+        """The affine plane with the given direction passing through a point
+        of R^n; anything else raises :class:`InputDomainError`."""
+        p = _point("point", point, direction.n)
         return cls(direction, p - direction.proj @ p)
 
     def contains_point(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
+        x = _point("point", x, self.direction.n)
         return np.linalg.norm(x - (self.direction.proj @ x + self.offset)) <= _POINT_TOL
+
+
+def _point(name: str, x, n: int | None = None) -> np.ndarray:
+    """``x`` as a float array of shape (n,), of any length n >= 1 if ``n`` is None;
+    any other value, or a non-finite coordinate, raises :class:`InputDomainError`."""
+    try:
+        p = np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        p = np.empty(0)
+    if p.ndim != 1 or p.size == 0 or n not in (None, p.size) or not np.isfinite(p).all():
+        raise InputDomainError(
+            f"{name} must be a finite point of R^{'n' if n is None else n}, got {x!r}")
+    return p
 
 
 def check_projections(p: np.ndarray, k: int) -> None:
@@ -134,8 +143,18 @@ def haar_bases(g: np.ndarray) -> np.ndarray:
     return np.linalg.qr(g)[0]
 
 
+def _from_orthonormal(q: np.ndarray) -> Subspace:
+    """The :class:`Subspace` of the orthonormal columns of an (n, k) ``q``, 0 < k < n:
+    P = sym(Q Q^T) is a projection by construction, so no check runs."""
+    n, k = q.shape
+    p = q @ q.T
+    v = object.__new__(Subspace)
+    v.__dict__.update(n=n, k=k, proj=(p + p.T) / 2.0, basis=q)
+    return v
+
+
 def from_basis(a) -> Subspace:
-    """Orthogonal projection onto the column span of an (n, k) matrix, 0 < k < n.
+    """The span of an (n, k) matrix's columns, 0 < k < n, with its QR factor as basis.
     Dependent columns, as k > n columns always are, raise :class:`DegeneracyError`,
     at any scale: the test runs on A scaled exactly by 2^-e, max |A| in [2^(e-1), 2^e)."""
     a = mk.as_matrix(a)
@@ -145,15 +164,12 @@ def from_basis(a) -> Subspace:
     if sigma <= 1e-8:
         raise DegeneracyError("basis columns are (nearly) linearly dependent",
                               sigma=float(sigma))
-    p = a @ np.linalg.solve(a.T @ a, a.T)
-    return Subspace(n=n, k=k, proj=(p + p.T) / 2.0)
+    _dimensions(n, k)
+    return _from_orthonormal(haar_bases(a))
 
 
 def project_point(v: Subspace, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (v.n,):
-        raise InputDomainError(f"point has shape {x.shape}, expected ({v.n},)")
-    return v.proj @ x
+    return v.proj @ _point("point", x, v.n)
 
 
 def metric_rho(v1: Subspace, v2: Subspace) -> float:
@@ -177,6 +193,4 @@ def contains(w: Subspace, v: Subspace) -> bool:
 def sample_uniform(n: int, k: int, rng: np.random.Generator) -> Subspace:
     """Invariant-measure sample: orthonormalize k iid Gaussian vectors."""
     n, k = _dimensions(n, k)
-    q = haar_bases(rng.standard_normal((n, k)))
-    p = q @ q.T
-    return Subspace(n=n, k=k, proj=(p + p.T) / 2.0)
+    return _from_orthonormal(haar_bases(rng.standard_normal((n, k))))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import InputDomainError
-from .grassmann import (AffinePlane, Subspace, from_basis,
+from .grassmann import (AffinePlane, Subspace, _point, from_basis,
                         orthogonal_complement)
 
 
@@ -61,9 +61,7 @@ def fiber_sample(v: Subspace, z, radius: float,
     """
     if not (isinstance(radius, numbers.Real) and 0.0 < radius < math.inf):
         raise InputDomainError(f"radius must be a finite real > 0, got {radius!r}")
-    z = np.asarray(z, dtype=float)
-    if z.shape != (v.n,) or not np.isfinite(z).all():
-        raise InputDomainError(f"z must be a finite point of R^{v.n}, got {z.tolist()}")
+    z = _point("z", z, v.n)
     while True:
         u = rng.standard_normal(v.n)
         d = u - v.proj @ u
@@ -77,15 +75,14 @@ def fiber_sample(v: Subspace, z, radius: float,
 def agreement_precision(z, w) -> float:
     """Dyadic precision t = -log2 ||z - w|| up to which two points agree.
 
-    Negative for pairs farther than 1 apart; +inf for identical points.  A
-    non-finite coordinate raises :class:`InputDomainError`: its distance
-    would read NaN or an infinite disagreement.
+    Negative for pairs farther than 1 apart; +inf for identical points.
+    Values that are not finite points of one R^n raise
+    :class:`InputDomainError`: a non-finite coordinate would read as a NaN
+    or an infinite disagreement.
     """
-    z, w = np.asarray(z, dtype=float), np.asarray(w, dtype=float)
-    if not (np.isfinite(z).all() and np.isfinite(w).all()):
-        raise InputDomainError(
-            f"cannot measure agreement of non-finite points {z.tolist()} and {w.tolist()}")
-    dist = float(np.linalg.norm(z - w))
+    z = _point("z", z)
+    # hypot does not square the coordinates, so a finite distance stays finite.
+    dist = math.hypot(*(z - _point("w", w, len(z))))
     if dist == 0.0:
         return math.inf
     return -math.log2(dist)

@@ -346,6 +346,41 @@ def test_chart_round_trip_random():
             assert smallest_singular_value(a_prime) >= 1.0 - 1e-10
 
 
+@st.composite
+def scaled_bases(draw):
+    """A Gaussian (n, k) basis, n <= 10, with each column scaled by
+    10^[-7, 7] and the whole basis by 10^[-100, 100]."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n - 1))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
+    cols = draw(st.lists(st.floats(-7.0, 7.0), min_size=k, max_size=k))
+    return g * 10.0 ** np.array(cols) * 10.0 ** draw(st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=scaled_bases(), seed=st.integers(0, 2**32 - 1))
+def test_planes_built_from_a_basis_pass_the_check_they_skip(a, seed):
+    # sample_uniform and from_basis (so from_chart and embed_relative) set
+    # P = sym(Q Q^T) from an orthonormal Q and run no check_projections.
+    n, k = a.shape
+    rng = np.random.default_rng(seed)
+    built = [sample_uniform(n, k, rng)]
+    try:
+        built.append(from_basis(a))
+    except DegeneracyError:
+        pass
+    built.append(from_chart(Chart(n=n, k=k, I=tuple(range(k)),
+                                  free=a[k:] / np.abs(a).max())))
+    if k > 1:
+        inner = sample_uniform(k, int(rng.integers(1, k)), rng)
+        built.append(embed_relative(to_chart(inner), built[-1]))
+    for v in built:
+        grassmann.check_projections(v.proj[None], v.k)
+        assert v.basis.shape == (v.n, v.k)
+        assert np.abs(v.basis.T @ v.basis - np.eye(v.k)).max() <= 1e-13
+        assert np.abs(v.proj @ v.basis - v.basis).max() <= 1e-13
+
+
 def test_chart_free_round_trip_same_index_set():
     rng = np.random.default_rng(19)
     v = sample_uniform(5, 2, rng)
@@ -402,12 +437,14 @@ def test_chart_stability_takes_each_spectral_norm_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n, k, seed, eps, trials, expected", [
-    (4, 2, 29, 2.0**-30, 20, 9.306723776293528e-10),
-    (8, 4, 3, 2.0**-25, 10, 2.8788497178419912e-08),
-])
+    (4, 2, 29, 2.0**-30, 20, 9.306724206584459e-10),
+    (8, 4, 3, 2.0**-25, 10, 2.878849697512586e-08),
+], ids=["4-2-29", "8-4-3"])
 def test_chart_stability_deviation_bits(n, k, seed, eps, trials, expected):
     # Every trial perturbs from the same chart of v, whether v is charted
-    # once per call or once per trial, so these bits stay.
+    # once per call or once per trial, so these bits stay.  They moved in
+    # the 8th digit when from_basis, which builds each perturbed plane,
+    # took its basis from QR instead of the normal equations.
     v = sample_uniform(n, k, np.random.default_rng(seed))
     assert chart_stability(v, eps, trials, np.random.default_rng(5))[0] == expected
 
@@ -536,16 +573,25 @@ def test_chart_stores_typed_fields():
 
 def test_to_chart_scores_blocks_once(monkeypatch):
     v = sample_uniform(8, 4, np.random.default_rng(53))
-    calls = {"eigh": [], "eigvalsh": [], "svd": [], "det": []}
+    calls = {"eigh": [], "eigvalsh": [], "svd": [], "det": [], "check_projections": []}
     for name in calls:
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, _name=name, _real=getattr(np.linalg, name), **kw:
+        module = grassmann if name == "check_projections" else np.linalg
+        monkeypatch.setattr(module, name,
+                            lambda *a, _name=name, _real=getattr(module, name), **kw:
                             calls[_name].append(np.shape(a[0])) or _real(*a, **kw))
+    # A plane built from a basis is charted from that basis: of its 70 row
+    # blocks Hadamard's inequality leaves only the best-bounded one for det.
+    # No eigh, no check and no column selection runs.
     c = to_chart(v)
-    # One eigh of P gives the orthonormal basis, and of its 70 row blocks
-    # Hadamard's inequality leaves only the best-bounded one for det.  No
-    # column selection runs.
-    assert calls == {"eigh": [(8, 8)], "eigvalsh": [], "svd": [], "det": [(1, 4, 4)]}
+    assert calls == {"eigh": [], "eigvalsh": [], "svd": [], "det": [(1, 4, 4)],
+                     "check_projections": []}
+    # A plane given by its projection is checked and takes its basis from one
+    # eigh when it is constructed, and to_chart runs neither again.
+    u = Subspace(n=8, k=4, proj=v.proj)
+    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(1, 8, 8)]
+    assert to_chart(u).I == c.I
+    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(1, 8, 8)]
+    assert calls["det"] == [(1, 4, 4)] * 2
     assert metric_rho(from_chart(c), v) <= 1e-9
 
 
@@ -617,10 +663,10 @@ def test_pruned_selection_coordinate_planes_match_loop(n, k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_pruned_selection_half_diagonal_planes_match_loop(k):
     # span{(e_i + e_{i+k}) / sqrt(2)}: every diagonal entry of P is 1/2, so
-    # every 1 x 1 bound ties, and the 2 x 2 bounds tie in two classes.
-    basis = np.zeros((2 * k, k))
-    basis[np.arange(k), np.arange(k)] = basis[np.arange(k) + k, np.arange(k)] = 1.0
-    v = from_basis(basis / math.sqrt(2.0))
+    # every 1 x 1 bound ties, and the 2 x 2 bounds tie in two classes.  P is
+    # given exactly, as a QR basis of that span does not give P's 1/2s.
+    half = np.eye(k) / 2.0
+    v = Subspace(n=2 * k, k=k, proj=np.block([[half, half], [half, half]]))
     assert np.all(np.diag(v.proj) == 0.5)
     assert_selection_matches_loop(v)
 

@@ -261,6 +261,24 @@ def test_chart_subcommand(tmp_path, capsys):
     assert np.allclose(chart.free, [[1.0]])
 
 
+def test_chart_subcommand_bytes(tmp_path, capsys):
+    # A subspace given by its projection is charted from the eigenbasis that
+    # Subspace takes of it; these bytes were printed before Subspace kept a
+    # basis, when to_chart took the same eigenbasis itself.
+    proj = [0.21091703731452421, -0.10799390567001951, -0.36035026076693905,
+            -0.15784817575227728, -0.10799390567001951, 0.6704200584795812,
+            -0.15325662838660056, 0.4310530429790774, -0.36035026076693905,
+            -0.15325662838660056, 0.8011208649553769, 0.07737131321941045,
+            -0.15784817575227728, 0.4310530429790774, 0.07737131321941045,
+            0.31754203925051755]
+    sub = tmp_path / "v.json"
+    sub.write_text(json.dumps({"n": 4, "k": 2, "proj": proj}))
+    assert run_cli(["chart", "--subspace", str(sub)]) == 0
+    assert capsys.readouterr().out == (
+        '{"n": 4, "k": 2, "I": [1, 2], "free": [-0.2759779281479225, '
+        '-0.5026029468929596, 0.6954503907667692, 0.22962040232058578]}\n')
+
+
 def test_chart_missing_file(tmp_path, capsys):
     assert run_cli(["chart", "--subspace", str(tmp_path / "nope.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -65,6 +65,14 @@ def test_from_basis_of_huge_entries():
     assert np.array_equal(from_basis(1e200 * np.eye(3)[:, :2]).proj, np.diag([1.0, 1.0, 0.0]))
 
 
+def test_from_basis_of_an_ill_conditioned_basis():
+    # The normal equations square cond(A): this basis passes the rank test
+    # (sigma 3.5e-7 after scaling), and its P = A (A^T A)^-1 A^T once failed
+    # the Subspace check as "proj is not idempotent".
+    v = from_basis([[1.0, 1.0], [0.0, 1e-6], [0.0, 0.0]])
+    assert metric_rho(v, from_basis(np.eye(3)[:, :2])) <= 1e-12
+
+
 @pytest.mark.parametrize("shape", [(2, 3), (3, 5)])
 def test_from_basis_rejects_wide_matrix(shape):
     # More columns than rows are dependent; once a raw LinAlgError (2 x 3)
@@ -253,14 +261,25 @@ def test_subspace_rejects_broken_invariants():
     (lambda: Subspace(n=2, k=2, proj=np.eye(2)), "need 0 < k < n"),
     (lambda: Subspace(n=3, k=1, proj=X_AXIS_2D.proj), r"shape \(2, 2\) does not match n=3"),
     (lambda: from_basis(np.eye(2)), "need 0 < k < n"),
+    (lambda: from_basis(np.random.default_rng(3).standard_normal((3, 3))), "need 0 < k < n"),
     (lambda: contains(X_AXIS_2D, line(0.0, n=3)), "same ambient dimension"),
-    (lambda: AffinePlane(X_AXIS_2D, np.zeros(3)), "offset dimension"),
+    (lambda: AffinePlane(X_AXIS_2D, np.zeros(3)), r"offset must be a finite point of R\^2"),
     # NaN > tol is False, so a NaN offset once passed the orthogonality test.
-    (lambda: AffinePlane(X_AXIS_2D, [np.nan, np.nan]), "offset must be finite"),
-    (lambda: AffinePlane.through(X_AXIS_2D, [0.0, np.inf]), "point must be finite"),
+    (lambda: AffinePlane(X_AXIS_2D, [np.nan, np.nan]), "offset must be a finite point"),
+    (lambda: AffinePlane.through(X_AXIS_2D, [0.0, np.inf]), "point must be a finite point"),
+    # Each of these once ended in a raw ValueError, and a NaN point was
+    # reported as not contained.
+    (lambda: AffinePlane(X_AXIS_2D, ["a", "b"]), "offset must be a finite point"),
+    (lambda: AffinePlane.through(X_AXIS_2D, ["a", "b"]), "point must be a finite point"),
+    (lambda: AffinePlane(X_AXIS_2D).contains_point([0.0, 0.0, 0.0]), "finite point of R\\^2"),
+    (lambda: AffinePlane(X_AXIS_2D).contains_point(["a", "b"]), "finite point of R\\^2"),
+    (lambda: AffinePlane(X_AXIS_2D).contains_point([np.nan, 0.0]), "finite point of R\\^2"),
+    (lambda: project_point(X_AXIS_2D, ["a", "b"]), "finite point of R\\^2"),
 ], ids=["subspace-k-not-below-n", "subspace-shape", "from_basis-k-not-below-n",
-        "contains-across-n", "affine-offset-length", "affine-offset-nan",
-        "affine-through-inf"])
+        "from_basis-square", "contains-across-n", "affine-offset-length", "affine-offset-nan",
+        "affine-through-inf", "affine-offset-string", "affine-through-string",
+        "contains-point-length", "contains-point-string", "contains-point-nan",
+        "project-point-string"])
 def test_subspace_arguments_out_of_domain(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from projlab import (Chart, ExperimentConfig, IFSSpec, InputDomainError,
-                     ResourceBudgetError, box_dimension, cantor_dust,
+                     ResourceBudgetError, Subspace, box_dimension, cantor_dust,
                      cantor_on_axis, exceptional_scan, generate,
                      marstrand_sweep, normalize_unit_box, orthonormal_frame,
                      result_csv, sample_uniform)
@@ -385,8 +385,12 @@ def test_orthonormal_frame_matches_loop(n, k):
     rng = np.random.default_rng(10 * n + k)
     for _ in range(20):
         v = sample_uniform(n, k, rng)
-        expected = loop_frame(loop_chart(loop_eigenbasis(v.proj, n, k), n, k))
-        assert orthonormal_frame(v).tobytes() == expected.tobytes()
+        # The plane as sampled, with its QR basis, and as given by its
+        # projection, with the eigenbasis of that projection.
+        for plane, basis in [(v, v.basis),
+                             (Subspace(n=n, k=k, proj=v.proj), loop_eigenbasis(v.proj, n, k))]:
+            expected = loop_frame(loop_chart(basis, n, k))
+            assert orthonormal_frame(plane).tobytes() == expected.tobytes()
 
 
 @st.composite

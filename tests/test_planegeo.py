@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ def test_fiber_sample_radius_validation():
     ([0.0, 0.0], "1", "radius"),
     ([0.0, math.nan], 1.0, "finite point"),
     ([0.0, 0.0, 0.0], 1.0, "finite point"),
-], ids=["radius-nan", "radius-inf", "radius-string", "z-nan", "z-length"])
+    (["a", "b"], 1.0, "finite point"),
+], ids=["radius-nan", "radius-inf", "radius-string", "z-nan", "z-length", "z-string"])
 def test_fiber_sample_refuses_non_finite_input(z, radius, message):
     # A NaN radius once returned a NaN point, an infinite one +-inf, and a
     # string radius died in a raw TypeError.
@@ -144,12 +146,23 @@ def test_fiber_sample_refuses_non_finite_input(z, radius, message):
 
 
 @pytest.mark.parametrize("z, w", [([math.nan, 0.0], [0.0, 0.0]),
-                                  ([0.0, 0.0], [0.0, -math.inf])],
-                         ids=["nan", "inf"])
+                                  ([0.0, 0.0], [0.0, -math.inf]),
+                                  ([0.0, 0.0], [0.0, 0.0, 0.0])],
+                         ids=["nan", "inf", "lengths"])
 def test_agreement_precision_refuses_non_finite_points(z, w):
-    # agreement_precision([nan, 0], [0, 0]) once returned nan.
-    with pytest.raises(InputDomainError, match="non-finite"):
+    # agreement_precision([nan, 0], [0, 0]) once returned nan, and points of
+    # different lengths ended in a raw ValueError.
+    with pytest.raises(InputDomainError, match="must be a finite point of R"):
         agreement_precision(z, w)
+
+
+def test_agreement_precision_of_far_points():
+    # np.linalg.norm squared the difference and overflowed to -inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = agreement_precision([1e200, 1e200], [0.0, 0.0])
+    assert t == pytest.approx(-math.log2(math.sqrt(2.0) * 1e200))
+    assert t == pytest.approx(-664.8, abs=0.1)
 
 
 def test_agreement_precision():
