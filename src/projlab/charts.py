@@ -6,15 +6,17 @@ remaining (n-k) x k block carries all free parameters.  I is the row
 block of largest |det| (:func:`_good_rows`), which makes the chart a
 function of the plane alone: any other basis A M has |det (A M)_J| =
 |det A_J| |det M| and (A M)(A M)_J^{-1} = A A_J^{-1}.  By Cramer's rule no
-free entry exceeds 1 in absolute value, up to rounding.  A stack of bases
-is charted at once (:func:`chart_bases`): the lab's sweeps chart the QR
-factors of their draws and its scans their grid bases.  One subspace is
-charted from the orthonormal basis Q that it carries (:func:`to_chart`); as
-det P[I, I] = det(Q_I)^2, its I is also the max-det principal block of P.
-:func:`good_basis` and :func:`chart_stability` take instead the columns of P
-whose principal block has the largest least eigenvalue, sigma(P[:, I])^2
-(:func:`_good_columns`).  Both selections score only the index sets that a
-bound lets win.
+free entry exceeds 1 in absolute value, up to rounding.  :func:`chart_bases`
+charts a stack of bases at once, and :func:`to_chart` one subspace from the
+orthonormal basis Q that it carries; as det P[I, I] = det(Q_I)^2, its I is
+also the max-det principal block of P.  :func:`good_basis` and
+:func:`chart_stability` take instead the columns of P whose principal block
+has the largest least eigenvalue, sigma(P[:, I])^2 (:func:`_good_columns`).
+Both selections score only the index sets that a bound lets win.  A
+:class:`Chart` of outside values is checked when it is made; the charts of
+checked bases (:func:`charts_of`) are not.  A chart basis has full rank by its
+identity block, so :func:`from_chart`, :func:`embed_relative` and
+:func:`perturb_within` take the plane of its QR factor unchecked.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ import numpy as np
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
                      integer, integer_argument, parse_json, read_fields)
-from .grassmann import Subspace, _dimensions, contains, from_basis, metric_rho
+from .grassmann import Subspace, _dimensions, _from_orthonormal, contains, haar_bases, metric_rho
 
-# A basis whose smallest singular value, or whose largest row-block |det|
-# relative to the product of its column norms, is at most this is rank
-# deficient.
+# A matrix whose smallest singular value relative to its largest (at most 1 for
+# a projection's columns), or whose largest row-block |det| relative to the
+# product of its column norms, is at most this is rank deficient.
 _RANK_TOL = 1e-10
 # Submatrices per batched eigvalsh/det call: memory stays at 1024 x n x k
 # floats whatever binom(n, k) and the number of projections are.
@@ -51,6 +53,11 @@ _EIG_SLACK = 1e-12
 # k^2.5 2^k eps max|A_J| >= |row of E|.  numpy's exp(sum of log pivots) and
 # the bound's rounding add a relative (710 k^2 + n + k) eps, < 1e-9 for k < 20.
 _DET_SLACK = 1e-9
+
+
+def _chart_basis(idx: tuple, free: np.ndarray) -> np.ndarray:
+    """Identity rows at idx, rows of ``free`` elsewhere: row j goes before free row idx[j] - j."""
+    return np.insert(free, np.subtract(idx, range(len(idx))), np.eye(len(idx)), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,15 +77,13 @@ class Chart:
         f = np.asarray(self.free, dtype=float)
         if f.shape != (n - k, k):
             raise InputDomainError(f"free block shape {f.shape}, expected {(n - k, k)}")
+        if not np.isfinite(f).all():
+            raise InputDomainError("free block entries must be finite")
         self.__dict__.update(n=n, k=k, I=idx, free=f)
 
     def reconstruct(self) -> np.ndarray:
-        """The n x k basis matrix A' with identity rows at I."""
-        a = np.empty((self.n, self.k))
-        others = [i for i in range(self.n) if i not in set(self.I)]
-        a[list(self.I), :] = np.eye(self.k)
-        a[others, :] = self.free
-        return a
+        """The n x k basis A' with identity rows at I (:func:`_chart_basis`)."""
+        return _chart_basis(self.I, self.free)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "k": self.k, "I": list(self.I),
@@ -208,13 +213,18 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     if n < m:
         raise InputDomainError(f"need rows >= cols, got {n}x{m}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= _RANK_TOL:
+    if s[-1] <= _RANK_TOL * s[0]:
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
-    best_idx = tuple(_good_rows(a[None])[0][0].tolist())
-    k1, k2 = float(s[0]), float(s[-1])
-    return best_idx, ConditionReport(
-        sigma_min=k2, sigma_max=k1, det_AI=float(np.linalg.det(a[list(best_idx), :])),
-        inv_norm_bound=math.sqrt(math.comb(n, m)) * k1 ** (m - 1) / k2**m)
+    # Where the best |det| leaves the normal range, I is that of A scaled exactly by 2^-e,
+    # max |A| in [1/2, 1).  Values past the range read inf; no s1^m is formed to underflow.
+    with np.errstate(over="ignore"):
+        rows, dets = _good_rows(a[None])
+        if not np.finfo(float).tiny <= dets[0] < np.inf:
+            rows = _good_rows(np.ldexp(a, -np.frexp(np.abs(a).max())[1])[None])[0]
+        return tuple(rows[0].tolist()), ConditionReport(
+            sigma_min=float(s[-1]), sigma_max=float(s[0]), det_AI=float(np.linalg.det(a[rows[0]])),
+            inv_norm_bound=float(math.sqrt(math.comb(n, m)) * math.prod([s[0] / s[-1]] * (m - 1))
+                                 / s[-1]))
 
 
 def chart_bases(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +250,7 @@ def chart_bases(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def charts_of(rows: np.ndarray, bases: np.ndarray) -> list[Chart]:
     """The :class:`Chart` of each row index set and chart basis of
-    :func:`chart_bases`.  Those index sets are increasing k-subsets of
-    range(n) and the free blocks float (n - k, k) arrays by construction, so
-    the charts are made without :meth:`Chart.__post_init__`'s checks."""
+    :func:`chart_bases`, valid by construction: made without checks."""
     d, n, k = bases.shape
     free_rows = np.ones((d, n), dtype=bool)
     free_rows[np.arange(d)[:, None], rows] = False
@@ -260,8 +268,9 @@ def to_chart(v: Subspace) -> Chart:
 
 
 def from_chart(c: Chart) -> Subspace:
-    """Subspace spanned by the chart's reconstructed basis columns."""
-    return from_basis(c.reconstruct())
+    """Subspace spanned by the chart's basis, of full rank by its identity block:
+    its QR factor is the plane's basis, with no rank test and no projection check."""
+    return _from_orthonormal(haar_bases(c.reconstruct()))
 
 
 def perturb_within(v: Subspace, eps: float, rng: np.random.Generator) -> Subspace:
@@ -282,7 +291,7 @@ def _perturb(c: Chart, v: Subspace, eps, rng: np.random.Generator) -> Subspace:
     g /= mk.spectral_norm(g)
     t = eps
     for _ in range(200):
-        w = from_chart(Chart(n=c.n, k=c.k, I=c.I, free=c.free + t * g))
+        w = _from_orthonormal(haar_bases(_chart_basis(c.I, c.free + t * g)))
         if 0.0 < metric_rho(w, v) <= eps:
             return w
         t /= 2.0
@@ -368,9 +377,10 @@ def relative_chart(v: Subspace, w: Subspace) -> Chart:
 
 
 def embed_relative(c: Chart, w: Subspace) -> Subspace:
-    """Inverse of :func:`relative_chart` for the same containing plane."""
+    """Inverse of :func:`relative_chart` for the same containing plane: the QR
+    factor of W's frame times the chart's full-rank basis, unchecked."""
     if c.n != w.k:
         raise InputDomainError(f"a chart in G({c.n}, {c.k}) does not fit a "
                                f"containing plane of dimension {w.k}")
-    return from_basis(orthonormal_frame(w) @ c.reconstruct())
+    return _from_orthonormal(haar_bases(orthonormal_frame(w) @ c.reconstruct()))
 

@@ -3,12 +3,13 @@
 A k-plane is represented by its n x n orthogonal projection matrix P and an
 orthonormal n x k basis Q of its span.  The metric is the spectral norm of
 the difference of projection matrices, which coincides with the sup over
-unit vectors of the projected-image distance.  ``Subspace(n, k, proj)``
-checks a given P and takes Q from its top-k eigenvectors; :func:`sample_uniform`
-and :func:`from_basis` take Q from a QR factor (:func:`haar_bases`) and set
-P = sym(Q Q^T), valid by construction, unchecked.  Charts are taken from Q
-(:func:`projlab.charts.to_chart`); the lab's sweeps chart the bases of
-:func:`haar_bases` directly, with no projection matrix.
+unit vectors of the projected-image distance.  A plane is checked once, at
+the door for outside values: ``Subspace(n, k, proj)`` checks P and takes Q
+from its top-k eigenvectors, :func:`from_basis` tests its matrix's rank, and
+``AffinePlane(direction, offset)`` its offset.  Every plane built from a
+checked value (:func:`sample_uniform`, :func:`from_basis`, :func:`orthogonal_complement`,
+the charts' planes) takes Q from a QR factor and P = sym(Q Q^T) by
+:func:`_from_orthonormal`, unchecked, as :meth:`AffinePlane.through` its offset p - P p.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, integer, integer_argument,
                      parse_json, read_fields)
 
-# contains() and AffinePlane.contains_point() accept residuals up to these.
+# Residuals accepted by contains() and, times max(1, ||x||), by contains_point().
 _CONTAINMENT_TOL = 1e-8
 _POINT_TOL = 1e-9
 
-_SYMMETRY_TOL = 1e-10
-_IDEMPOTENCY_TOL = 1e-10
+# check_projections bounds ||P - P^T|| and ||P^2 - P|| by this.
+_PROJECTION_TOL = 1e-10
 _TRACE_TOL = 1e-8
 
 
@@ -55,7 +56,7 @@ class Subspace:
         p = np.asarray(self.proj, dtype=float)
         if p.shape != (n, n):
             raise InputDomainError(f"projection matrix shape {p.shape} does not match n={n}")
-        check_projections(p[None], k)
+        check_projections(p, k)
         # A frozen dataclass's fields live in its __dict__.
         self.__dict__.update(n=n, k=k, proj=p, basis=np.linalg.eigh((p + p.T) / 2.0)[1][:, n - k:])
 
@@ -82,30 +83,34 @@ class AffinePlane:
     offset: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        # A NaN offset would pass the orthogonality test: NaN > tol is False.
         t = (np.zeros(self.direction.n) if self.offset is None
              else _point("offset", self.offset, self.direction.n))
         object.__setattr__(self, "offset", t)
-        if np.linalg.norm(self.direction.proj @ t) > 1e-10:
+        if np.linalg.norm(self.direction.proj @ t) > 1e-10 * max(1.0, np.linalg.norm(t)):
             raise InputDomainError("invariant violated: offset not orthogonal to direction")
 
     @classmethod
     def through(cls, direction: Subspace, point) -> "AffinePlane":
         """The affine plane with the given direction passing through a point
-        of R^n; anything else raises :class:`InputDomainError`."""
+        of R^n; anything else raises :class:`InputDomainError`.  Its offset
+        p - P p is orthogonal to the direction by construction: not checked."""
         p = _point("point", point, direction.n)
-        return cls(direction, p - direction.proj @ p)
+        plane = object.__new__(cls)
+        plane.__dict__.update(direction=direction, offset=p - direction.proj @ p)
+        return plane
 
     def contains_point(self, x) -> bool:
         x = _point("point", x, self.direction.n)
-        return np.linalg.norm(x - (self.direction.proj @ x + self.offset)) <= _POINT_TOL
+        residual = np.linalg.norm(x - (self.direction.proj @ x + self.offset))
+        return residual <= _POINT_TOL * max(1.0, np.linalg.norm(x))
 
 
 def _point(name: str, x, n: int | None = None) -> np.ndarray:
     """``x`` as a float array of shape (n,), of any length n >= 1 if ``n`` is None;
-    any other value, or a non-finite coordinate, raises :class:`InputDomainError`."""
+    any other value, a complex one or a non-finite coordinate included, raises
+    :class:`InputDomainError`."""
     try:
-        p = np.asarray(x, dtype=float)
+        p = np.empty(0) if np.iscomplexobj(x) else np.asarray(x, dtype=float)
     except (TypeError, ValueError, OverflowError):
         p = np.empty(0)
     if p.ndim != 1 or p.size == 0 or n not in (None, p.size) or not np.isfinite(p).all():
@@ -115,26 +120,18 @@ def _point(name: str, x, n: int | None = None) -> np.ndarray:
 
 
 def check_projections(p: np.ndarray, k: int) -> None:
-    """Raise :class:`InputDomainError` unless every matrix of the (D, n, n)
-    stack ``p`` is a rank-k orthogonal projection: finite, symmetric,
-    idempotent and of trace k.  A spectral-norm test runs the batched SVD only if
-    a Frobenius norm, its upper bound, exceeds (1 - 1e-9) tol: rounding is n^2 eps."""
+    """Raise :class:`InputDomainError` unless the (n, n) matrix ``p`` is a rank-k
+    orthogonal projection: finite, symmetric, idempotent and of trace k.  A
+    spectral-norm test runs the SVD only if a Frobenius norm, its upper bound,
+    exceeds (1 - 1e-9) tol: rounding is n^2 eps."""
     if not np.all(np.isfinite(p)):
         raise InputDomainError("projection matrix entries must be finite")
-    if _norm_above(p - p.swapaxes(-1, -2), _SYMMETRY_TOL):
-        raise InputDomainError("invariant violated: proj is not symmetric")
-    if _norm_above(p @ p - p, _IDEMPOTENCY_TOL):
-        raise InputDomainError("invariant violated: proj is not idempotent")
-    trace = np.trace(p, axis1=-2, axis2=-1)
-    off = np.abs(trace - k) > _TRACE_TOL
-    if off.any():
-        raise InputDomainError(
-            f"invariant violated: trace(proj)={trace[off][0]:.6g} != k={k}")
-
-
-def _norm_above(m: np.ndarray, tol: float) -> bool:
-    return bool(np.linalg.norm(m, axis=(-2, -1)).max() > tol * (1.0 - 1e-9)
-                and np.linalg.svd(m, compute_uv=False)[..., 0].max() > tol)
+    for defect, name in ((p - p.T, "symmetric"), (p @ p - p, "idempotent")):
+        if (np.linalg.norm(defect) > _PROJECTION_TOL * (1.0 - 1e-9)
+                and np.linalg.svd(defect, compute_uv=False)[0] > _PROJECTION_TOL):
+            raise InputDomainError(f"invariant violated: proj is not {name}")
+    if abs(np.trace(p) - k) > _TRACE_TOL:
+        raise InputDomainError(f"invariant violated: trace(proj)={np.trace(p):.6g} != k={k}")
 
 
 def haar_bases(g: np.ndarray) -> np.ndarray:
@@ -146,10 +143,9 @@ def haar_bases(g: np.ndarray) -> np.ndarray:
 def _from_orthonormal(q: np.ndarray) -> Subspace:
     """The :class:`Subspace` of the orthonormal columns of an (n, k) ``q``, 0 < k < n:
     P = sym(Q Q^T) is a projection by construction, so no check runs."""
-    n, k = q.shape
     p = q @ q.T
     v = object.__new__(Subspace)
-    v.__dict__.update(n=n, k=k, proj=(p + p.T) / 2.0, basis=q)
+    v.__dict__.update(n=q.shape[0], k=q.shape[1], proj=(p + p.T) / 2.0, basis=q)
     return v
 
 
@@ -180,7 +176,8 @@ def metric_rho(v1: Subspace, v2: Subspace) -> float:
 
 
 def orthogonal_complement(v: Subspace) -> Subspace:
-    return Subspace(n=v.n, k=v.n - v.k, proj=np.eye(v.n) - v.proj)
+    """The plane orthogonal to ``v``: the last n - k columns of its basis's complete QR."""
+    return _from_orthonormal(np.linalg.qr(v.basis, mode="complete")[0][:, v.k:])
 
 
 def contains(w: Subspace, v: Subspace) -> bool:

@@ -114,26 +114,20 @@ def perturbation_inverse_bound(a, a2) -> PerturbationBound:
     ``bound = ||A^-1||^2 ||A-A2|| / (1 - ||A^-1|| ||A-A2||)`` and
     ``actual <= bound``.  When it fails, ``bound`` is +inf (no claim made).
     """
-    a = as_matrix(a)
-    a2 = as_matrix(a2)
+    a, a2 = as_matrix(a), as_matrix(a2)
     if a.shape != a2.shape or a.shape[0] != a.shape[1]:
         raise InputDomainError("need two square matrices of the same size")
     a_inv = inverse(a)
-    inv_norm = spectral_norm(a_inv)
-    diff_norm = spectral_norm(a - a2)
+    inv_norm, diff_norm = spectral_norm(a_inv), spectral_norm(a - a2)
     premise = inv_norm * diff_norm < 1.0
     s2 = np.linalg.svd(a2, compute_uv=False)
-    if not premise:
-        if s2[-1] <= SINGULARITY_RTOL * max(s2[0], 1.0):
-            return PerturbationBound(np.inf, np.inf, False)
-        actual = spectral_norm(a_inv - np.linalg.inv(a2))
-        return PerturbationBound(np.inf, actual, False)
-    # The premise guarantees A2 is invertible; a singular A2 here would
-    # contradict the Neumann-series argument.
-    if s2[-1] <= SINGULARITY_RTOL * s2[0]:
-        raise SingularityError(
-            "perturbed matrix singular although the Neumann premise holds",
-            sigma=float(s2[-1]))
+    if premise and s2[-1] <= SINGULARITY_RTOL * s2[0]:
+        # The premise guarantees A2 is invertible; a singular A2 here would
+        # contradict the Neumann-series argument.
+        raise SingularityError("perturbed matrix singular although the Neumann premise holds",
+                               sigma=float(s2[-1]))
+    if not premise and s2[-1] <= SINGULARITY_RTOL * max(s2[0], 1.0):
+        return PerturbationBound(np.inf, np.inf, False)
     actual = spectral_norm(a_inv - np.linalg.inv(a2))
-    bound = inv_norm**2 * diff_norm / (1.0 - inv_norm * diff_norm)
-    return PerturbationBound(bound, actual, True)
+    bound = inv_norm**2 * diff_norm / (1.0 - inv_norm * diff_norm) if premise else np.inf
+    return PerturbationBound(bound, actual, premise)

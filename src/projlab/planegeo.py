@@ -12,8 +12,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import InputDomainError
-from .grassmann import (AffinePlane, Subspace, _point, from_basis,
-                        orthogonal_complement)
+from .grassmann import AffinePlane, Subspace, _point, from_basis, orthogonal_complement
 
 
 @dataclass(frozen=True)
@@ -30,19 +29,18 @@ def span_from_points(points) -> SpanResult:
     ``sigma`` is the smallest singular value of the matrix with columns
     p_i - p_0.  :func:`from_basis` refuses dependent differences at any scale.
     """
-    pts = [np.asarray(p, dtype=float) for p in points]
+    pts = list(points)
     if len(pts) < 2:
         raise InputDomainError("need at least two points")
-    diffs = np.column_stack([p - pts[0] for p in pts[1:]])
-    direction = from_basis(diffs)
-    return SpanResult(plane=AffinePlane.through(direction, pts[0]),
+    p0 = _point("point", pts[0])
+    diffs = np.column_stack([_point("point", p, p0.size) - p0 for p in pts[1:]])
+    return SpanResult(plane=AffinePlane.through(from_basis(diffs), p0),
                       sigma=mk.smallest_singular_value(diffs))
 
 
 def line_through(z, w) -> AffinePlane:
     """The 1-dimensional affine plane through two distinct points."""
-    return span_from_points([np.asarray(z, dtype=float),
-                             np.asarray(w, dtype=float)]).plane
+    return span_from_points([z, w]).plane
 
 
 def fiber_hyperplane(z, w) -> Subspace:
@@ -73,16 +71,17 @@ def fiber_sample(v: Subspace, z, radius: float,
 
 
 def agreement_precision(z, w) -> float:
-    """Dyadic precision t = -log2 ||z - w|| up to which two points agree.
-
-    Negative for pairs farther than 1 apart; +inf for identical points.
-    Values that are not finite points of one R^n raise
-    :class:`InputDomainError`: a non-finite coordinate would read as a NaN
-    or an infinite disagreement.
-    """
+    """Dyadic precision t = -log2 ||z - w|| up to which two points agree:
+    negative for pairs farther than 1 apart, +inf for identical points.
+    Values that are not finite points of one R^n, which would read as a NaN
+    or an infinite disagreement, raise :class:`InputDomainError`."""
     z = _point("z", z)
-    # hypot does not square the coordinates, so a finite distance stays finite.
-    dist = math.hypot(*(z - _point("w", w, len(z))))
-    if dist == 0.0:
-        return math.inf
-    return -math.log2(dist)
+    w = _point("w", w, len(z))
+    # hypot does not square.  Where z - w or its hypot overflow, 2^-e scales both exactly;
+    # what it rounds off (below 2^(e - 1074)) is far below one ulp of so wide a distance.
+    with np.errstate(over="ignore"):
+        d, e = math.hypot(*(z - w)), 0
+    if d == math.inf:
+        e = int(np.frexp(np.abs([z, w]).max())[1])
+        d = math.hypot(*(np.ldexp(z, -e) - np.ldexp(w, -e)))
+    return math.inf if d == 0.0 else -math.log2(d) - e

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from projlab import charts, grassmann
+from projlab import charts, grassmann, planegeo
 from projlab import (Chart, DegeneracyError, IFSSpec, InputDomainError,
-                     Subspace, chart_stability, contains, embed_relative, from_basis,
-                     from_chart, good_basis, good_submatrix, metric_rho,
+                     Subspace, chart_stability, contains, embed_relative, fiber_hyperplane,
+                     from_basis, from_chart, good_basis, good_submatrix, metric_rho,
                      perturb_within, relative_chart, sample_uniform, smallest_singular_value,
                      spectral_norm, stability_constant, to_chart)
 
@@ -247,6 +247,33 @@ def test_good_submatrix_rejects_rank_deficient():
         good_submatrix(a)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e11, 1e300])
+def test_good_submatrix_rank_rule_is_scale_free(scale):
+    # The rank test was absolute, sigma_min <= 1e-10: a perfectly conditioned
+    # matrix at scale 1e-11 was refused, though chart_bases charted it.
+    a = scale * np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    idx, report = good_submatrix(a)
+    assert idx == (0, 1) and report.sigma_min == report.sigma_max == pytest.approx(scale)
+    # sqrt(binom(3, 2)) ||A|| / sigma^2 = sqrt(3) / scale, with no sigma^2 to
+    # underflow to 0 or overflow.
+    assert report.inv_norm_bound == pytest.approx(math.sqrt(3.0) / scale)
+    # With m = 10 columns, sigma^m underflows to 0 from sigma < 1e-33.
+    idx, report = good_submatrix(scale * np.eye(11, 10))
+    assert idx == tuple(range(10))
+    assert report.inv_norm_bound == pytest.approx(math.sqrt(11.0) / scale)
+    # |det| 6 scale^2 of rows (0, 2) beats 3 scale^2 and 2 scale^2, also where
+    # scale^2 leaves the float range.
+    assert good_submatrix(scale * np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))[0] == (0, 2)
+    if 1e-150 < scale < 1e150:  # chart_bases' Hadamard product of column norms under/overflows
+        assert charts.chart_bases(a[None])[0].tolist() == [[0, 1]]
+    # sigma_min / sigma_max just above and at the tolerance 1e-10.
+    good_submatrix(a @ np.diag([1.0, 2e-10]))
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        good_submatrix(a @ np.diag([1.0, 1e-10]))
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        good_submatrix(a @ np.diag([1.0, 0.0]))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: good_submatrix(np.ones((1, 2))), "need rows >= cols"),
     (lambda: relative_chart(sample_uniform(4, 2, np.random.default_rng(0)),
@@ -335,6 +362,18 @@ def test_from_chart_examples():
     assert metric_rho(v, diag_line_2d()) == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("entry", [1e9, 1e150])
+def test_from_chart_of_a_wide_free_block(entry):
+    # from_chart went through from_basis's rank test, which scaled the chart
+    # basis to max 1 and then read its identity block as sigma 9.3e-10.
+    c = Chart(n=3, k=2, I=(0, 1), free=[[entry, 0.0]])
+    v = from_chart(c)
+    d = np.array([1.0, 0.0, entry]) / math.hypot(1.0, entry)
+    exact = Subspace(n=3, k=2, proj=np.outer(d, d) + np.diag([0.0, 1.0, 0.0]))
+    assert metric_rho(v, exact) <= 1e-15
+    assert to_chart(v).I == (1, 2)
+
+
 def test_chart_round_trip_random():
     rng = np.random.default_rng(17)
     for n, k in [(3, 1), (4, 2), (5, 2)]:
@@ -360,8 +399,9 @@ def scaled_bases(draw):
 @settings(max_examples=300, deadline=None)
 @given(a=scaled_bases(), seed=st.integers(0, 2**32 - 1))
 def test_planes_built_from_a_basis_pass_the_check_they_skip(a, seed):
-    # sample_uniform and from_basis (so from_chart and embed_relative) set
-    # P = sym(Q Q^T) from an orthonormal Q and run no check_projections.
+    # sample_uniform, from_basis, from_chart, embed_relative and
+    # orthogonal_complement set P = sym(Q Q^T) from an orthonormal Q and run
+    # no check_projections; AffinePlane.through does not check its offset.
     n, k = a.shape
     rng = np.random.default_rng(seed)
     built = [sample_uniform(n, k, rng)]
@@ -371,14 +411,25 @@ def test_planes_built_from_a_basis_pass_the_check_they_skip(a, seed):
         pass
     built.append(from_chart(Chart(n=n, k=k, I=tuple(range(k)),
                                   free=a[k:] / np.abs(a).max())))
+    # An unnormalized free block, entries up to 1e150: from_basis's rank test
+    # once refused many of these, though a chart basis always has full rank.
+    wide = a[k:] * 10.0 ** (150.0 - np.log10(np.abs(a).max()))
+    built.append(from_chart(Chart(n=n, k=k, I=tuple(range(k)), free=wide)))
     if k > 1:
         inner = sample_uniform(k, int(rng.integers(1, k)), rng)
         built.append(embed_relative(to_chart(inner), built[-1]))
+    built += [grassmann.orthogonal_complement(v) for v in built]
     for v in built:
-        grassmann.check_projections(v.proj[None], v.k)
+        grassmann.check_projections(v.proj, v.k)
         assert v.basis.shape == (v.n, v.k)
         assert np.abs(v.basis.T @ v.basis - np.eye(v.k)).max() <= 1e-13
         assert np.abs(v.proj @ v.basis - v.basis).max() <= 1e-13
+    for v in built:
+        # Offsets of points 1e7 to 1e12 from the origin, some inside v's plane.
+        p = a[:, 0] * 10.0 ** (7.0 + 5.0 * rng.random() - np.log10(np.abs(a[:, 0]).max()))
+        plane = grassmann.AffinePlane.through(v, p)
+        assert np.linalg.norm(v.proj @ plane.offset) <= 1e-13 * np.linalg.norm(p)
+        assert plane.contains_point(p)
 
 
 def test_chart_free_round_trip_same_index_set():
@@ -522,7 +573,8 @@ def test_chart_json_round_trip():
     ({"n": 2, "k": 1, "I": [0], "free": [1.0, 2.0]}, r"free block shape \(2,\)"),
     ({"n": 2, "k": 1, "I": ["a"], "free": [1.0]}, "chart JSON field I: invalid literal"),
     ({"n": 2, "k": 1, "I": 5, "free": [1.0]}, "chart JSON field I: 'int' object"),
-], ids=["n-string", "free-length", "I-string", "I-int"])
+    ({"n": 2, "k": 1, "I": [0], "free": [math.nan]}, "free block entries must be finite"),
+], ids=["n-string", "free-length", "I-string", "I-int", "free-nan"])
 def test_chart_json_rejects_with_typed_error(document, message):
     with pytest.raises(InputDomainError, match=message):
         Chart.from_json(json.dumps(document))
@@ -588,11 +640,53 @@ def test_to_chart_scores_blocks_once(monkeypatch):
     # A plane given by its projection is checked and takes its basis from one
     # eigh when it is constructed, and to_chart runs neither again.
     u = Subspace(n=8, k=4, proj=v.proj)
-    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(1, 8, 8)]
+    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(8, 8)]
     assert to_chart(u).I == c.I
-    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(1, 8, 8)]
+    assert calls["eigh"] == [(8, 8)] and calls["check_projections"] == [(8, 8)]
     assert calls["det"] == [(1, 4, 4)] * 2
     assert metric_rho(from_chart(c), v) <= 1e-9
+
+
+def test_planes_from_checked_values_run_no_check(monkeypatch):
+    # Each route builds its plane from an already-checked value through
+    # grassmann._from_orthonormal: no projection check and no eigh, no
+    # from_basis, Chart or AffinePlane check, and from_chart no rank SVD.
+    # fiber_hyperplane spans its two points by from_basis, the door for
+    # outside values, and builds the complement unchecked.
+    rng = np.random.default_rng(67)
+    v, w = sample_uniform(6, 3, rng), sample_uniform(6, 4, rng)
+    c, inner = to_chart(v), to_chart(sample_uniform(4, 2, rng))
+    z, y = rng.standard_normal(6), rng.standard_normal(6)
+    calls = []
+    for owner, name, label in [(grassmann, "check_projections", "check_projections"),
+                               (grassmann, "from_basis", "from_basis"),
+                               (planegeo, "from_basis", "from_basis"),
+                               (np.linalg, "eigh", "eigh"), (np.linalg, "svd", "svd"),
+                               (Chart, "__post_init__", "Chart check"),
+                               (grassmann.AffinePlane, "__post_init__", "AffinePlane check")]:
+        monkeypatch.setattr(owner, name, lambda *a, _label=label, _real=getattr(owner, name),
+                            **kw: calls.append(_label) or _real(*a, **kw))
+    routes = {"from_chart": lambda: from_chart(c),
+              "embed_relative": lambda: embed_relative(inner, w),
+              "orthogonal_complement": lambda: grassmann.orthogonal_complement(v),
+              "AffinePlane.through": lambda: grassmann.AffinePlane.through(v, z)}
+    for name, route in routes.items():
+        calls.clear()
+        route()
+        assert calls == [], name
+    calls.clear()
+    h = fiber_hyperplane(z, y)
+    assert calls == ["from_basis", "svd", "svd"]
+    # perturb_within charts v from its basis (one det) and runs an SVD for
+    # the step's norm and for each trial's metric, nothing else.
+    trials = []
+    monkeypatch.setattr(charts, "_from_orthonormal", lambda q, _real=charts._from_orthonormal:
+                        trials.append(q) or _real(q))
+    calls.clear()
+    u = perturb_within(v, 1e-3, rng)
+    assert trials and calls == ["svd"] * (1 + len(trials))
+    assert 0.0 < metric_rho(u, v) <= 1e-3
+    assert np.abs(h.proj @ (z - y)).max() <= 1e-12 * np.linalg.norm(z - y)
 
 
 def test_chart_bases_rejects_rank_deficient_basis():
@@ -722,7 +816,9 @@ def general_matrices(draw):
     else:
         a = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-6.0, 6.0, size=(n, 1))
     a[rng.random(n) < draw(st.floats(0.0, 0.5))] = 0.0
-    assume(np.linalg.svd(a, compute_uv=False)[-1] > 1e-8)
+    s = np.linalg.svd(a, compute_uv=False)
+    # good_submatrix refuses sigma_min <= 1e-10 sigma_max, at any scale.
+    assume(s[-1] > 1e-10 * s[0])
     return a
 
 
@@ -803,6 +899,11 @@ def test_charts_of_equals_validated_construction():
         Chart(n=4, k=2, I=(0, 4), free=np.zeros((2, 2)))
     with pytest.raises(InputDomainError, match="free block shape"):
         Chart(n=4, k=2, I=(0, 1), free=np.zeros((2, 3)))
+    # A NaN or infinite free entry was once accepted here and refused only
+    # later, by from_basis.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InputDomainError, match="free block entries must be finite"):
+            Chart(n=4, k=2, I=(0, 1), free=[[0.0, bad], [1.0, 0.0]])
 
 
 @st.composite

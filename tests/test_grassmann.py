@@ -275,11 +275,18 @@ def test_subspace_rejects_broken_invariants():
     (lambda: AffinePlane(X_AXIS_2D).contains_point(["a", "b"]), "finite point of R\\^2"),
     (lambda: AffinePlane(X_AXIS_2D).contains_point([np.nan, 0.0]), "finite point of R\\^2"),
     (lambda: project_point(X_AXIS_2D, ["a", "b"]), "finite point of R\\^2"),
+    # A numpy complex array once lost its imaginary part: this projected to [1, 0].
+    (lambda: project_point(X_AXIS_2D, np.array([1 + 5j, 2j])), "finite point of R\\^2"),
+    (lambda: AffinePlane(X_AXIS_2D, np.array([0.0, 1j])), "offset must be a finite point"),
+    (lambda: AffinePlane.through(X_AXIS_2D, np.array([1j, 0.0])), "point must be a finite point"),
+    (lambda: AffinePlane(X_AXIS_2D).contains_point(np.array([1 + 1j, 0.0])),
+     "finite point of R\\^2"),
 ], ids=["subspace-k-not-below-n", "subspace-shape", "from_basis-k-not-below-n",
         "from_basis-square", "contains-across-n", "affine-offset-length", "affine-offset-nan",
         "affine-through-inf", "affine-offset-string", "affine-through-string",
         "contains-point-length", "contains-point-string", "contains-point-nan",
-        "project-point-string"])
+        "project-point-string", "project-point-complex", "affine-offset-complex",
+        "affine-through-complex", "contains-point-complex"])
 def test_subspace_arguments_out_of_domain(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()
@@ -324,16 +331,46 @@ def test_affine_plane_offset_canonical():
         AffinePlane(X_AXIS_2D, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e8, 1e10, 1e12])
+def test_affine_plane_through_far_points(scale):
+    # through() checked the offset p - P p it had just built against an
+    # absolute 1e-10, so points 1e7 from the origin were refused.
+    v = from_basis(np.array([[0.6], [-0.8], [0.0]]))
+    p = scale * np.array([0.3, 0.7, -0.9])
+    plane = AffinePlane.through(v, p)
+    assert np.abs(plane.offset - (p - v.proj @ p)).max() == 0.0
+    assert plane.contains_point(p) and plane.contains_point(p + 1e-3 * scale * v.basis[:, 0])
+    assert not plane.contains_point(p + 1e-3 * scale * plane.offset / np.linalg.norm(plane.offset))
+    # The door for an outside offset scales its tolerance by max(1, ||t||).
+    assert np.array_equal(AffinePlane(v, plane.offset).offset, plane.offset)
+
+
+def test_affine_plane_tolerances_are_relative():
+    far = np.array([1e-3, 1e8])
+    assert np.array_equal(AffinePlane(X_AXIS_2D, far).offset, far)
+    with pytest.raises(InputDomainError, match="orthogonal"):
+        AffinePlane(X_AXIS_2D, np.array([1.0, 1e8]))
+    with pytest.raises(InputDomainError, match="orthogonal"):
+        AffinePlane(X_AXIS_2D, np.array([1e-9, 1e-3]))
+    plane = AffinePlane(X_AXIS_2D, [0.0, 1e8])
+    assert plane.contains_point([5e9, 1e8 + 2.0]) and not plane.contains_point([5e9, 1e8 + 10.0])
+    assert plane.contains_point([0.0, 1e8 + 0.05]) and not plane.contains_point([0.0, 1e8 + 0.2])
+    near = AffinePlane(X_AXIS_2D, [0.0, 1e-3])
+    assert near.contains_point([0.5, 1e-3 + 9e-10]) and not near.contains_point([0.5, 1e-3 + 2e-9])
+
+
 def test_check_projections_rejects_any_broken_member():
+    # check_projections takes one matrix; it once took a stack, left over
+    # from the deleted projection stacks.
     good = sample_uniform(3, 1, np.random.default_rng(3)).proj
-    check_projections(np.stack([good, good]), 1)
+    check_projections(good, 1)
     cases = [("finite", np.full((3, 3), np.nan)),
              ("symmetric", good + np.triu(np.full((3, 3), 1e-6), 1)),
              ("idempotent", 0.5 * np.eye(3)),
              ("trace", good + (np.eye(3) - good))]
     for message, bad in cases:
         with pytest.raises(InputDomainError, match=message):
-            check_projections(np.stack([good, bad, good]), 1)
+            check_projections(bad, 1)
 
 
 def tolerance_edge_projections(size):
@@ -351,21 +388,21 @@ def test_check_projections_spectral_not_frobenius_norm(monkeypatch):
     real_svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, *args, **kw: svd_calls.append(a.shape) or real_svd(a, *args, **kw))
-    check_projections(np.stack([sample_uniform(4, 2, np.random.default_rng(5)).proj] * 3), 2)
-    # A stack whose Frobenius norms pass needs no SVD.
+    check_projections(sample_uniform(4, 2, np.random.default_rng(5)).proj, 2)
+    # A matrix whose Frobenius norms pass needs no SVD.
     assert svd_calls == []
     asymmetric, non_idempotent = tolerance_edge_projections(0.9e-10)
     for p in (asymmetric, non_idempotent):
         # Spectral norm 0.9e-10 <= 1e-10 < Frobenius norm 1.8e-10: accepted.
-        check_projections(p[None], 2)
+        check_projections(p, 2)
         Subspace(n=4, k=2, proj=p)
     assert len(svd_calls) == 4
     asymmetric, non_idempotent = tolerance_edge_projections(1.1e-10)
     with pytest.raises(InputDomainError, match="^invariant violated: proj is not symmetric$"):
-        check_projections(asymmetric[None], 2)
+        check_projections(asymmetric, 2)
     with pytest.raises(InputDomainError, match="^invariant violated: proj is not idempotent$"):
         Subspace(n=4, k=2, proj=non_idempotent)
     # A rank-one defect has equal spectral and Frobenius norms.
-    check_projections(np.diag([1.0 + 0.999e-10, 1.0, 0.0, 0.0])[None], 2)
+    check_projections(np.diag([1.0 + 0.999e-10, 1.0, 0.0, 0.0]), 2)
     with pytest.raises(InputDomainError, match="^invariant violated: proj is not idempotent$"):
-        check_projections(np.diag([1.0 + 1.001e-10, 1.0, 0.0, 0.0])[None], 2)
+        check_projections(np.diag([1.0 + 1.001e-10, 1.0, 0.0, 0.0]), 2)

@@ -37,6 +37,32 @@ def test_span_from_points_needs_two_points():
         span_from_points([[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e9])
+def test_span_from_points_far_from_the_origin(scale):
+    # The offset check and contains_point once used absolute tolerances: the
+    # span of points 1e7 from the origin was refused for its offset, and a
+    # point of it could read as not contained (residual 1.1e-8 > 1e-9).
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        pts = scale * rng.standard_normal((3, 4))
+        plane = span_from_points(pts).plane
+        assert all(plane.contains_point(p) for p in pts)
+        normal = np.linalg.svd(np.column_stack([pts[1] - pts[0], pts[2] - pts[0]]))[0][:, -1]
+        for p in pts:
+            assert not plane.contains_point(p + 1e-3 * np.linalg.norm(p) * normal)
+
+
+def test_span_from_points_follows_the_point_rule():
+    # Points of different lengths once ended in a raw ValueError, and a numpy
+    # complex point lost its imaginary part.
+    with pytest.raises(InputDomainError, match=r"finite point of R\^2"):
+        span_from_points([[0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(InputDomainError, match="finite point of R"):
+        span_from_points([np.array([0.0, 1j]), [1.0, 0.0]])
+    with pytest.raises(InputDomainError, match="finite point of R"):
+        line_through([0.0, np.nan], [1.0, 0.0])
+
+
 def test_span_from_points_sigma_matches_svd_oracle():
     rng = np.random.default_rng(2)
     pts = [rng.standard_normal(4) for _ in range(4)]
@@ -147,8 +173,10 @@ def test_fiber_sample_refuses_non_finite_input(z, radius, message):
 
 @pytest.mark.parametrize("z, w", [([math.nan, 0.0], [0.0, 0.0]),
                                   ([0.0, 0.0], [0.0, -math.inf]),
-                                  ([0.0, 0.0], [0.0, 0.0, 0.0])],
-                         ids=["nan", "inf", "lengths"])
+                                  ([0.0, 0.0], [0.0, 0.0, 0.0]),
+                                  (np.array([1.0, 2j]), [1.0, 0.0]),
+                                  ([0.0], np.array([1j]))],
+                         ids=["nan", "inf", "lengths", "complex-z", "complex-w"])
 def test_agreement_precision_refuses_non_finite_points(z, w):
     # agreement_precision([nan, 0], [0, 0]) once returned nan, and points of
     # different lengths ended in a raw ValueError.
@@ -163,6 +191,30 @@ def test_agreement_precision_of_far_points():
         t = agreement_precision([1e200, 1e200], [0.0, 0.0])
     assert t == pytest.approx(-math.log2(math.sqrt(2.0) * 1e200))
     assert t == pytest.approx(-664.8, abs=0.1)
+
+
+@pytest.mark.parametrize("z, w", [([1e308], [-1e308]),
+                                  ([1.7e308, -1.7e308], [-1.7e308, 1.7e308]),
+                                  ([1.5e308, 1.5e308], [0.0, 0.0])],
+                         ids=["opposite", "opposite-2d", "hypot-overflow"])
+def test_agreement_precision_near_the_float_maximum(z, w):
+    # z - w overflowed to inf for coordinates of opposite sign near the float
+    # maximum, and hypot did for far points in more than one coordinate.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = agreement_precision(z, w)
+    quarter = np.array(z) / 4.0 - np.array(w) / 4.0
+    assert t == pytest.approx(-2.0 - math.log2(math.hypot(*quarter)), abs=1e-12)
+    assert t == pytest.approx(agreement_precision(np.array(z) / 4.0, np.array(w) / 4.0) - 2.0)
+    if len(z) == 1:
+        assert t == pytest.approx(-1.0 - math.log2(1e308), abs=1e-12)  # about -1024.15
+
+
+def test_agreement_precision_keeps_small_differences_beside_large_coordinates():
+    # Only an overflowing distance is scaled: points far from the origin keep
+    # the bits of a small difference.
+    assert agreement_precision([1e300, 1e-300], [1e300, 0.0]) == -math.log2(1e-300)
+    assert agreement_precision([1e308, 5e-324], [1e308, 0.0]) == 1074.0
 
 
 def test_agreement_precision():
