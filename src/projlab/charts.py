@@ -16,7 +16,8 @@ Both selections score only the index sets that a bound lets win.  A
 :class:`Chart` of outside values is checked when it is made; the charts of
 checked bases (:func:`charts_of`) are not.  A chart basis has full rank by its
 identity block, so :func:`from_chart`, :func:`embed_relative` and
-:func:`perturb_within` take the plane of its QR factor unchecked.
+:func:`perturb_within` take the plane of its QR factor unchecked.  Rank is
+refused by matrixkit's one rule, in :func:`chart_bases` by a Hadamard stand-in.
 """
 
 from __future__ import annotations
@@ -35,10 +36,6 @@ from .errors import (DegeneracyError, InputDomainError, PremiseViolationError,
                      integer, integer_argument, parse_json, read_fields)
 from .grassmann import Subspace, _dimensions, _from_orthonormal, contains, haar_bases, metric_rho
 
-# A matrix whose smallest singular value relative to its largest (at most 1 for
-# a projection's columns), or whose largest row-block |det| relative to the
-# product of its column norms, is at most this is rank deficient.
-_RANK_TOL = 1e-10
 # Submatrices per batched eigvalsh/det call: memory stays at 1024 x n x k
 # floats whatever binom(n, k) and the number of projections are.
 _SUBSET_BLOCK = 1024
@@ -74,11 +71,7 @@ class Chart:
         idx = mk.validate_index_set(self.I, n)
         if len(idx) != k:
             raise InputDomainError(f"index set must have {k} entries, got {len(idx)}")
-        f = np.asarray(self.free, dtype=float)
-        if f.shape != (n - k, k):
-            raise InputDomainError(f"free block shape {f.shape}, expected {(n - k, k)}")
-        if not np.isfinite(f).all():
-            raise InputDomainError("free block entries must be finite")
+        f = mk.as_matrix(self.free, "free block", (n - k, k))
         self.__dict__.update(n=n, k=k, I=idx, free=f)
 
     def reconstruct(self) -> np.ndarray:
@@ -146,8 +139,7 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     S = (P + P^T) / 2, scores each I, and sigma = sqrt(max(lambda, 0)).  By Cauchy
     interlacing lambda is at most the bound (a + c)/2 - hypot((a - c)/2, b) of
     each 2 x 2 block of I, so a block bounded over ``_EIG_SLACK`` below a scored
-    lambda is skipped.  A rank-k P has a best sigma >= binom(n, k)^(-1/2); one at
-    the rank tolerance raises DegeneracyError.
+    lambda is skipped.  No rank test runs: a checked P's best sigma >= binom(n, k)^(-1/2).
     """
     d, n, _ = p.shape
     subsets = _index_subsets(n, k)
@@ -162,8 +154,6 @@ def _good_columns(p: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
         np.linalg.eigvalsh(sym[i[:, None, None], s[:, :, None], s[:, None]])[..., 0]))
     best = np.argmax(lam, axis=1)
     cols, sigma = subsets[best], np.sqrt(np.maximum(lam[np.arange(d), best], 0.0))
-    if sigma.min() <= _RANK_TOL:
-        raise DegeneracyError("matrix is rank deficient", sigma=float(sigma.min()))
     return cols, sigma, p[np.arange(d)[:, None, None], np.arange(n)[:, None], cols[:, None]]
 
 
@@ -213,7 +203,7 @@ def good_submatrix(a) -> tuple[tuple, ConditionReport]:
     if n < m:
         raise InputDomainError(f"need rows >= cols, got {n}x{m}")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= _RANK_TOL * s[0]:
+    if mk.rank_deficient(s):
         raise DegeneracyError("matrix is rank deficient", sigma=float(s[-1]))
     # Where the best |det| leaves the normal range, I is that of A scaled exactly by 2^-e,
     # max |A| in [1/2, 1).  Values past the range read inf; no s1^m is formed to underflow.
@@ -233,18 +223,25 @@ def chart_bases(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the (D, k) row index sets I maximizing |det(A_I)|
     (:func:`_good_rows`) and the (D, n, k) chart bases A' = A A_I^{-1}, with
     the identity at the I-rows and the free block elsewhere; one batched
-    inverse normalizes the row blocks.  By Hadamard's inequality every
-    |det(A_I)| is at most the product of A's column norms, so a basis whose
-    best |det| is at most ``_RANK_TOL`` times that product has dependent
-    columns and raises :class:`DegeneracyError`.
+    inverse normalizes the row blocks.  A basis whose best |det| is at most
+    ``SINGULARITY_RTOL`` times the product of its column norms, Hadamard's bound on
+    every |det|, raises :class:`DegeneracyError`: the rank rule's one stand-in.  Where
+    either leaves the normal range, the basis scaled exactly by 2^-e, max |A| in [1/2, 1),
+    is selected and tested instead.
     """
-    k = a.shape[2]
-    rows, dets = _good_rows(a)
-    low = dets <= _RANK_TOL * np.prod(np.linalg.norm(a, axis=1), axis=1)
+    with np.errstate(over="ignore"):
+        rows, dets = _good_rows(a)
+        hadamard = np.prod(np.linalg.norm(a, axis=1), axis=1)
+    far = ~((np.finfo(float).tiny <= dets) & (hadamard < np.inf))  # as |det| <= hadamard
+    if far.any():  # 2^-0 leaves every other basis bit for bit
+        a = np.ldexp(a, -(far * np.frexp(np.abs(a).max(axis=(1, 2)))[1])[:, None, None])
+        rows[far], dets[far] = _good_rows(a[far])
+        hadamard[far] = np.prod(np.linalg.norm(a[far], axis=1), axis=1)
+    low = dets <= mk.SINGULARITY_RTOL * hadamard
     if low.any():
         raise DegeneracyError("basis is rank deficient", sigma=float(dets[low].min()))
     a_prime = a @ np.linalg.inv(a[np.arange(len(a))[:, None], rows])
-    a_prime[np.arange(len(a))[:, None], rows] = np.eye(k)
+    a_prime[np.arange(len(a))[:, None], rows] = np.eye(a.shape[2])
     return rows, a_prime
 
 

@@ -13,17 +13,6 @@ class InputDomainError(ProjlabError, ValueError):
     """An argument is outside the documented domain of an operation."""
 
 
-class SingularityError(ProjlabError, ValueError):
-    """A matrix required to be invertible is (numerically) singular.
-
-    Carries the offending smallest singular value in ``sigma``.
-    """
-
-    def __init__(self, message, sigma):
-        super().__init__(f"{message} (sigma={sigma:.3e})")
-        self.sigma = sigma
-
-
 class DegeneracyError(ProjlabError, ValueError):
     """A geometric configuration is degenerate (dependent vectors, coincident
     points, collapsed spans).  Carries the conditioning value in ``sigma``."""
@@ -31,6 +20,10 @@ class DegeneracyError(ProjlabError, ValueError):
     def __init__(self, message, sigma):
         super().__init__(f"{message} (sigma={sigma:.3e})")
         self.sigma = sigma
+
+
+class SingularityError(DegeneracyError):
+    """A matrix required to be invertible is singular by the rank rule, sigma_min ``sigma``."""
 
 
 class PremiseViolationError(ProjlabError, ValueError):

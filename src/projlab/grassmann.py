@@ -5,8 +5,8 @@ orthonormal n x k basis Q of its span.  The metric is the spectral norm of
 the difference of projection matrices, which coincides with the sup over
 unit vectors of the projected-image distance.  A plane is checked once, at
 the door for outside values: ``Subspace(n, k, proj)`` checks P and takes Q
-from its top-k eigenvectors, :func:`from_basis` tests its matrix's rank, and
-``AffinePlane(direction, offset)`` its offset.  Every plane built from a
+from its top-k eigenvectors, :func:`from_basis` its matrix's rank by the rank
+rule, and ``AffinePlane(direction, offset)`` its offset.  Every plane built from a
 checked value (:func:`sample_uniform`, :func:`from_basis`, :func:`orthogonal_complement`,
 the charts' planes) takes Q from a QR factor and P = sym(Q Q^T) by
 :func:`_from_orthonormal`, unchecked, as :meth:`AffinePlane.through` its offset p - P p.
@@ -53,7 +53,7 @@ class Subspace:
 
     def __post_init__(self):
         n, k = _dimensions(self.n, self.k)
-        p = np.asarray(self.proj, dtype=float)
+        p = mk.as_matrix(self.proj, "projection matrix")
         if p.shape != (n, n):
             raise InputDomainError(f"projection matrix shape {p.shape} does not match n={n}")
         check_projections(p, k)
@@ -150,18 +150,24 @@ def _from_orthonormal(q: np.ndarray) -> Subspace:
 
 
 def from_basis(a) -> Subspace:
-    """The span of an (n, k) matrix's columns, 0 < k < n, with its QR factor as basis.
-    Dependent columns, as k > n columns always are, raise :class:`DegeneracyError`,
-    at any scale: the test runs on A scaled exactly by 2^-e, max |A| in [2^(e-1), 2^e)."""
+    """The span of an (n, k) matrix's columns, 0 < k < n (:func:`_basis_span`)."""
+    return _basis_span(a)[0]
+
+
+def _basis_span(a) -> tuple[Subspace, float]:
+    """:func:`from_basis` of ``a``, with its QR factor as basis, and sigma_min(A); columns dependent
+    by the rank rule, as k > n always are (sigma 0), raise :class:`DegeneracyError`.  The SVD
+    and QR take A scaled exactly by 2^-e, max |A| in [2^(e-1), 2^e): no over- or underflow."""
     a = mk.as_matrix(a)
-    a = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+    e = np.frexp(np.abs(a).max())[1]
+    a = np.ldexp(a, -e)
     n, k = a.shape
-    sigma = np.linalg.svd(a, compute_uv=False)[-1] if k <= n else 0.0
-    if sigma <= 1e-8:
-        raise DegeneracyError("basis columns are (nearly) linearly dependent",
-                              sigma=float(sigma))
+    s = np.linalg.svd(a, compute_uv=False) if k <= n else np.zeros(1)
+    sigma = float(np.ldexp(s[-1], e))
+    if mk.rank_deficient(s):
+        raise DegeneracyError("basis columns are (nearly) linearly dependent", sigma=sigma)
     _dimensions(n, k)
-    return _from_orthonormal(haar_bases(a))
+    return _from_orthonormal(haar_bases(a)), sigma
 
 
 def project_point(v: Subspace, x) -> np.ndarray:

@@ -3,6 +3,8 @@ Neumann-series perturbation bound for inverses.
 
 Everything here is a pure function of ndarrays.  Matrices are plain numpy
 arrays; index sets are strictly increasing tuples of 0-based row positions.
+Every door that refuses a singular or dependent matrix applies :func:`rank_deficient`
+to its SVD; ``chart_bases``, which takes none, stands in with a Hadamard bound.
 """
 
 from __future__ import annotations
@@ -14,18 +16,24 @@ import numpy as np
 
 from .errors import InputDomainError, SingularityError, integer_argument
 
-# A square matrix with sigma_min <= SINGULARITY_RTOL * sigma_max is treated
-# as singular; scale-relative so the test is unit-free.
+# Rank relative to sigma_max, so unit-free (Golub & Van Loan, Matrix Computations, 5.4.1).
 SINGULARITY_RTOL = 1e-10
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce to a float 2-d array and validate finiteness."""
+def rank_deficient(s: np.ndarray) -> bool:
+    """The rank rule: sigma_min <= SINGULARITY_RTOL * sigma_max of descending ``s``."""
+    return bool(s[-1] <= SINGULARITY_RTOL * s[0])
+
+
+def as_matrix(m, what: str = "matrix", shape: tuple | None = None) -> np.ndarray:
+    """``m`` as a finite real 2-d array, nonempty or of ``shape``, else InputDomainError."""
+    if np.iscomplexobj(m):
+        raise InputDomainError(f"{what} entries must be real, got a complex value")
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise InputDomainError(f"expected a 2-d matrix, got shape {getattr(a, 'shape', None)}")
+    if a.ndim != 2 or a.size == 0 or shape not in (None, a.shape):
+        raise InputDomainError(f"{what} shape {a.shape}, expected {shape or 'a 2-d matrix'}")
     if not np.all(np.isfinite(a)):
-        raise InputDomainError("matrix entries must be finite")
+        raise InputDomainError(f"{what} entries must be finite")
     return a
 
 
@@ -69,16 +77,13 @@ def determinant(m) -> float:
 
 
 def inverse(m) -> np.ndarray:
-    """Matrix inverse, rejecting numerically singular input.
-
-    Raises :class:`SingularityError` carrying the smallest singular value
-    when sigma_min <= SINGULARITY_RTOL * sigma_max.
-    """
+    """Matrix inverse; a matrix singular by :func:`rank_deficient` raises
+    :class:`SingularityError` carrying its smallest singular value."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise InputDomainError("inverse requires a square matrix")
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= SINGULARITY_RTOL * s[0] or s[0] == 0.0:
+    if rank_deficient(s):
         raise SingularityError("matrix is numerically singular", sigma=float(s[-1]))
     return np.linalg.inv(a)
 
@@ -120,14 +125,12 @@ def perturbation_inverse_bound(a, a2) -> PerturbationBound:
     a_inv = inverse(a)
     inv_norm, diff_norm = spectral_norm(a_inv), spectral_norm(a - a2)
     premise = inv_norm * diff_norm < 1.0
-    s2 = np.linalg.svd(a2, compute_uv=False)
-    if premise and s2[-1] <= SINGULARITY_RTOL * s2[0]:
-        # The premise guarantees A2 is invertible; a singular A2 here would
-        # contradict the Neumann-series argument.
-        raise SingularityError("perturbed matrix singular although the Neumann premise holds",
-                               sigma=float(s2[-1]))
-    if not premise and s2[-1] <= SINGULARITY_RTOL * max(s2[0], 1.0):
+    try:
+        a2_inv = inverse(a2)
+    except SingularityError:
+        if premise:  # A2 is invertible by the premise yet singular by the rank rule.
+            raise
         return PerturbationBound(np.inf, np.inf, False)
-    actual = spectral_norm(a_inv - np.linalg.inv(a2))
+    actual = spectral_norm(a_inv - a2_inv)
     bound = inv_norm**2 * diff_norm / (1.0 - inv_norm * diff_norm) if premise else np.inf
     return PerturbationBound(bound, actual, premise)

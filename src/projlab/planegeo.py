@@ -1,5 +1,5 @@
-"""Constructive plane geometry: spans from points, lines, fiber hyperplanes,
-and dyadic agreement precision.  Logarithms are base 2 throughout.
+"""Constructive plane geometry: spans from points (by the rank rule), lines, fiber
+hyperplanes, and dyadic agreement precision.  Logarithms are base 2 throughout.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matrixkit as mk
 from .errors import InputDomainError
-from .grassmann import AffinePlane, Subspace, _point, from_basis, orthogonal_complement
+from .grassmann import AffinePlane, Subspace, _basis_span, _point, orthogonal_complement
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,16 @@ def span_from_points(points) -> SpanResult:
     """Affine k-plane through k+1 points whose differences are independent.
 
     ``sigma`` is the smallest singular value of the matrix with columns
-    p_i - p_0.  :func:`from_basis` refuses dependent differences at any scale.
+    p_i - p_0, read off the SVD by which :func:`from_basis`'s rank rule refuses
+    dependent differences at any scale.
     """
     pts = list(points)
     if len(pts) < 2:
         raise InputDomainError("need at least two points")
     p0 = _point("point", pts[0])
     diffs = np.column_stack([_point("point", p, p0.size) - p0 for p in pts[1:]])
-    return SpanResult(plane=AffinePlane.through(from_basis(diffs), p0),
-                      sigma=mk.smallest_singular_value(diffs))
+    direction, sigma = _basis_span(diffs)
+    return SpanResult(plane=AffinePlane.through(direction, p0), sigma=sigma)
 
 
 def line_through(z, w) -> AffinePlane:

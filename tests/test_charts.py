@@ -247,7 +247,8 @@ def test_good_submatrix_rejects_rank_deficient():
         good_submatrix(a)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-11, 1.0, 1e11, 1e300])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e-11, 1.0, 1e11, 1e160, 1e300])
 def test_good_submatrix_rank_rule_is_scale_free(scale):
     # The rank test was absolute, sigma_min <= 1e-10: a perfectly conditioned
     # matrix at scale 1e-11 was refused, though chart_bases charted it.
@@ -263,9 +264,21 @@ def test_good_submatrix_rank_rule_is_scale_free(scale):
     assert report.inv_norm_bound == pytest.approx(math.sqrt(11.0) / scale)
     # |det| 6 scale^2 of rows (0, 2) beats 3 scale^2 and 2 scale^2, also where
     # scale^2 leaves the float range.
-    assert good_submatrix(scale * np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0]]))[0] == (0, 2)
-    if 1e-150 < scale < 1e150:  # chart_bases' Hadamard product of column norms under/overflows
-        assert charts.chart_bases(a[None])[0].tolist() == [[0, 1]]
+    b = scale * np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    assert good_submatrix(b)[0] == (0, 2)
+    # chart_bases' |det| and Hadamard product of column norms once under- or
+    # overflowed here (1e-300 was refused, 1e160 and 1e300 after overflow
+    # warnings).  It selects and tests such a basis scaled by 2^-e, and charts
+    # a unit-scale basis of the same stack bit for bit as alone.
+    q = grassmann.haar_bases(np.random.default_rng(5).standard_normal((3, 2)))
+    rows, bases = charts.chart_bases(np.stack([a, b, q]))
+    assert rows[:2].tolist() == [[0, 1], [0, 2]]
+    assert bases[0].tolist() == np.eye(3, 2).tolist()
+    assert np.allclose(bases[1], [[1.0, 0.0], [0.0, 0.5], [0.0, 1.0]], rtol=0.0, atol=1e-15)
+    q_rows, q_bases = charts.chart_bases(q[None])
+    assert rows[2:].tobytes() == q_rows.tobytes() and bases[2:].tobytes() == q_bases.tobytes()
+    with pytest.raises(DegeneracyError, match="rank deficient"):
+        charts.chart_bases((a @ np.array([[1.0, 1.0], [0.0, 1e-11]]))[None])
     # sigma_min / sigma_max just above and at the tolerance 1e-10.
     good_submatrix(a @ np.diag([1.0, 2e-10]))
     with pytest.raises(DegeneracyError, match="rank deficient"):
@@ -295,13 +308,20 @@ def test_good_submatrix_rank_rule_is_scale_free(scale):
     (lambda: embed_relative(to_chart(sample_uniform(4, 2, np.random.default_rng(0))),
                             sample_uniform(5, 3, np.random.default_rng(1))),
      r"^a chart in G\(4, 2\) does not fit a containing plane of dimension 3$"),
+    # A numpy complex array once lost its imaginary part: good_submatrix
+    # returned (0,) here though |2j| > |1 + 1j|, and the chart kept [[1.0]].
+    (lambda: good_submatrix(np.array([[1 + 1j], [2j]])), "matrix entries must be real"),
+    (lambda: Chart(n=2, k=1, I=(0,), free=np.array([[1 + 2j]])),
+     "free block entries must be real"),
+    (lambda: Chart(n=2, k=1, I=(0,), free=[[1 + 2j]]), "free block entries must be real"),
 ], ids=["good_submatrix-wide", "relative_chart-k1-not-below-k2",
         "chart_stability-fractional-trials", "chart_stability-zero-trials",
         "chart_stability-negative-trials", "stability_constant-zero-sigma",
         "stability_constant-k-above-n", "stability_constant-k-equals-n",
         "stability_constant-fractional-n", "stability_constant-none-k",
         "stability_constant-string-sigma", "stability_constant-complex-sigma",
-        "embed_relative-size-mismatch"])
+        "embed_relative-size-mismatch", "good_submatrix-complex", "chart-complex-array",
+        "chart-complex-list"])
 def test_chart_arguments_out_of_domain(call, message):
     # Fractional trials once raised a raw TypeError, trials <= 0 returned a
     # vacuous (0.0, constant), c_hat = 0 divided by zero, and a chart of the
@@ -651,8 +671,9 @@ def test_planes_from_checked_values_run_no_check(monkeypatch):
     # Each route builds its plane from an already-checked value through
     # grassmann._from_orthonormal: no projection check and no eigh, no
     # from_basis, Chart or AffinePlane check, and from_chart no rank SVD.
-    # fiber_hyperplane spans its two points by from_basis, the door for
-    # outside values, and builds the complement unchecked.
+    # fiber_hyperplane spans its two points by from_basis's route, the door
+    # for outside values, and builds the complement unchecked: one SVD for the
+    # rank rule, whose sigma span_from_points reports (there were two).
     rng = np.random.default_rng(67)
     v, w = sample_uniform(6, 3, rng), sample_uniform(6, 4, rng)
     c, inner = to_chart(v), to_chart(sample_uniform(4, 2, rng))
@@ -660,7 +681,7 @@ def test_planes_from_checked_values_run_no_check(monkeypatch):
     calls = []
     for owner, name, label in [(grassmann, "check_projections", "check_projections"),
                                (grassmann, "from_basis", "from_basis"),
-                               (planegeo, "from_basis", "from_basis"),
+                               (planegeo, "_basis_span", "_basis_span"),
                                (np.linalg, "eigh", "eigh"), (np.linalg, "svd", "svd"),
                                (Chart, "__post_init__", "Chart check"),
                                (grassmann.AffinePlane, "__post_init__", "AffinePlane check")]:
@@ -676,7 +697,7 @@ def test_planes_from_checked_values_run_no_check(monkeypatch):
         assert calls == [], name
     calls.clear()
     h = fiber_hyperplane(z, y)
-    assert calls == ["from_basis", "svd", "svd"]
+    assert calls == ["_basis_span", "svd"]
     # perturb_within charts v from its basis (one det) and runs an SVD for
     # the step's norm and for each trial's metric, nothing else.
     trials = []
@@ -690,12 +711,11 @@ def test_planes_from_checked_values_run_no_check(monkeypatch):
 
 
 def test_chart_bases_rejects_rank_deficient_basis():
-    # No row block of a zero basis has a nonzero determinant, and no column
-    # block of the zero matrix has a positive singular value.
+    # No row block of a zero basis has a nonzero determinant.  (_good_columns
+    # takes only checked projections, whose best sigma is >= binom(n, k)^-1/2,
+    # and runs no rank test.)
     with pytest.raises(DegeneracyError, match="rank deficient"):
         charts.chart_bases(np.zeros((2, 3, 1)))
-    with pytest.raises(DegeneracyError, match="rank deficient"):
-        charts._good_columns(np.zeros((2, 3, 3)), 1)
 
 
 @pytest.mark.parametrize("dependent", [
@@ -705,7 +725,7 @@ def test_chart_bases_rejects_rank_deficient_basis():
 ], ids=["parallel", "zero-column", "nearly-parallel"])
 def test_chart_bases_rejects_a_dependent_basis_in_a_stack(dependent):
     # One dependent basis among independent ones: its best |det| is at most
-    # _RANK_TOL times the product of its column norms.
+    # SINGULARITY_RTOL times the product of its column norms.
     q = grassmann.haar_bases(np.random.default_rng(71).standard_normal((3, 4, 2)))
     charts.chart_bases(q)
     with pytest.raises(DegeneracyError, match="rank deficient"):

@@ -281,12 +281,19 @@ def test_subspace_rejects_broken_invariants():
     (lambda: AffinePlane.through(X_AXIS_2D, np.array([1j, 0.0])), "point must be a finite point"),
     (lambda: AffinePlane(X_AXIS_2D).contains_point(np.array([1 + 1j, 0.0])),
      "finite point of R\\^2"),
+    # The matrix doors once dropped the imaginary part of a complex array, so
+    # these were the x-axis, and a complex list died in a raw TypeError.
+    (lambda: Subspace(n=2, k=1, proj=np.array([[1, 5j], [0, 0]])),
+     "projection matrix entries must be real"),
+    (lambda: Subspace(n=2, k=1, proj=[[1, 5j], [0, 0]]), "projection matrix entries must be real"),
+    (lambda: from_basis(np.array([[1 + 1j], [0]])), "matrix entries must be real"),
 ], ids=["subspace-k-not-below-n", "subspace-shape", "from_basis-k-not-below-n",
         "from_basis-square", "contains-across-n", "affine-offset-length", "affine-offset-nan",
         "affine-through-inf", "affine-offset-string", "affine-through-string",
         "contains-point-length", "contains-point-string", "contains-point-nan",
         "project-point-string", "project-point-complex", "affine-offset-complex",
-        "affine-through-complex", "contains-point-complex"])
+        "affine-through-complex", "contains-point-complex", "subspace-complex-array",
+        "subspace-complex-list", "from_basis-complex"])
 def test_subspace_arguments_out_of_domain(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()

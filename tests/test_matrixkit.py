@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from projlab import (InputDomainError, SingularityError, cauchy_binet,
-                     determinant, inverse, perturbation_inverse_bound,
-                     row_submatrix, singular_values, smallest_singular_value,
-                     spectral_norm)
+from projlab import (DegeneracyError, InputDomainError, SingularityError,
+                     cauchy_binet, determinant, from_basis, good_submatrix, inverse,
+                     perturbation_inverse_bound, row_submatrix, singular_values,
+                     smallest_singular_value, span_from_points, spectral_norm)
+from projlab.charts import chart_bases
 
 
 def test_singular_values_identity():
@@ -90,7 +91,12 @@ def test_inverse_norm_is_reciprocal_smallest_singular_value():
     (lambda: inverse(np.ones((2, 3))), "square"),
     (lambda: cauchy_binet(np.ones((1, 2))), "need rows >= cols"),
     (lambda: perturbation_inverse_bound(np.eye(2), np.eye(3)), "same size"),
-], ids=["determinant", "inverse", "cauchy_binet", "perturbation_inverse_bound"])
+    # A numpy complex array once lost its imaginary part: this returned [[1.0]].
+    (lambda: inverse(np.array([[1 + 1j]])), "matrix entries must be real"),
+    (lambda: inverse([[1 + 1j]]), "matrix entries must be real"),
+    (lambda: singular_values(np.array([[1.0, 2j]])), "matrix entries must be real"),
+], ids=["determinant", "inverse", "cauchy_binet", "perturbation_inverse_bound",
+        "inverse-complex-array", "inverse-complex-list", "singular_values-complex"])
 def test_shape_errors_are_typed(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()
@@ -157,6 +163,18 @@ def test_perturbation_bound_premise_fails():
     assert res.bound == math.inf
 
 
+def test_perturbation_bound_of_small_matrices():
+    # The premise-false branch once tested A2 against max(sigma_max, 1), an
+    # absolute threshold, and read this well-conditioned A2 as singular:
+    # actual was inf.
+    res = perturbation_inverse_bound(1e-20 * np.eye(2), 3e-20 * np.eye(2))
+    assert not res.premise_holds and res.bound == math.inf
+    assert res.actual == pytest.approx(1e20 - 1e20 / 3, rel=1e-12)
+    # A2 singular by the rank rule: no claim and no value.
+    res = perturbation_inverse_bound(np.eye(2), np.diag([1.0, 0.0]))
+    assert res == (math.inf, math.inf, False)
+
+
 def test_perturbation_bound_random_trials():
     rng = np.random.default_rng(23)
     holds = 0
@@ -217,3 +235,66 @@ def test_minimum_stretch():
 def test_rejects_nonfinite_entries():
     with pytest.raises(InputDomainError):
         singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def rank_verdicts(doors: dict) -> dict:
+    """Whether each door refuses its matrix; every rank refusal is a DegeneracyError."""
+    verdicts = {}
+    for name, door in doors.items():
+        try:
+            door()
+            verdicts[name] = False
+        except DegeneracyError:
+            verdicts[name] = True
+    return verdicts
+
+
+def rank_doors(a: np.ndarray) -> dict:
+    """The doors that decide the rank of a tall matrix by the rank rule."""
+    return {"from_basis": lambda: from_basis(a),
+            "good_submatrix": lambda: good_submatrix(a),
+            "span_from_points": lambda: span_from_points([np.zeros(len(a)), *a.T])}
+
+
+@pytest.mark.parametrize("small, refused", [(1e-9, False), (1e-11, True)])
+def test_one_basis_gets_one_rank_verdict(small, refused):
+    # from_basis once refused sigma_min <= 1e-8 of its scaled matrix: it and
+    # span_from_points refused the 1e-9 basis that good_submatrix, chart_bases
+    # and inverse (of its top 2 x 2 block) accepted.
+    b = np.array([[1.0, 1.0], [0.0, small], [0.0, 0.0]])
+    doors = rank_doors(b) | {"chart_bases": lambda: chart_bases(b[None]),
+                             "inverse": lambda: inverse(b[:2])}
+    assert rank_verdicts(doors) == dict.fromkeys(doors, refused)
+    assert issubclass(SingularityError, DegeneracyError)
+
+
+@st.composite
+def conditioned_matrices(draw, square=False):
+    """U diag(sigma) V^T, tall unless ``square``, with k >= 2 columns,
+    sigma_max / sigma_min log-uniform in [1e8, 1e12] and sigma_max in
+    [1e-200, 1e200]: about half are rank deficient by the rank rule."""
+    k = draw(st.integers(2, 4))
+    n = k if square else draw(st.integers(k + 1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 10.0 ** draw(st.floats(-200.0, 200.0))
+    cond = 10.0 ** draw(st.floats(8.0, 12.0))
+    sigma = top * cond ** -np.sort(np.r_[0.0, 1.0, rng.uniform(size=k - 2)])
+    u, v = (np.linalg.qr(rng.standard_normal((m, k)))[0] for m in (n, k))
+    return (u * sigma) @ v.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=conditioned_matrices())
+def test_doors_refuse_by_one_rank_rule(a):
+    # Each door refuses exactly when numpy's SVD gives sigma_min <= 1e-10 sigma_max.
+    s = np.linalg.svd(a, compute_uv=False)
+    doors = rank_doors(a)
+    assert rank_verdicts(doors) == dict.fromkeys(doors, bool(s[-1] <= 1e-10 * s[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=conditioned_matrices(square=True))
+def test_inverse_refuses_by_the_rank_rule(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    assert rank_verdicts({"inverse": lambda: inverse(a)}) == {
+        "inverse": bool(s[-1] <= 1e-10 * s[0])}
