@@ -12,6 +12,7 @@ equation serves as the ground-truth oracle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -317,13 +318,41 @@ def _spread_bits(x: np.ndarray, bits: int, k: int) -> None:
         x &= sum(1 << (i + (k - 1) * (i & ~(s - 1))) for i in range(bits))
 
 
+@functools.cache
+def _spread_tables(k: int, bits: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only (k, 2^bits) table of the spread cells below 2^bits,
+    :func:`_spread_bits` of arange(2^bits), shifted left by a in row a:
+    row a maps a cell of axis a to its bits of the Morton key."""
+    spread = np.arange(1 << bits, dtype=dtype)
+    _spread_bits(spread, bits, k)
+    tables = spread << np.arange(k, dtype=dtype)[:, None]
+    tables.flags.writeable = False
+    return tables
+
+
 def _morton_keys(cells: np.ndarray, bits: int) -> np.ndarray:
-    """The (B, M) keys of a (B, k, M) stack of cells below 2^bits: the cell
-    for k = 1, the Morton (Z-order) interleave of the k coordinates for
-    k >= 2, built in place in ``cells``."""
+    """The (B, M) keys, of the cells' dtype, of a (B, k, M) stack of cells
+    below 2^bits: the cell for k = 1, the Morton (Z-order) interleave of the
+    k coordinates for k >= 2.
+
+    When the k tables of :func:`_spread_tables` hold at most
+    ``COUNT_BATCH_POINTS`` entries, each axis's cells are looked up in
+    their row, which spreads and shifts them in one gather (Raman & Wise,
+    IEEE Trans. Computers 57, 2008), into a new array of keys that the
+    rows are ORed into; the gather's bounds check refuses a cell of 2^bits
+    or more.  Wider cells, and 0-bit cells (all 0, for any k), are spread
+    and shifted in place in ``cells``.  So with k x bits <= 63, as every
+    caller keeps, at most 264 tables of int32 and int64 cells, 2.3 MiB in
+    all, are ever cached."""
     k = cells.shape[1]
     if k == 1:
         return cells[:, 0]
+    if 0 < bits and k << bits <= COUNT_BATCH_POINTS:
+        tables = _spread_tables(k, bits, cells.dtype)
+        keys = np.take(tables[0], cells[:, 0])
+        for axis in range(1, k):
+            keys |= np.take(tables[axis], cells[:, axis])
+        return keys
     _spread_bits(cells, bits, k)
     cells <<= np.arange(k, dtype=cells.dtype)[:, None]
     return np.bitwise_or.reduce(cells, axis=1)
@@ -334,7 +363,8 @@ def _box_counts(tiles, clouds: int, k: int, bits: int, size: int, scale_lo: int,
     """(clouds, scales) occupied-box counts at scales 2^-scale_lo..2^-scale_hi
     of a (clouds, k, size) stack of cells at ``scale_hi``, which the caller
     keeps in [0, 2^bits), given as tiles: (clouds, k, M) slices of its
-    points, each keyed in place.
+    points, each keyed by :func:`_morton_keys` (by table lookup when k x
+    2^bits <= ``COUNT_BATCH_POINTS``, in place by shifts otherwise).
 
     All scales are counted from one ordered list of the occupied cells at
     ``scale_hi`` (Liebovitch & Toth, Phys. Lett. A 141, 1989).  Dyadic grids
@@ -557,10 +587,12 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
     keys follow no one sort order, and for the identity word, whose one
     image the sort would not repay, each word image is one (B, k, N0) intp
     tile, marked point by point.  On the sort path :func:`_box_counts`
-    sorts one (B, k, W * N0) tile of :func:`_key_dtype` cells that holds
-    every image, one block per word.  One :func:`_fit_table` fits all
-    counts.  The rows, the images and the tile are allocated once per call,
-    as large as the largest batch, and nothing is kept between calls.
+    sorts the keys of one (B, k, W * N0) tile of :func:`_key_dtype` cells
+    that holds every image, one block per word.  One :func:`_fit_table`
+    fits all counts.  The rows, the images and the tile are allocated once
+    per call, as large as the largest batch, and nothing is kept between
+    calls but the read-only spread tables that :func:`_morton_keys` caches,
+    16 KiB for k = 4 at scale_hi 8.
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
     anything is projected.  A non-finite coordinate and frames that are not

@@ -27,9 +27,13 @@ def rank_deficient(s: np.ndarray) -> bool:
 
 def as_matrix(m, what: str = "matrix", shape: tuple | None = None) -> np.ndarray:
     """``m`` as a finite real 2-d array, nonempty or of ``shape``, else InputDomainError."""
-    if np.iscomplexobj(m):
+    try:
+        complex_entries = np.iscomplexobj(m)
+        a = None if complex_entries else np.asarray(m, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputDomainError(f"{what} must be a 2-d array of real numbers: {exc}") from None
+    if complex_entries:
         raise InputDomainError(f"{what} entries must be real, got a complex value")
-    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.size == 0 or shape not in (None, a.shape):
         raise InputDomainError(f"{what} shape {a.shape}, expected {shape or 'a 2-d matrix'}")
     if not np.all(np.isfinite(a)):

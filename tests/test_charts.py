@@ -314,6 +314,9 @@ def test_good_submatrix_rank_rule_is_scale_free(scale):
     (lambda: Chart(n=2, k=1, I=(0,), free=np.array([[1 + 2j]])),
      "free block entries must be real"),
     (lambda: Chart(n=2, k=1, I=(0,), free=[[1 + 2j]]), "free block entries must be real"),
+    # A string entry once ended in numpy's raw ValueError.
+    (lambda: Chart(n=2, k=1, I=(0,), free=[["x"]]),
+     "^free block must be a 2-d array of real numbers: "),
 ], ids=["good_submatrix-wide", "relative_chart-k1-not-below-k2",
         "chart_stability-fractional-trials", "chart_stability-zero-trials",
         "chart_stability-negative-trials", "stability_constant-zero-sigma",
@@ -321,7 +324,7 @@ def test_good_submatrix_rank_rule_is_scale_free(scale):
         "stability_constant-fractional-n", "stability_constant-none-k",
         "stability_constant-string-sigma", "stability_constant-complex-sigma",
         "embed_relative-size-mismatch", "good_submatrix-complex", "chart-complex-array",
-        "chart-complex-list"])
+        "chart-complex-list", "chart-string-entry"])
 def test_chart_arguments_out_of_domain(call, message):
     # Fractional trials once raised a raw TypeError, trials <= 0 returned a
     # vacuous (0.0, constant), c_hat = 0 divided by zero, and a chart of the

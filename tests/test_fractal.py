@@ -608,6 +608,75 @@ def test_spread_bits_at_the_widest_keys(k, dtype, width):
     check_spread(values, dtype, bits, k)
 
 
+def morton_reference(cell, bits: int) -> int:
+    """Bit i of axis a's coordinate of ``cell`` moved to bit k*i + a."""
+    return sum(spread_reference(c, bits, len(cell)) << a for a, c in enumerate(cell))
+
+
+def check_morton(values, dtype, bits):
+    # A strided (B, k, M) stack, as a tile of a batch's cells can be.
+    cells = np.zeros((*values.shape, 2), dtype=dtype)[..., 0]
+    cells[:] = values
+    keys = fractal._morton_keys(cells, bits)
+    assert keys.dtype == dtype and keys.shape == (len(values), values.shape[2])
+    expected = [[morton_reference(cell, bits) for cell in cloud.T.tolist()] for cloud in values]
+    assert keys.tolist() == expected
+
+
+@st.composite
+def morton_inputs(draw):
+    """(B, k, M) cells below 2^bits, the all-ones cell last in each cloud,
+    for k = 2..8 on int32 (k * bits <= 31, the int32 key limit), int64 or
+    intp (k * bits <= 63): bits fall on both sides of the spread tables'
+    bound, k << bits <= COUNT_BATCH_POINTS, for k <= 4."""
+    k = draw(st.integers(2, 8))
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.intp]))
+    bits = draw(st.integers(0, (31 if dtype is np.int32 else 63) // k))
+    batch, count = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    cells = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=batch * k * count,
+                          max_size=batch * k * count))
+    values = np.full((batch, k, count + 1), (1 << bits) - 1, dtype=object)
+    values[..., :count] = np.array(cells, dtype=object).reshape(batch, k, count)
+    return values, dtype, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=morton_inputs())
+def test_morton_keys_match_per_bit_reference(case):
+    check_morton(*case)
+
+
+@pytest.mark.parametrize("k, dtype", [(2, np.int32), (2, np.int64), (3, np.int64),
+                                      (4, np.int64)])
+def test_morton_keys_at_the_table_bound(k, dtype):
+    # The widest cells looked up in tables, and one bit wider, shifted.
+    table_bits = (fractal.COUNT_BATCH_POINTS // k).bit_length() - 1
+    assert k << table_bits <= fractal.COUNT_BATCH_POINTS < k << (table_bits + 1)
+    rng = np.random.default_rng(k)
+    for bits in (table_bits, table_bits + 1):
+        values = rng.integers(0, 1 << bits, (2, k, 30)).astype(object)
+        values[:, :, 0] = (1 << bits) - 1
+        values[:, :, 1] = 1 << (bits - 1)
+        check_morton(values, dtype, bits)
+
+
+def test_spread_tables_are_cached_and_read_only():
+    cells = np.array([[[0, 7, 5], [7, 0, 3]]], dtype=np.int32)
+    keys = fractal._morton_keys(cells, 3)
+    assert keys.dtype == np.int32 and keys.tolist() == [[0b101010, 0b010101, 0b011011]]
+    # The lookup leaves the cells as they were.
+    assert cells.tolist() == [[[0, 7, 5], [7, 0, 3]]]
+    tables = fractal._spread_tables(2, 3, np.dtype(np.int32))
+    assert tables is fractal._spread_tables(2, 3, np.dtype(np.int32))
+    assert tables.dtype == np.int32 and tables.shape == (2, 8)
+    assert not tables.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tables[0, 1] = 0
+    # The gather keeps its bounds check: a cell of 2^bits is refused.
+    with pytest.raises(IndexError):
+        fractal._morton_keys(np.array([[[0], [8]]], dtype=np.int32), 3)
+
+
 def record_key_dtypes(monkeypatch):
     """The dtype of each tile of cells keyed."""
     dtypes = []

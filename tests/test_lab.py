@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import numbers
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +220,21 @@ def test_config_from_dict_round_trip():
     cfg = sweep_config()
     again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.echo())))
     assert again.echo() == cfg.echo()
+
+
+def test_config_from_dict_builds_every_byte_check_config(monkeypatch):
+    # tools/same_outputs.py byte-checks these configs in two trees; a config
+    # that a rule now refuses would make both trees exit non-zero.
+    path = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
+    spec = importlib.util.spec_from_file_location("same_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr("sys.path", list(sys.path))
+    cases = tool.configs()
+    assert len(cases) >= 2 * len(tool.extra_configs(7))
+    for name, obj in cases.items():
+        cfg = ExperimentConfig.from_dict(json.loads(json.dumps(obj)))
+        assert cfg.mode == obj["mode"] and cfg.seed in tool.SEEDS, name
 
 
 def test_config_from_dict_missing_field():

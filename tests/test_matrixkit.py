@@ -95,8 +95,12 @@ def test_inverse_norm_is_reciprocal_smallest_singular_value():
     (lambda: inverse(np.array([[1 + 1j]])), "matrix entries must be real"),
     (lambda: inverse([[1 + 1j]]), "matrix entries must be real"),
     (lambda: singular_values(np.array([[1.0, 2j]])), "matrix entries must be real"),
+    # A non-numeric or ragged entry once ended in numpy's raw ValueError.
+    (lambda: inverse([["a"]]), "^matrix must be a 2-d array of real numbers: "),
+    (lambda: inverse([[1, 2], [3]]), "^matrix must be a 2-d array of real numbers: "),
 ], ids=["determinant", "inverse", "cauchy_binet", "perturbation_inverse_bound",
-        "inverse-complex-array", "inverse-complex-list", "singular_values-complex"])
+        "inverse-complex-array", "inverse-complex-list", "singular_values-complex",
+        "inverse-string", "inverse-ragged"])
 def test_shape_errors_are_typed(call, message):
     with pytest.raises(InputDomainError, match=message):
         call()

@@ -5,12 +5,16 @@
 Each tree is the root of a projlab checkout; its ``src`` is put first on
 ``PYTHONPATH``.  The configs are those of the CLI workloads in
 ``perfbench/workloads.py`` (read from this checkout) at seeds 7 and 31, plus
-four sweeps over word images that the benchmark does not run: two k = 1
+six sweeps over word images that the benchmark does not run: two k = 1
 sweeps on the occupancy path, of a mixed-ratio IFS in R^3 counted as the
 images of a base tile under words of unequal ratios and of a sample small
 enough to count as one identity word; a k = 2 sweep on the occupancy path
-of an IFS in R^3 whose words share one ratio; and a k = 1 sweep of the same
-IFS on the sort path, counted as the images of 16 words.  Both trees run
+of an IFS in R^3 whose words share one ratio; a k = 1 sweep of the same
+IFS on the sort path, counted as the images of 16 words; and two k = 2
+sweeps on the sort path with int32 keys, of an IFS in R^3 of ratio 1/8,
+whose cells are spread into Morton keys by table lookup (scale_hi 12) and
+by shifts (scale_hi 14).  Every config builds through
+``ExperimentConfig.from_dict``, which tier-1 checks.  Both trees run
 ``projlab`` on every config, and the tool prints the sha256 of each
 ``results.csv`` and ``summary.json``, one row per file.  It exits 0 when
 every file is the same in both trees and 1 otherwise.
@@ -42,10 +46,12 @@ def extra_configs(seed: int) -> dict[str, dict]:
     dust = {"n": 2, "label": "cantor-dust",
             "maps": [{"ratio": 1 / 3, "translation": [x, y]}
                      for x in (0.0, 2 / 3) for y in (0.0, 2 / 3)]}
-    corners = {"n": 3, "label": "corners-0.4-R3",
-               "maps": [{"ratio": 0.4, "translation": t}
-                        for t in ([0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [0.0, 0.6, 0.0],
-                                  [0.0, 0.0, 0.6])]}
+    corners, eighths = ({"n": 3, "label": f"corners-{ratio}-R3",
+                         "maps": [{"ratio": ratio, "translation": t}
+                                  for t in ([0.0, 0.0, 0.0], [0.6, 0.0, 0.0],
+                                            [0.0, 0.6, 0.0], [0.0, 0.0, 0.6])]}
+                        for ratio in (0.4, 0.125))
+    planes_sort = common | {"ifs": eighths, "n": 3, "k": 2, "depth": 8, "num_directions": 4}
     return {
         # 3^12 points as 27 words of a 3^9-point tile; 2^15 cells.
         "lines-mixed-ratio": common | {"ifs": mixed, "n": 3, "depth": 12, "scale_hi": 14},
@@ -56,6 +62,10 @@ def extra_configs(seed: int) -> dict[str, dict]:
                                   "num_directions": 4},
         # 4^9 points as 16 words of a 4^7-point tile; 2^21 cells, sorted.
         "sort-words": common | {"ifs": corners, "n": 3, "depth": 9, "scale_hi": 20},
+        # 4^8 points as 4 words of a 4^7-point tile, sorted as int32 keys of
+        # 2 x 13 bits, spread by table lookup, and of 2 x 15 bits, by shifts.
+        "planes-sort-table": planes_sort | {"scale_hi": 12},
+        "planes-sort-shifts": planes_sort | {"scale_hi": 14},
     }
 
 
