@@ -16,8 +16,8 @@ Both selections score only the index sets that a bound lets win.  A
 :class:`Chart` of outside values is checked when it is made; the charts of
 checked bases (:func:`charts_of`) are not.  A chart basis has full rank by its
 identity block, so :func:`from_chart`, :func:`embed_relative` and
-:func:`perturb_within` take the plane of its QR factor unchecked.  Rank is
-refused by matrixkit's one rule, in :func:`chart_bases` by a Hadamard stand-in.
+:func:`perturb_within` take the plane of its QR factor unchecked.  Only the doors
+for outside matrices test rank, by matrixkit's one rule.
 """
 
 from __future__ import annotations
@@ -223,23 +223,12 @@ def chart_bases(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the (D, k) row index sets I maximizing |det(A_I)|
     (:func:`_good_rows`) and the (D, n, k) chart bases A' = A A_I^{-1}, with
     the identity at the I-rows and the free block elsewhere; one batched
-    inverse normalizes the row blocks.  A basis whose best |det| is at most
-    ``SINGULARITY_RTOL`` times the product of its column norms, Hadamard's bound on
-    every |det|, raises :class:`DegeneracyError`: the rank rule's one stand-in.  Where
-    either leaves the normal range, the basis scaled exactly by 2^-e, max |A| in [1/2, 1),
-    is selected and tested instead.
+    inverse normalizes the row blocks.  No rank test and no rescale run: every
+    basis is one the library built, with orthonormal columns (a QR factor, a
+    Subspace's basis, Q_W^T Q_V), so of best |det A_I| >= binom(n, k)^(-1/2) by
+    Cauchy-Binet, or a scan grid's, with an identity block of |det| 1.
     """
-    with np.errstate(over="ignore"):
-        rows, dets = _good_rows(a)
-        hadamard = np.prod(np.linalg.norm(a, axis=1), axis=1)
-    far = ~((np.finfo(float).tiny <= dets) & (hadamard < np.inf))  # as |det| <= hadamard
-    if far.any():  # 2^-0 leaves every other basis bit for bit
-        a = np.ldexp(a, -(far * np.frexp(np.abs(a).max(axis=(1, 2)))[1])[:, None, None])
-        rows[far], dets[far] = _good_rows(a[far])
-        hadamard[far] = np.prod(np.linalg.norm(a[far], axis=1), axis=1)
-    low = dets <= mk.SINGULARITY_RTOL * hadamard
-    if low.any():
-        raise DegeneracyError("basis is rank deficient", sigma=float(dets[low].min()))
+    rows = _good_rows(a)[0]
     a_prime = a @ np.linalg.inv(a[np.arange(len(a))[:, None], rows])
     a_prime[np.arange(len(a))[:, None], rows] = np.eye(a.shape[2])
     return rows, a_prime

@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the JSON parser, field
-reader and number casts that raise them."""
+reader and number and array casts that raise them."""
 
 import json
 import operator
+
+import numpy as np
 
 
 class ProjlabError(Exception):
@@ -110,3 +112,14 @@ def integer_argument(name: str, value) -> int:
         return operator.index(value)
     except TypeError:
         raise InputDomainError(f"{name} must be an integer, got {value!r}") from None
+
+
+def real_array(x, what: str, form: str = "an array") -> np.ndarray:
+    """``np.asarray(x, dtype=float)``; a complex ``x`` (the cast drops imaginary parts) or one
+    that does not cast raises :class:`InputDomainError` naming ``what`` and its ``form``."""
+    try:
+        if not np.iscomplexobj(x):
+            return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputDomainError(f"{what} must be {form} of real numbers: {exc}") from None
+    raise InputDomainError(f"{what} entries must be real, got a complex value")

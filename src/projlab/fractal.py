@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (ConfigError, InputDomainError, ResourceBudgetError,
-                     integer, integer_argument, parse_json, read_fields, real)
+                     integer, integer_argument, parse_json, read_fields, real, real_array)
 
 # The most points generate() makes, and the most that a sweep or scan counts.
 # A sweep or scan never holds them: it counts their word images of one base
@@ -48,8 +48,7 @@ class Similarity:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float))
+        object.__setattr__(self, "translation", real_array(self.translation, "translation"))
         if not (0.0 < self.ratio < 1.0):
             raise InputDomainError(f"contraction ratio must be in (0, 1), got {self.ratio}")
         if not np.isfinite(self.translation).all():
@@ -145,9 +144,9 @@ class PointSample:
 
 
 def _as_points(points) -> np.ndarray:
-    """A float array of points, one per row; a 1-d array is one column.
-    Any other rank than 1 or 2 raises :class:`InputDomainError`."""
-    pts = np.asarray(points, dtype=float)
+    """A float array of points, one per row; a 1-d array is one column.  Complex
+    or non-numeric entries or another rank than 1 or 2 raise :class:`InputDomainError`."""
+    pts = real_array(points, "sample", "a vector or an (N, k) point array")
     if pts.ndim not in (1, 2):
         raise InputDomainError(
             f"need a vector or an (N, k) point array, got shape {pts.shape}")
@@ -224,11 +223,11 @@ class TiledSample:
     order: W * N0 points, which nothing materializes.  A plain cloud is the
     one identity word, of ratio 1 and offset 0.
 
-    A base that is not a nonempty (N0, n) array, ratios that are not a
-    (W,) array with W >= 1, offsets that are not (W, n), or a ratio below 0
-    raise :class:`InputDomainError`: the counter takes each image's bounds
-    from the base's, which holds only for ratios >= 0.  Non-finite values
-    are left to the counter, which refuses them."""
+    A base that is not a nonempty real (N0, n) array, ratios that are not a
+    real (W,) array with W >= 1, offsets that are not real (W, n), or a
+    ratio below 0 raise :class:`InputDomainError`: the counter takes each
+    image's bounds from the base's, which holds only for ratios >= 0.
+    Non-finite values are left to the counter, which refuses them."""
 
     base: np.ndarray
     ratios: np.ndarray
@@ -236,7 +235,7 @@ class TiledSample:
 
     def __post_init__(self):
         for name in ("base", "ratios", "offsets"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, real_array(getattr(self, name), name))
         base, ratios, offsets = self.base, self.ratios, self.offsets
         if (base.ndim != 2 or base.size == 0 or ratios.ndim != 1 or ratios.size == 0
                 or offsets.shape != (len(ratios), base.shape[1])):
@@ -511,11 +510,11 @@ def box_dimension(sample, scale_lo: int = 2,
     path sorts int32 keys faster).
 
     This is the one entry that counts outside points, so it checks them
-    for the counter it shares with :func:`projected_dimensions`: an input
-    of another rank than 1 or 2 or a non-finite point raises
-    :class:`InputDomainError`, and cells beyond 2^62 boxes from the origin
-    or keys over 63 bits (k x the bit length of the shifted cells) raise
-    :class:`ResourceBudgetError`.
+    for the counter it shares with :func:`projected_dimensions`: complex or
+    non-numeric entries, an input of another rank than 1 or 2 or a
+    non-finite point raise :class:`InputDomainError`, and cells beyond 2^62
+    boxes from the origin or keys over 63 bits (k x the bit length of the
+    shifted cells) raise :class:`ResourceBudgetError`.
     """
     if scale_hi is None:
         scale_hi = default_scale_hi(sample, scale_lo)
@@ -596,10 +595,10 @@ def projected_dimensions(sample: TiledSample, frames: np.ndarray, scale_lo: int,
 
     k * (scale_hi + 1) > 63 raises :class:`ResourceBudgetError` before
     anything is projected.  A non-finite coordinate and frames that are not
-    a nonempty (D, n, k) stack raise :class:`InputDomainError`.
+    a nonempty real (D, n, k) stack raise :class:`InputDomainError`.
     """
     base, ratios, offsets = sample.base, sample.ratios, sample.offsets
-    frames = np.asarray(frames, dtype=float)
+    frames = real_array(frames, "frames", "a (D, n, k) stack")
     if frames.ndim != 3 or frames.shape[1] != base.shape[1] or frames.size == 0:
         raise InputDomainError(
             f"need a nonempty (D, n, k) frame stack for n={base.shape[1]}, got shape "
@@ -739,7 +738,7 @@ def normalize_unit_box(points) -> np.ndarray:
     """Affinely rescale each coordinate into [0, 1]; coordinates whose range
     is at most ``DEGENERATE_SPAN`` collapse to 0 (dimension-neutral for the
     rest).  A non-finite coordinate, or an input that is not a nonempty
-    vector or (N, k) array, raises :class:`InputDomainError`.
+    real vector or (N, k) array, raises :class:`InputDomainError`.
 
     The result is the transpose of a contiguous (k, N) array, one row per
     coordinate: numpy reduces a narrow (N, k) array along axis 0 slowly.
@@ -836,14 +835,14 @@ def complexity_profile(x, r_max: int,
     digits are extracted once, at r_max: the coordinates are non-negative
     and scaling by 2^r is exact in float64, so floor(x 2^r) ==
     floor(x 2^r_max) >> (r_max - r), and the r-digit truncation is the
-    first r of the r_max digits.  An input that is not a nonempty vector or
-    (N, n) point list, or an r_max that is not an integer in 1..64, raises
-    :class:`InputDomainError`.
+    first r of the r_max digits.  An input that is not a nonempty real
+    vector or (N, n) point list, or an r_max that is not an integer in
+    1..64, raises :class:`InputDomainError`.
     """
     r_max = integer_argument("r_max", r_max)
     if not 1 <= r_max <= 64:
         raise InputDomainError(f"r_max must lie in 1..64, got {r_max}")
-    pts = np.asarray(x, dtype=float)
+    pts = real_array(x, "input", "a vector or an (N, n) point list")
     if pts.ndim not in (1, 2):
         raise InputDomainError(
             f"can profile a vector or an (N, n) point list, got {pts.ndim} dimensions")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .errors import (DegeneracyError, InputDomainError, integer, integer_argument,
-                     parse_json, read_fields)
+                     parse_json, read_fields, real_array)
 
 # Residuals accepted by contains() and, times max(1, ||x||), by contains_point().
 _CONTAINMENT_TOL = 1e-8
@@ -110,8 +110,8 @@ def _point(name: str, x, n: int | None = None) -> np.ndarray:
     any other value, a complex one or a non-finite coordinate included, raises
     :class:`InputDomainError`."""
     try:
-        p = np.empty(0) if np.iscomplexobj(x) else np.asarray(x, dtype=float)
-    except (TypeError, ValueError, OverflowError):
+        p = real_array(x, name)
+    except InputDomainError:
         p = np.empty(0)
     if p.ndim != 1 or p.size == 0 or n not in (None, p.size) or not np.isfinite(p).all():
         raise InputDomainError(

@@ -4,7 +4,7 @@ Neumann-series perturbation bound for inverses.
 Everything here is a pure function of ndarrays.  Matrices are plain numpy
 arrays; index sets are strictly increasing tuples of 0-based row positions.
 Every door that refuses a singular or dependent matrix applies :func:`rank_deficient`
-to its SVD; ``chart_bases``, which takes none, stands in with a Hadamard bound.
+to its SVD, the package's one rank verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputDomainError, SingularityError, integer_argument
+from .errors import InputDomainError, SingularityError, integer_argument, real_array
 
 # Rank relative to sigma_max, so unit-free (Golub & Van Loan, Matrix Computations, 5.4.1).
 SINGULARITY_RTOL = 1e-10
@@ -27,13 +27,7 @@ def rank_deficient(s: np.ndarray) -> bool:
 
 def as_matrix(m, what: str = "matrix", shape: tuple | None = None) -> np.ndarray:
     """``m`` as a finite real 2-d array, nonempty or of ``shape``, else InputDomainError."""
-    try:
-        complex_entries = np.iscomplexobj(m)
-        a = None if complex_entries else np.asarray(m, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputDomainError(f"{what} must be a 2-d array of real numbers: {exc}") from None
-    if complex_entries:
-        raise InputDomainError(f"{what} entries must be real, got a complex value")
+    a = real_array(m, what, "a 2-d array")
     if a.ndim != 2 or a.size == 0 or shape not in (None, a.shape):
         raise InputDomainError(f"{what} shape {a.shape}, expected {shape or 'a 2-d matrix'}")
     if not np.all(np.isfinite(a)):
@@ -43,7 +37,11 @@ def as_matrix(m, what: str = "matrix", shape: tuple | None = None) -> np.ndarray
 
 def validate_index_set(indices, nrows: int) -> tuple[int, ...]:
     """Validate a strictly increasing, in-range, duplicate-free index set of integers."""
-    idx = tuple(integer_argument("index set entry", i) for i in indices)
+    try:
+        entries = iter(indices)
+    except TypeError:
+        raise InputDomainError(f"index set must be iterable, got {indices!r}") from None
+    idx = tuple(integer_argument("index set entry", i) for i in entries)
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise InputDomainError(f"index set {idx} is not strictly increasing")
     if idx and (idx[0] < 0 or idx[-1] >= nrows):

@@ -2,14 +2,16 @@ import itertools
 import json
 import math
 import re
+import types
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from projlab import charts, grassmann, planegeo
+from projlab import charts, grassmann, lab, planegeo
 from projlab import (Chart, DegeneracyError, IFSSpec, InputDomainError,
                      Subspace, chart_stability, contains, embed_relative, fiber_hyperplane,
                      from_basis, from_chart, good_basis, good_submatrix, metric_rho,
@@ -266,19 +268,6 @@ def test_good_submatrix_rank_rule_is_scale_free(scale):
     # scale^2 leaves the float range.
     b = scale * np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
     assert good_submatrix(b)[0] == (0, 2)
-    # chart_bases' |det| and Hadamard product of column norms once under- or
-    # overflowed here (1e-300 was refused, 1e160 and 1e300 after overflow
-    # warnings).  It selects and tests such a basis scaled by 2^-e, and charts
-    # a unit-scale basis of the same stack bit for bit as alone.
-    q = grassmann.haar_bases(np.random.default_rng(5).standard_normal((3, 2)))
-    rows, bases = charts.chart_bases(np.stack([a, b, q]))
-    assert rows[:2].tolist() == [[0, 1], [0, 2]]
-    assert bases[0].tolist() == np.eye(3, 2).tolist()
-    assert np.allclose(bases[1], [[1.0, 0.0], [0.0, 0.5], [0.0, 1.0]], rtol=0.0, atol=1e-15)
-    q_rows, q_bases = charts.chart_bases(q[None])
-    assert rows[2:].tobytes() == q_rows.tobytes() and bases[2:].tobytes() == q_bases.tobytes()
-    with pytest.raises(DegeneracyError, match="rank deficient"):
-        charts.chart_bases((a @ np.array([[1.0, 1.0], [0.0, 1e-11]]))[None])
     # sigma_min / sigma_max just above and at the tolerance 1e-10.
     good_submatrix(a @ np.diag([1.0, 2e-10]))
     with pytest.raises(DegeneracyError, match="rank deficient"):
@@ -634,7 +623,10 @@ def test_chart_rejects_bad_shapes():
     (2, 1.0, (0,), [[1.0]], "k must be an integer, got 1.0"),
     (2, 2, (0, 1), np.zeros((0, 2)), "need 0 < k < n, got k=2, n=2"),
     (2, 0, (), np.zeros((2, 0)), "need 0 < k < n, got k=0, n=2"),
-], ids=["I-fractional", "I-string", "n-string", "k-float", "k-equals-n", "k-zero"])
+    # An index set that is not iterable once ended in a raw TypeError.
+    (3, 1, 5, [[0], [0]], "index set must be iterable, got 5"),
+], ids=["I-fractional", "I-string", "n-string", "k-float", "k-equals-n", "k-zero",
+        "I-not-iterable"])
 def test_chart_types_its_fields(n, k, index_set, free, message):
     with pytest.raises(InputDomainError, match=re.escape(message)):
         Chart(n=n, k=k, I=index_set, free=free)
@@ -711,28 +703,6 @@ def test_planes_from_checked_values_run_no_check(monkeypatch):
     assert trials and calls == ["svd"] * (1 + len(trials))
     assert 0.0 < metric_rho(u, v) <= 1e-3
     assert np.abs(h.proj @ (z - y)).max() <= 1e-12 * np.linalg.norm(z - y)
-
-
-def test_chart_bases_rejects_rank_deficient_basis():
-    # No row block of a zero basis has a nonzero determinant.  (_good_columns
-    # takes only checked projections, whose best sigma is >= binom(n, k)^-1/2,
-    # and runs no rank test.)
-    with pytest.raises(DegeneracyError, match="rank deficient"):
-        charts.chart_bases(np.zeros((2, 3, 1)))
-
-
-@pytest.mark.parametrize("dependent", [
-    np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0], [3.0, 6.0]]),
-    np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
-    np.array([[1.0, 1.0], [1e-12, 0.0], [0.0, 1e-12], [2.0, 2.0]]),
-], ids=["parallel", "zero-column", "nearly-parallel"])
-def test_chart_bases_rejects_a_dependent_basis_in_a_stack(dependent):
-    # One dependent basis among independent ones: its best |det| is at most
-    # SINGULARITY_RTOL times the product of its column norms.
-    q = grassmann.haar_bases(np.random.default_rng(71).standard_normal((3, 4, 2)))
-    charts.chart_bases(q)
-    with pytest.raises(DegeneracyError, match="rank deficient"):
-        charts.chart_bases(np.stack([q[0], dependent, q[1], q[2]]))
 
 
 def test_chart_bases_subnormal_entries_do_not_warn():
@@ -956,3 +926,74 @@ def test_chart_does_not_depend_on_the_basis(plane):
     expected = to_chart(v)
     assert chart.I == expected.I
     assert np.abs(chart.free - expected.free).max() <= 1e-12
+
+
+def assert_chart_bases_precondition(a):
+    """:func:`charts.chart_bases`' precondition on a (D, n, k) stack: every
+    basis has a row block of |det| at least binom(n, k)^(-1/2), up to rounding."""
+    _, n, k = a.shape
+    assert charts._good_rows(a)[1].min() >= (1.0 - 1e-12) * math.comb(n, k) ** -0.5
+
+
+@st.composite
+def grassmannians(draw):
+    """Dimensions 0 < k < n <= 10 and a random generator."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n - 1))
+    return n, k, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gr=grassmannians(), d=st.integers(1, 6))
+def test_haar_bases_meet_the_chart_precondition(gr, d):
+    n, k, rng = gr
+    assert_chart_bases_precondition(grassmann.haar_bases(rng.standard_normal((d, n, k))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gr=grassmannians())
+def test_subspace_bases_meet_the_chart_precondition(gr):
+    # The bases that to_chart and orthonormal_frame hand chart_bases: of a
+    # Haar plane, of a projection's eigenvectors and of a Gaussian basis's plane.
+    n, k, rng = gr
+    v = sample_uniform(n, k, rng)
+    planes = [v, Subspace(n=n, k=k, proj=v.proj), from_basis(rng.standard_normal((n, k)))]
+    assert_chart_bases_precondition(np.stack([w.basis for w in planes]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gr=grassmannians(), data=st.data())
+def test_relative_chart_bases_meet_the_chart_precondition(gr, data):
+    # The k2 x k1 basis Q_W^T Q_V that relative_chart hands chart_bases.
+    n, k2, rng = gr
+    assume(k2 >= 2)
+    k1 = data.draw(st.integers(1, k2 - 1))
+    w = sample_uniform(n, k2, rng)
+    v = from_basis(w.basis @ rng.standard_normal((k2, k1)))
+    with mock.patch.object(charts, "chart_bases", wraps=charts.chart_bases) as spy:
+        relative_chart(v, w)
+    assert_chart_bases_precondition(spy.call_args.args[0])
+
+
+def feasible_scans():
+    """Every (n, k) that a scan config accepts: at least 8 cells on each of
+    the k(n - k) chart axes within num_directions <= 2^32, so k(n - k) <= 11."""
+    return [(n, k) for n in range(2, 14) for k in range(1, n)
+            if lab._scan_cells_per_axis(n, k, 2**32) >= 8]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nk=st.sampled_from(feasible_scans()), data=st.data())
+def test_scan_grid_bases_meet_the_chart_precondition(nk, data):
+    # _grid_directions reads n, k and num_directions alone.  A grid of 8
+    # cells per axis holds up to 8^11 bases, so the grids here have at most
+    # 4096 bases, and fewer cells per axis past k(n - k) = 4; each of their
+    # bases has the identity block of every scan grid basis.
+    n, k = nk
+    axes = k * (n - k)
+    most = max(2, int(4096 ** (1.0 / axes)))
+    cells = data.draw(st.integers(min(8, most), most))
+    config = types.SimpleNamespace(n=n, k=k, num_directions=cells**axes)
+    bases, params = lab._grid_directions(config)
+    assert len(bases) == len(params) == cells**axes
+    assert_chart_bases_precondition(bases)

@@ -209,6 +209,36 @@ def test_sample_and_ifs_reject_bad_shapes(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Similarity(0.5, np.array([1j])), "^translation entries must be real"),
+    (lambda: Similarity(0.5, ["x"]), "^translation must be an array of real numbers: "),
+    (lambda: PointSample(points=np.array([[0.5j, 0.0]]), depth=1),
+     "^sample entries must be real"),
+    (lambda: box_dimension(np.array([0.1 + 1j, 0.2]), 2, 4), "^sample entries must be real"),
+    (lambda: box_dimension("abc"), "^sample must be a vector or an \\(N, k\\) point array "
+                                   "of real numbers: "),
+    (lambda: normalize_unit_box(np.array([[0.1 + 1j], [0.2]])), "^sample entries must be real"),
+    (lambda: TiledSample(np.zeros((2, 1)) + 0j, np.ones(1), np.zeros((1, 1))),
+     "^base entries must be real"),
+    (lambda: TiledSample(np.zeros((2, 1)), [1j], np.zeros((1, 1))),
+     "^ratios entries must be real"),
+    (lambda: TiledSample(np.zeros((2, 1)), np.ones(1), [["x"]]),
+     "^offsets must be an array of real numbers: "),
+    (lambda: projected_dimensions(plain_cloud(np.zeros((4, 2))), np.ones((1, 2, 1)) * 1j, 2, 4),
+     "^frames entries must be real"),
+    (lambda: complexity_profile(np.array([0.5j]), 4), "^input entries must be real"),
+    (lambda: complexity_profile("abc", 4), "^input must be a vector or an \\(N, n\\) point list "
+                                           "of real numbers: "),
+], ids=["similarity-complex", "similarity-string", "point-sample-complex", "box-count-complex",
+        "box-count-string", "normalize-complex", "tiled-base-complex", "tiled-ratios-complex",
+        "tiled-offsets-string", "frames-complex", "profile-complex", "profile-string"])
+def test_fractal_doors_refuse_complex_and_non_numeric_input(call, message):
+    # Each once dropped the imaginary parts with only a ComplexWarning, or
+    # ended in numpy's raw ValueError on a string.
+    with pytest.raises(InputDomainError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(n="two"), "IFS JSON field n: invalid literal"),
     (dict(maps=[0.5, 0.5]), "field ratio: missing from IFS JSON map 0"),

@@ -10,7 +10,6 @@ from projlab import (DegeneracyError, InputDomainError, SingularityError,
                      cauchy_binet, determinant, from_basis, good_submatrix, inverse,
                      perturbation_inverse_bound, row_submatrix, singular_values,
                      smallest_singular_value, span_from_points, spectral_norm)
-from projlab.charts import chart_bases
 
 
 def test_singular_values_identity():
@@ -67,6 +66,9 @@ def test_row_submatrix_rejects_bad_index_sets():
     with pytest.raises(InputDomainError, match="index set entry must be an integer, got 1.5"):
         row_submatrix(m, (0, 1.5))
     assert np.array_equal(row_submatrix(m, np.array([0, 2])), m[[0, 2]])
+    # An index set that is not iterable once ended in a raw TypeError.
+    with pytest.raises(InputDomainError, match="index set must be iterable, got 5"):
+        row_submatrix(m, 5)
 
 
 def test_inverse_examples():
@@ -263,11 +265,10 @@ def rank_doors(a: np.ndarray) -> dict:
 @pytest.mark.parametrize("small, refused", [(1e-9, False), (1e-11, True)])
 def test_one_basis_gets_one_rank_verdict(small, refused):
     # from_basis once refused sigma_min <= 1e-8 of its scaled matrix: it and
-    # span_from_points refused the 1e-9 basis that good_submatrix, chart_bases
-    # and inverse (of its top 2 x 2 block) accepted.
+    # span_from_points refused the 1e-9 basis that good_submatrix and inverse
+    # (of its top 2 x 2 block) accepted.
     b = np.array([[1.0, 1.0], [0.0, small], [0.0, 0.0]])
-    doors = rank_doors(b) | {"chart_bases": lambda: chart_bases(b[None]),
-                             "inverse": lambda: inverse(b[:2])}
+    doors = rank_doors(b) | {"inverse": lambda: inverse(b[:2])}
     assert rank_verdicts(doors) == dict.fromkeys(doors, refused)
     assert issubclass(SingularityError, DegeneracyError)
 

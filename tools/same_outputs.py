@@ -5,15 +5,17 @@
 Each tree is the root of a projlab checkout; its ``src`` is put first on
 ``PYTHONPATH``.  The configs are those of the CLI workloads in
 ``perfbench/workloads.py`` (read from this checkout) at seeds 7 and 31, plus
-six sweeps over word images that the benchmark does not run: two k = 1
-sweeps on the occupancy path, of a mixed-ratio IFS in R^3 counted as the
-images of a base tile under words of unequal ratios and of a sample small
-enough to count as one identity word; a k = 2 sweep on the occupancy path
-of an IFS in R^3 whose words share one ratio; a k = 1 sweep of the same
-IFS on the sort path, counted as the images of 16 words; and two k = 2
+six sweeps over word images and one scan that the benchmark does not run:
+two k = 1 sweeps on the occupancy path, of a mixed-ratio IFS in R^3 counted
+as the images of a base tile under words of unequal ratios and of a sample
+small enough to count as one identity word; a k = 2 sweep on the occupancy
+path of an IFS in R^3 whose words share one ratio; a k = 1 sweep of the
+same IFS on the sort path, counted as the images of 16 words; two k = 2
 sweeps on the sort path with int32 keys, of an IFS in R^3 of ratio 1/8,
 whose cells are spread into Morton keys by table lookup (scale_hi 12) and
-by shifts (scale_hi 14).  Every config builds through
+by shifts (scale_hi 14); and a G(3, 2) scan over 64 cells of the one-ratio
+IFS, whose grid bases carry an identity block and, unlike every other
+config's, are not orthonormal.  Every config builds through
 ``ExperimentConfig.from_dict``, which tier-1 checks.  Both trees run
 ``projlab`` on every config, and the tool prints the sha256 of each
 ``results.csv`` and ``summary.json``, one row per file.  It exits 0 when
@@ -36,7 +38,7 @@ FILES = ("results.csv", "summary.json")
 
 
 def extra_configs(seed: int) -> dict[str, dict]:
-    """Sweeps over word images beside the benchmark's own."""
+    """Sweeps over word images and a G(3, 2) scan beside the benchmark's own."""
     common = {"n": 2, "k": 1, "num_directions": 8, "scale_lo": 2, "threshold_s": 0.5,
               "seed": seed, "mode": "sweep"}
     mixed = {"n": 3, "label": "mixed-ratio-R3",
@@ -66,6 +68,9 @@ def extra_configs(seed: int) -> dict[str, dict]:
         # 2 x 13 bits, spread by table lookup, and of 2 x 15 bits, by shifts.
         "planes-sort-table": planes_sort | {"scale_hi": 12},
         "planes-sort-shifts": planes_sort | {"scale_hi": 14},
+        # A G(3, 2) scan: 8 x 8 grid bases with an identity block, not orthonormal.
+        "scan-planes": common | {"ifs": corners, "n": 3, "k": 2, "depth": 7, "scale_hi": 8,
+                                 "num_directions": 64, "threshold_s": 1.2, "mode": "scan"},
     }
 
 
